@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .blockfield import BlockField, block_field
-from .chartable import CharRef, CharTable, char_ref, character_table
+from .chartable import CharRef, CharTable, _nu, char_ref, character_table
 from .cyclotomic import Cyclo
 from .errors import InputError, InternalError
 from .groups import Group, SubgroupHandle
@@ -290,11 +290,3 @@ def brauer_correspondent(B: Block, D: SubgroupHandle | None = None) -> Block:
             f"Brauer correspondence found {len(candidates)} candidates, expected 1"
         )
     return candidates[0]
-
-
-def _nu(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .blocks import Block, block_of, brauer_induce, p_blocks
-from .chartable import CharTable, character_table, char_ref
-from .errors import InputError, InternalError
+from .chartable import CharTable, _check_prime, _nu, character_table, char_ref
+from .errors import InputError, InternalError, ResourceError
 from .groups import Group, SubgroupHandle
 from .perms import conj
 
@@ -28,6 +28,7 @@ __all__ = [
     "PairOrbit",
     "PairSet",
     "enumerate_chain_orbits",
+    "signed_pair_counts",
     "pair_set",
     "delete_first_term",
     "append_final_term",
@@ -83,16 +84,45 @@ class ChainOrbit:
                 f"stab={self.stabilizer.order})")
 
 
+def _check_start(G: Group, Z: SubgroupHandle, p: int) -> None:
+    if not Z.is_p_group(p):
+        raise InputError("chain start must be a p-group")
+    if not G.is_normal(Z):
+        raise InputError("chain start must be normal in the ambient group")
+
+
+def _orbit_ceiling(G: Group, reached: int) -> ResourceError:
+    return ResourceError(
+        f"chain orbit count reached {reached}, above the ceiling "
+        f"max_chain_orbits = {G.limits.max_chain_orbits}"
+    )
+
+
+def _extensions(H: Group, final: frozenset, p: int) -> list:
+    """(t, N_H(t)) for one t per H-class of p-subgroups of H with final < t.
+
+    This is the extension step shared by chain enumeration and counting: H
+    is the stabilizer of a chain with final term ``final``, and each t
+    extends the chain by one term, with stabilizer N_H(t).
+    """
+    candidates = []
+    for cls in H.p_subgroup_classes(p):
+        if cls.order <= len(final):
+            continue
+        for s in cls.class_orbit:
+            if final < s:
+                candidates.append(s)
+    return [(t, H.normalizer(H.handle(elements=t)))
+            for t in _fuse_under_group(H, candidates)]
+
+
 def enumerate_chain_orbits(G: Group, Z: SubgroupHandle, p: int) -> tuple[ChainOrbit, ...]:
     """Transversal of the G-orbits of normal p-chains starting at Z.
 
     Output order is canonical: by length, then term orders, then the
     conjugacy-canonical keys of the terms.
     """
-    if not Z.is_p_group(p):
-        raise InputError("chain start must be a p-group")
-    if not G.is_normal(Z):
-        raise InputError("chain start must be normal in the ambient group")
+    _check_start(G, Z, p)
 
     nodes = []  # (terms, stabilizer handle, parent node index)
 
@@ -100,20 +130,10 @@ def enumerate_chain_orbits(G: Group, Z: SubgroupHandle, p: int) -> tuple[ChainOr
         my_index = len(nodes)
         nodes.append((terms, stab, parent))
         if len(nodes) > G.limits.max_chain_orbits:
-            raise InputError("chain orbit ceiling exceeded")
-        H = stab.as_group()
-        final = terms[-1]
-        candidates = []
-        for cls in H.p_subgroup_classes(p):
-            if cls.order <= final.order:
-                continue
-            for s in cls.class_orbit:
-                if final.elements < s:
-                    candidates.append(s)
-        for s in _fuse_under_group(H, candidates):
-            e_handle = G.handle(elements=s)
-            n_in_stab = H.normalizer(H.handle(elements=s))
-            visit(terms + (e_handle,), G.handle(elements=n_in_stab.elements), my_index)
+            raise _orbit_ceiling(G, len(nodes))
+        for t, n_in_stab in _extensions(stab.as_group(), terms[-1].elements, p):
+            visit(terms + (G.handle(elements=t),),
+                  G.handle(elements=n_in_stab.elements), my_index)
 
     visit((Z,), G.full_subgroup(), None)
 
@@ -144,6 +164,52 @@ def enumerate_chain_orbits(G: Group, Z: SubgroupHandle, p: int) -> tuple[ChainOr
             )
         )
     return tuple(orbits)
+
+
+def signed_pair_counts(G: Group, U: SubgroupHandle, p: int) -> tuple[tuple, int]:
+    """Block-free signed pair counts at every defect, without listing chains.
+
+    Returns ``(counts, orbits)``: ``counts[f]`` equals
+    ``pair_set(G, "all", U, f, p=p).counts`` for f = 0..nu_p(|G|), and
+    ``orbits`` equals ``len(enumerate_chain_orbits(G, U, p))``.
+
+    The subtree of the enumeration below a chain depends only on its
+    stabilizer H and final term s, so its counts F(H, s) are memoised:
+    F(H, s) is the defect histogram of Irr(H) plus the parity-swapped sum of
+    F(N_H(t), t) over the extensions t of :func:`_extensions`.  Orbit counts
+    add up the same way, and the ``max_chain_orbits`` ceiling is raised as
+    soon as a subtree exceeds it, so this fails exactly where enumeration
+    does.
+    """
+    _check_prime(p)
+    _check_start(G, U, p)
+    d = _nu(G.order, p)
+    limit = G.limits.max_chain_orbits
+    memo = G._cache.setdefault(("signed_counts", p), {})
+
+    def count(stab: SubgroupHandle, final: frozenset) -> tuple:
+        """(same-sign histogram, opposite-sign histogram, orbits) below a chain."""
+        state = (stab.elements, final)
+        if state not in memo:
+            H = stab.as_group()
+            table = character_table(H)
+            same, other = [0] * (d + 1), [0] * (d + 1)
+            for i in range(table.r):
+                same[char_ref(table, i, p).defect] += 1
+            orbits = 1
+            for t, n_in_stab in _extensions(H, final, p):
+                c_same, c_other, c_orbits = count(G.handle(elements=n_in_stab.elements), t)
+                orbits += c_orbits
+                if orbits > limit:
+                    raise _orbit_ceiling(G, orbits)
+                for f in range(d + 1):
+                    same[f] += c_other[f]
+                    other[f] += c_same[f]
+            memo[state] = (tuple(same), tuple(other), orbits)
+        return memo[state]
+
+    plus, minus, orbits = count(G.full_subgroup(), U.elements)
+    return tuple(zip(plus, minus)), orbits
 
 
 def _fuse_under_group(H: Group, candidate_sets) -> list:
@@ -284,15 +350,17 @@ def chain_orbits_cached(G: Group, Z: SubgroupHandle, p: int) -> tuple[ChainOrbit
     return G._cache[key]
 
 
-def _induced_block_map(G: Group, stab: SubgroupHandle, p: int) -> dict:
-    """Map block-index-of-stabilizer -> Block of G (or None), cached on G."""
-    key = ("induced", stab.elements, p)
+def _stabilizer_rows(G: Group, stab: SubgroupHandle, p: int) -> tuple:
+    """(char index, defect, induced block of G or None) for each character
+    of the stabilizer, in index order; cached on G."""
+    key = ("stab_rows", stab.elements, p)
     if key not in G._cache:
         table = character_table(stab.as_group())
-        out = {}
-        for b in p_blocks(table, p):
-            out[b.index] = brauer_induce(b, G)
-        G._cache[key] = out
+        induced = {b.index: brauer_induce(b, G) for b in p_blocks(table, p)}
+        G._cache[key] = tuple(
+            (i, char_ref(table, i, p).defect, induced[block_of(table, p, i).index])
+            for i in range(table.r)
+        )
     return G._cache[key]
 
 
@@ -320,14 +388,9 @@ def pair_set(G: Group, block, Z: SubgroupHandle, d: int, p: int | None = None) -
     plus = []
     minus = []
     for orb in orbits:
-        table = character_table(orb.stabilizer.as_group())
-        induced = _induced_block_map(G, orb.stabilizer, p)
-        for i in range(table.r):
-            ref = char_ref(table, i, p)
-            if ref.defect != d:
+        for i, defect, target in _stabilizer_rows(G, orb.stabilizer, p):
+            if defect != d:
                 continue
-            hb = block_of(table, p, i)
-            target = induced[hb.index]
             if block is not None and target != block:
                 continue
             pair = PairOrbit(

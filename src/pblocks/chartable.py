@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -168,12 +169,19 @@ def char_ref(table: CharTable, index: int, p: int) -> CharRef:
 
 
 def _defect_of(table: CharTable, index: int, p: int) -> int:
-    if p < 2 or not isprime(p):
-        raise InputError(f"{p} is not a prime")
+    _check_prime(p)
     return _nu(table.group.order, p) - _nu(table.degrees[index], p)
 
 
+@lru_cache
+def _check_prime(p: int) -> None:
+    """Raise InputError unless p is a prime; cached, as it runs per character."""
+    if p < 2 or not isprime(p):
+        raise InputError(f"{p} is not a prime")
+
+
 def _nu(n: int, p: int) -> int:
+    """The p-adic valuation of n."""
     v = 0
     while n % p == 0:
         n //= p

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .blocks import p_blocks
 from .chains import pair_set
-from .chartable import character_table
+from .chartable import _nu, character_table
 from .config import Limits
 from .conjectures import (
     CheckReport,
@@ -196,7 +196,7 @@ def _execute(args):
             d = args.defect if args.defect is not None else blocks[0].defect
             S = pair_set(G, blocks[0], Z, d)
         else:
-            d = sum(1 for _ in iter_p(G.order, p))
+            d = _nu(G.order, p)
             S = pair_set(G, "all", Z, d, p=p)
         bundle["result"] = chain_document(S)
         return bundle, 0
@@ -233,7 +233,7 @@ def _execute(args):
         for B in _selected_blocks(args, table, p):
             from .blocks import is_central_defect
 
-            if is_central_defect(B) or B.defect <= _log_p(G.p_core(p).order, p):
+            if is_central_defect(B) or B.defect <= _nu(G.p_core(p).order, p):
                 reports.append(CheckReport(
                     "pi-pairing",
                     {"group": group_document(G), "p": p, "block": B.index},
@@ -250,20 +250,6 @@ def _execute(args):
     if any(r.failed for r in reports):
         return bundle, 1
     return bundle, 0
-
-
-def _log_p(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def iter_p(n: int, p: int):
-    while n % p == 0:
-        n //= p
-        yield p
 
 
 def _repair_demo(args) -> dict:

@@ -23,8 +23,8 @@ from .blocks import (
     is_central_defect,
     p_blocks,
 )
-from .chains import PairOrbit, PairSet, pair_set
-from .chartable import character_table, p_prime_degree_set
+from .chains import PairOrbit, PairSet, pair_set, signed_pair_counts
+from .chartable import _nu, character_table, p_prime_degree_set
 from .errors import InputError, InternalError
 from .groups import Group, SubgroupHandle
 from .perms import Perm, conj, format_cycles, pinv, pmul
@@ -119,14 +119,6 @@ def _chain_witness(S: PairSet) -> dict:
             }
         )
     return {"chain_orbits": orbits}
-
-
-def _nu(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 # -- blockwise counting ---------------------------------------------------------
@@ -346,12 +338,13 @@ def defect_support_scan(G: Group, p: int, U: SubgroupHandle | None = None) -> Ch
         return CheckReport("defect-scan", inputs, None, None, "not-applicable",
                            witness={"reason": "Sylow p-subgroup is nonabelian"})
     d = _nu(G.order, p)
-    rows = {}
+    rows, _ = signed_pair_counts(G, U, p)
     flagged = []
-    for f in range(d + 1):
-        S = pair_set(G, "all", U, f, p=p)
-        rows[f] = S.counts
-        if f != d and S.counts != (0, 0):
+    for f, counts in enumerate(rows):
+        if f != d and counts != (0, 0):
+            S = pair_set(G, "all", U, f, p=p)
+            if S.counts != counts:
+                raise InternalError("pair counts disagree with the chain-orbit listing")
             wit = [
                 {
                     "sign": sgn,
@@ -361,8 +354,8 @@ def defect_support_scan(G: Group, p: int, U: SubgroupHandle | None = None) -> Ch
                 for sgn, side in (("+", S.plus), ("-", S.minus))
                 for pr in side
             ]
-            flagged.append({"f": f, "counts": list(S.counts), "pairs": wit})
-    witness = {"counts_by_defect": {str(f): list(c) for f, c in rows.items()},
+            flagged.append({"f": f, "counts": list(counts), "pairs": wit})
+    witness = {"counts_by_defect": {str(f): list(c) for f, c in enumerate(rows)},
                "flagged": flagged}
     notes = ()
     if flagged:

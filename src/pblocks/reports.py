@@ -13,7 +13,7 @@ import json
 
 from .blockfield import block_field
 from .blocks import Block, heights, p_blocks
-from .chains import PairSet
+from .chains import PairSet, _stabilizer_rows
 from .chartable import CharTable, character_table
 from .errors import InputError
 from .groups import Group
@@ -109,20 +109,11 @@ def _one_block(b: Block) -> dict:
 
 def chain_document(S: PairSet) -> dict:
     """Chain report: every orbit with per-defect character counts by induced block."""
-    from .chartable import char_ref
-    from .blocks import block_of, brauer_induce
-
     orbits = []
     for o in S.orbits:
-        stab_group = o.stabilizer.as_group()
-        table = character_table(stab_group)
         per_defect: dict = {}
-        for i in range(table.r):
-            ref = char_ref(table, i, S.p)
-            hb = block_of(table, S.p, i)
-            target = brauer_induce(hb, S.group)
-            key = str(ref.defect)
-            bucket = per_defect.setdefault(key, {})
+        for _, defect, target in _stabilizer_rows(S.group, o.stabilizer, S.p):
+            bucket = per_defect.setdefault(str(defect), {})
             label = "undefined" if target is None else str(target.index)
             bucket[label] = bucket.get(label, 0) + 1
         orbits.append(

@@ -18,10 +18,13 @@ from pblocks.chains import (
     prepend_first_term,
     second_term_blocks,
     second_term_partition,
+    signed_pair_counts,
 )
 from pblocks.chartable import character_table
-from pblocks.errors import InputError
+from pblocks.config import Limits
+from pblocks.errors import InputError, ResourceError
 from pblocks.groups import all_subgroup_chains_brute
+from pblocks.library import acceptance_corpus, library_group
 from pblocks.perms import conj, parse_cycles
 
 
@@ -294,6 +297,44 @@ def test_chain_orbit_cache(grp):
     a = chain_orbits_cached(A5, A5.trivial_subgroup(), 2)
     b = chain_orbits_cached(A5, A5.trivial_subgroup(), 2)
     assert a is b
+
+
+def _primes(n):
+    return [q for q in range(2, n + 1)
+            if n % q == 0 and all(q % r for r in range(2, q))]
+
+
+@pytest.mark.parametrize("name", acceptance_corpus() + ["C2xC2xC2xC2"])
+def test_counting_agrees_with_enumeration(grp, name):
+    # the memoised recursion against full enumeration, at every prime and
+    # defect, from the trivial start and from O_p(G); C2^4 at p = 2 has
+    # 1,392 chain orbits from the trivial start
+    G = grp(name)
+    for p in _primes(G.order):
+        for U in (G.trivial_subgroup(), G.p_core(p)):
+            counts, orbits = signed_pair_counts(G, U, p)
+            assert orbits == len(enumerate_chain_orbits(G, U, p))
+            assert list(counts) == [pair_set(G, "all", U, f, p=p).counts
+                                    for f in range(_nu(G.order, p) + 1)]
+
+
+def test_counting_rejects_bad_start_and_prime(grp):
+    A5 = grp("A5")
+    with pytest.raises(InputError):
+        signed_pair_counts(A5, A5.sylow(2), 2)
+    with pytest.raises(InputError):
+        signed_pair_counts(A5, A5.trivial_subgroup(), 4)
+
+
+def test_orbit_ceiling_is_a_resource_error(grp):
+    # S4 at p = 2 from the trivial start has 18 chain orbits; both routes
+    # must stop at a ceiling of 5
+    S4 = grp("S4")
+    assert len(enumerate_chain_orbits(S4, S4.trivial_subgroup(), 2)) == 18
+    for route in (enumerate_chain_orbits, signed_pair_counts):
+        G = library_group("S4", limits=Limits(max_chain_orbits=5))
+        with pytest.raises(ResourceError, match="max_chain_orbits = 5"):
+            route(G, G.trivial_subgroup(), 2)
 
 
 def _nu(n, p):

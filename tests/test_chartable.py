@@ -147,6 +147,14 @@ def test_trivial_character_defect_is_full(grp):
         assert char_ref(table, i, p).defect == _nu(table.group.order, p)
 
 
+def test_defect_needs_a_prime(grp):
+    table = character_table(grp("S4"))
+    for p in (4, 1, 4):  # the prime check is cached; a repeat still raises
+        with pytest.raises(InputError):
+            char_ref(table, 0, p)
+    assert char_ref(table, 0, 3).defect == 1
+
+
 def test_p_prime_degree_sets(grp):
     t5 = character_table(grp("A5"))
     odd = p_prime_degree_set(t5, 2)
