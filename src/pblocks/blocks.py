@@ -17,6 +17,7 @@ from .chartable import CharRef, CharTable, _nu, char_ref, character_table
 from .cyclotomic import Cyclo
 from .errors import InputError, InternalError
 from .groups import Group, SubgroupHandle
+from .perms import perm_order
 
 __all__ = [
     "Block",
@@ -171,24 +172,10 @@ def p_blocks(table: CharTable, p: int) -> tuple[Block, ...]:
 
 def _defect_group(table: CharTable, p: int, members, lam: ReducedCentralChar,
                   d: int) -> SubgroupHandle:
-    """Sylow p-subgroup of the centralizer of a defect-class element.
-
-    A defect class is a class with lam(K) != 0 whose size has maximal
-    p-part; ties are broken by canonical class order.
-    """
+    """Sylow p-subgroup of the centralizer of a defect-class element."""
     G = table.group
-    best_nu = -1
-    chosen = None
-    for k, c in enumerate(table.classes):
-        if lam.values[k] == lam.field.zero:
-            continue
-        nu = _nu(c.size, p)
-        if nu > best_nu:
-            best_nu = nu
-            chosen = k
-    if chosen is None:
-        raise InternalError("block has no class with nonzero central character")
-    cent = G.handle(elements=G.centralizer_set(table.classes[chosen].rep))
+    rep = table.classes[_defect_class(table, p, lam)].rep
+    cent = G.handle(elements=G.centralizer_set(rep))
     syl = cent.as_group().sylow(p)
     dg = G.handle(elements=syl.elements)
     if dg.order != p**d:
@@ -196,6 +183,26 @@ def _defect_group(table: CharTable, p: int, members, lam: ReducedCentralChar,
             "defect group from the defect class disagrees with the member defects"
         )
     return dg
+
+
+def _defect_class(table: CharTable, p: int, lam: ReducedCentralChar) -> int:
+    """Index of a defect class of the block with reduced central character lam.
+
+    A defect class is a p-regular class with lam(K) != 0 whose size has
+    maximal p-part; ties are broken by canonical class order.
+    """
+    best_nu = -1
+    chosen = None
+    for k, c in enumerate(table.classes):
+        if lam.values[k] == lam.field.zero or perm_order(c.rep) % p == 0:
+            continue
+        nu = _nu(c.size, p)
+        if nu > best_nu:
+            best_nu = nu
+            chosen = k
+    if chosen is None:
+        raise InternalError("block has no p-regular class with nonzero central character")
+    return chosen
 
 
 def block_of(table: CharTable, p: int, index: int) -> Block:

@@ -14,7 +14,7 @@ is an irredundant transversal by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .blocks import Block, block_of, brauer_induce, p_blocks
 from .chartable import CharTable, _check_prime, _nu, character_table, char_ref
@@ -266,12 +266,6 @@ def append_final_term(chain: PChain, D: SubgroupHandle) -> PChain:
     return PChain(chain.terms + (D,))
 
 
-def delete_final_term(chain: PChain) -> PChain:
-    if chain.length < 1:
-        raise InputError("cannot delete the only term of a chain")
-    return PChain(chain.terms[:-1])
-
-
 def intermediate_subgroup_classes(G: Group, U: SubgroupHandle, D: SubgroupHandle,
                                   p: int) -> tuple[SubgroupHandle, ...]:
     """G-classes of p-subgroups Q with U < Q^g < D for some g."""
@@ -466,7 +460,3 @@ def local_second_term_sets(G: Group, B: Block, Q: SubgroupHandle, d: int) -> tup
     return tuple(
         pair_set(N, b, nq, d) for b in second_term_blocks(G, B, Q, d)
     )
-
-
-def _unused_field():  # pragma: no cover
-    field

@@ -9,6 +9,10 @@ Fourier inversion over a fixed e-th root of unity in F_ell.
 
 Every table is validated against both orthogonality relations before it is
 returned; a table that fails validation is never handed out.
+
+The integer products of the lift and of the validation run through float64
+matrix products.  Each is preceded by an a-priori bound on its partial sums;
+at 2^53 the result could be inexact, so a ResourceError is raised instead.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ import numpy as np
 from sympy import isprime, primitive_root, sqrt_mod
 
 from .cyclotomic import Cyclo, _power_reductions, euler_phi
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ResourceError
 from .groups import ConjClass, Group
 from .modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
-from .perms import format_cycles, perm_order, pinv, pmul
+from .perms import pinv, pmul
 
 __all__ = [
     "CharTable",
@@ -137,14 +141,15 @@ class CharTable:
     def cmc(self) -> np.ndarray:
         """Tensor a[i, j, k]: K_i K_j = sum_k a[i,j,k] K_k as class sums."""
         if "cmc" not in self._cache:
-            idx = self.class_index()
+            arr = self.group._array()
+            cls = self.group._class_of()
             r = self.r
             a = np.zeros((r, r, r), dtype=np.int32)
-            inv = {x: pinv(x) for x in self.group.elements()}
             for k, ck in enumerate(self.classes):
-                z = ck.rep
-                for x in self.group.elements():
-                    a[idx[x], idx[pmul(inv[x], z)], k] += 1
+                # row x of the gather is x^-1 z
+                quotients = arr.index(arr.perm(ck.rep)[arr.inv])
+                a[:, :, k] = np.bincount(cls * r + cls[quotients],
+                                         minlength=r * r).reshape(r, r)
             self._cache["cmc"] = a
         return self._cache["cmc"]
 
@@ -244,7 +249,7 @@ def _dixon_table(G: Group) -> CharTable:
 
     rows = sorted(
         range(r),
-        key=lambda i: (degrees[i], tuple(int(c) for c in int_values[i].reshape(-1))),
+        key=lambda i: (degrees[i], int_values[i].reshape(-1).tolist()),
     )
     values = np.stack([int_values[i] for i in rows])
     degs = [degrees[i] for i in rows]
@@ -360,21 +365,19 @@ def _lift_values(table, values_mod, degrees, ell, z):
     phi = table.phi
     r = table.r
     pm = table.power_map()
-    zmat = np.zeros((e, e), dtype=np.int64)
+    # zmat[t, s] = z^(-st); z has order e
     zinv = inv_mod(z, ell)
-    for t in range(e):
-        acc = 1
-        step = pow(zinv, t, ell)
-        for s in range(e):
-            zmat[t, s] = acc
-            acc = (acc * step) % ell
+    steps = np.arange(e)
+    zpow = np.array([pow(zinv, s, ell) for s in range(e)], dtype=np.float64)
+    zmat = zpow[np.outer(steps, steps) % e]
     inv_e = inv_mod(e, ell)
     basis = np.array(_power_reductions(e)[:e], dtype=np.int64)[:, :phi]
 
+    _check_float_exact(e * ell * ell, "character value lift")
     out = np.zeros((r, r, phi), dtype=np.int64)
     for i in range(r):
-        gathered = values_mod[i][pm]  # [r, e]: chi(g_k^t)
-        mults = (gathered.astype(np.int64) @ zmat) % ell
+        gathered = values_mod[i][pm].astype(np.float64)  # [r, e]: chi(g_k^t)
+        mults = (gathered @ zmat).astype(np.int64) % ell
         mults = (mults * inv_e) % ell
         if mults.max() > degrees[i]:
             raise InternalError("eigenvalue multiplicity exceeds the degree")
@@ -410,20 +413,39 @@ def galois_matrix(e: int, k: int) -> np.ndarray:
     return out
 
 
+_FLOAT_EXACT = 2**53
+
+
+def _check_float_exact(bound: int, what: str) -> None:
+    """Raise ResourceError unless partial sums bounded by ``bound`` stay exact."""
+    if bound >= _FLOAT_EXACT:
+        raise ResourceError(
+            f"{what}: partial sums may reach {bound}, at or above the "
+            f"float64 exact-integer bound 2^53 = {_FLOAT_EXACT}"
+        )
+
+
 def _pairwise_products(A: np.ndarray, B: np.ndarray, weights: np.ndarray, e: int):
     """C[i, j] = sum_K w_K * (A[i,K] * B[j,K]) as reduced basis vectors.
 
     A, B: [n, r, phi] integer coefficient tensors; the product is the
     cyclotomic product, computed by convolution then reduction mod Phi_e.
+    A convolution entry is at most max|A| * max|B| * sum|w| * phi, and the
+    reduction multiplies that by at most the largest column sum of |rows|.
     """
-    phi = A.shape[2]
+    n_a, r, phi = A.shape
+    n_b = B.shape[0]
     rows = np.array(_power_reductions(e)[: 2 * phi - 1], dtype=np.int64)[:, :phi]
-    wb = B * weights[None, :, None]
-    n_a, n_b = A.shape[0], B.shape[0]
-    conv = np.zeros((n_a, n_b, 2 * phi - 1), dtype=np.int64)
+    _check_float_exact(int(np.abs(A).max()) * int(np.abs(B).max())
+                       * int(np.abs(weights).sum()) * phi
+                       * int(np.abs(rows).sum(axis=0).max()), "orthogonality check")
+    wb = np.moveaxis(B * weights[None, :, None], 1, 0).reshape(r, n_b * phi)
+    wb = wb.astype(np.float64)
+    conv = np.zeros((n_a, n_b, 2 * phi - 1))
     for s in range(phi):
-        conv[:, :, s : s + phi] += np.tensordot(A[:, :, s], wb, axes=([1], [1]))
-    return np.tensordot(conv, rows, axes=([2], [0]))
+        product = A[:, :, s].astype(np.float64) @ wb
+        conv[:, :, s : s + phi] += product.reshape(n_a, n_b, phi)
+    return (conv @ rows.astype(np.float64)).astype(np.int64)
 
 
 def _validate_table(table: CharTable) -> None:
@@ -465,20 +487,8 @@ def _validate_table(table: CharTable) -> None:
             raise InternalError("identity column disagrees with the degrees")
 
 
-def format_class(c: ConjClass) -> str:
-    return format_cycles(c.rep)
-
-
 def galois_row_permutation(table: CharTable, k: int) -> list[int]:
     """Row permutation induced by zeta -> zeta^k, or raise if rows move out."""
     gm = galois_matrix(table.conductor, k)
     mapped = np.tensordot(table.values, gm, axes=([2], [0]))
     return [table.row_index_of_values(mapped[i]) for i in range(table.r)]
-
-
-def exponent_of(G: Group) -> int:
-    return G.exponent()
-
-
-def element_order_check(G: Group) -> bool:  # pragma: no cover
-    return all(perm_order(c.rep) for c in G.conjugacy_classes())

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 = every check passed or was not applicable, 1 = at least one
-check failed, 2 = input or resource problem.
+check failed, 2 = input or resource problem, 3 = internal error (a bug).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .conjectures import (
     verify_max_defect,
     verify_pair_count,
 )
-from .errors import InputError, PBlocksError, ResourceError
+from .errors import InputError, InternalError, ResourceError
 from .groups import Group
 from .library import library_group, library_names, parse_group_file
 from .perms import parse_perm_list
@@ -151,9 +151,9 @@ def run(argv=None) -> int:
     except (InputError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PBlocksError as exc:
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return 2
+        return 3
     if args.format == "json":
         sys.stdout.write(canonical_json(bundle))
     else:

@@ -762,7 +762,6 @@ def _pair_image(G: Group, S: PairSet, pr: PairOrbit, a: Perm, cache: dict):
 def _chain_image(G: Group, S: PairSet, ci: int, a: Perm):
     """Find (orbit index j, m = a*g) with chain_ci^a conjugated onto rep_j."""
     src = S.orbits[ci].chain
-    conj_terms = [frozenset(conj(x, a) for x in t.elements) for t in src.terms]
     conj_gens = [[conj(x, a) for x in t.generators] for t in src.terms]
     profile = tuple(t.order for t in src.terms)
     for j, o in enumerate(S.orbits):

@@ -9,12 +9,19 @@ Everything else (conjugacy classes, normalizers, Sylow subgroups, p-subgroup
 classes) is computed by exact search.  Groups are desk scale: the chain is
 cheap, but most derived data enumerates all elements, so orders are capped by
 :class:`~pblocks.config.Limits`.
+
+The whole-group scans (classes, centralizers, normalizers, and the
+class-multiplication tensor in :mod:`pblocks.chartable`) run over one cached
+small-int array of the elements, :class:`_ElementArray`; tuples are what
+these scans take in and hand back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
+
+import numpy as np
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import InputError, InternalError, ResourceError
@@ -81,6 +88,44 @@ class _ChainLevel:
         self.point = point
         self.gens = gens
         self.transversal = transversal
+
+
+class _ElementArray:
+    """The sorted elements of a group as rows of one small-int array.
+
+    ``rows[i]`` is ``elements()[i]`` and ``inv[i]`` its inverse, both
+    ``uint8`` (``uint16`` above degree 256), so index order is element
+    order.  :meth:`index` maps rows back to indices through their byte keys.
+    """
+
+    __slots__ = ("rows", "inv", "_keys", "_sorter")
+
+    def __init__(self, elements: tuple, degree: int):
+        dtype = np.uint8 if degree <= 256 else np.uint16
+        rows = np.array(elements, dtype=dtype).reshape(len(elements), degree)
+        inv = np.empty_like(rows)
+        inv[np.arange(len(rows))[:, None], rows] = np.arange(degree, dtype=dtype)
+        self.rows = rows
+        self.inv = inv
+        keys = self._row_keys(rows)
+        self._sorter = np.argsort(keys, kind="stable")
+        self._keys = keys[self._sorter]
+
+    @staticmethod
+    def _row_keys(rows: np.ndarray) -> np.ndarray:
+        rows = np.ascontiguousarray(rows)
+        return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+    def index(self, rows: np.ndarray) -> np.ndarray:
+        """Element index of every row; InternalError if a row is no element."""
+        pos = np.searchsorted(self._keys, self._row_keys(rows))
+        found = self._sorter[np.minimum(pos, len(self._keys) - 1)]
+        if not np.array_equal(self.rows[found], rows):
+            raise InternalError("permutation row is not an element of the group")
+        return found
+
+    def perm(self, p: Perm) -> np.ndarray:
+        return np.array(p, dtype=self.rows.dtype)
 
 
 def _orbit_transversal(degree: int, point: int, gens) -> dict:
@@ -213,6 +258,16 @@ class Group:
             self._cache["elements"] = tuple(sorted(elems))
         return self._cache["elements"]
 
+    def _array(self) -> _ElementArray:
+        if "array" not in self._cache:
+            self._cache["array"] = _ElementArray(self.elements(), self.degree)
+        return self._cache["array"]
+
+    def _subset(self, mask: np.ndarray) -> frozenset:
+        """The elements whose indices are set in a boolean mask."""
+        elems = self.elements()
+        return frozenset(elems[i] for i in np.flatnonzero(mask).tolist())
+
     def element_set(self) -> frozenset:
         if "element_set" not in self._cache:
             self._cache["element_set"] = frozenset(self.elements())
@@ -223,7 +278,7 @@ class Group:
             e = 1
             for c in self.conjugacy_classes():
                 o = perm_order(c.rep)
-                e = e * o // _gcd(e, o)
+                e = e * o // gcd(e, o)
             self._cache["exponent"] = e
         return self._cache["exponent"]
 
@@ -241,43 +296,50 @@ class Group:
         """Classes in canonical order: by size, then by minimal representative."""
         if "classes" in self._cache:
             return self._cache["classes"]
+        arr = self._array()
+        # Conjugation by each generator permutes the element indices; every
+        # element's label falls to the least index in its class.
+        moves = []
+        for g in self.generators:
+            ga = arr.perm(g)
+            moves.append(arr.index(ga[arr.rows[:, np.argsort(ga)]]))
+        label = np.arange(self.order)
+        while True:
+            new = label
+            for move in moves:
+                new = np.minimum(new, new[move])
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        members = np.argsort(label, kind="stable")
+        reps, starts, sizes = np.unique(label[members], return_index=True,
+                                        return_counts=True)
         elems = self.elements()
-        seen = set()
-        raw = []
-        for x in elems:
-            if x in seen:
-                continue
-            orbit = {x}
-            queue = [x]
-            while queue:
-                y = queue.pop()
-                for g in self.generators:
-                    z = conj(y, g)
-                    if z not in orbit:
-                        orbit.add(z)
-                        queue.append(z)
-            seen |= orbit
-            raw.append(tuple(sorted(orbit)))
-        raw.sort(key=lambda orb: (len(orb), orb[0]))
+        class_of = np.empty(self.order, dtype=np.intp)
         classes = []
-        for orb in raw:
-            size = len(orb)
+        for c in np.lexsort((reps, sizes)).tolist():
+            size = int(sizes[c])
             if self.order % size:
                 raise InternalError("class size does not divide group order")
+            orb = members[starts[c]:starts[c] + size]
+            class_of[orb] = len(classes)
+            orb = tuple(elems[i] for i in orb.tolist())
             classes.append(ConjClass(orb[0], size, self.order // size, orb))
-        if sum(c.size for c in classes) != self.order:
-            raise InternalError("conjugacy classes do not partition the group")
+        self._cache["class_of"] = class_of
         self._cache["classes"] = tuple(classes)
         return self._cache["classes"]
+
+    def _class_of(self) -> np.ndarray:
+        """Class index of every element index."""
+        self.conjugacy_classes()
+        return self._cache["class_of"]
 
     def class_index(self) -> dict:
         """Map element -> index of its conjugacy class."""
         if "class_index" not in self._cache:
-            idx = {}
-            for k, c in enumerate(self.conjugacy_classes()):
-                for x in c.elements:
-                    idx[x] = k
-            self._cache["class_index"] = idx
+            self._cache["class_index"] = dict(
+                zip(self.elements(), self._class_of().tolist()))
         return self._cache["class_index"]
 
     # -- subgroups ----------------------------------------------------------
@@ -305,20 +367,17 @@ class Group:
     def full_subgroup(self) -> "SubgroupHandle":
         return self.handle(elements=self.element_set())
 
-    def is_subgroup_set(self, elements: frozenset) -> bool:
-        if self.identity not in elements:
-            return False
-        if not all(self.contains(x) for x in elements):
-            return False
-        return all(pmul(x, y) in elements for x in elements for y in elements)
-
     def normalizer_set(self, sub_elements: frozenset, sub_gens) -> frozenset:
         """Elements g of this group with H^g = H, by generator-image tests."""
-        out = set()
-        for g in self.elements():
-            if all(conj(h, g) in sub_elements for h in sub_gens):
-                out.add(g)
-        return frozenset(out)
+        arr = self._array()
+        inside = np.fromiter((x in sub_elements for x in self.elements()),
+                             dtype=bool, count=self.order)
+        mask = np.ones(self.order, dtype=bool)
+        for h in sub_gens:
+            # row g of the gather is g^-1 h g
+            images = np.take_along_axis(arr.rows, arr.perm(h)[arr.inv], axis=1)
+            mask &= inside[arr.index(images)]
+        return self._subset(mask)
 
     def normalizer(self, handle: "SubgroupHandle") -> "SubgroupHandle":
         """N_G(H); requires H <= G."""
@@ -333,14 +392,21 @@ class Group:
             self._cache[key] = n
         return self._cache[key]
 
+    def _commutes_with(self, x: Perm) -> np.ndarray:
+        """Mask of the elements g with gx = xg."""
+        arr = self._array()
+        xa = arr.perm(x)
+        return (xa[arr.rows] == arr.rows[:, xa]).all(axis=1)
+
     def centralizer_set(self, x: Perm) -> frozenset:
-        return frozenset(g for g in self.elements() if pmul(g, x) == pmul(x, g))
+        return self._subset(self._commutes_with(x))
 
     def center(self) -> "SubgroupHandle":
         if "center" not in self._cache:
-            z = [g for g in self.elements()
-                 if all(pmul(g, h) == pmul(h, g) for h in self.generators)]
-            self._cache["center"] = self.handle(elements=z)
+            mask = np.ones(self.order, dtype=bool)
+            for h in self.generators:
+                mask &= self._commutes_with(h)
+            self._cache["center"] = self.handle(elements=self._subset(mask))
         return self._cache["center"]
 
     def sylow(self, p: int) -> "SubgroupHandle":
@@ -470,12 +536,6 @@ class Group:
         handles.sort(key=lambda h: (h.order, h.canonical_key))
         self._cache[key] = tuple(handles)
         return self._cache[key]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _generating_subset(degree: int, elements_sorted) -> list:
@@ -613,14 +673,6 @@ class SubgroupHandle:
 def group_from_generators(degree: int, gens, limits: Limits = DEFAULT_LIMITS) -> Group:
     """Public constructor mirroring the group-definition file contents."""
     return Group(degree, gens, limits=limits)
-
-
-def brute_force_conjugates(G: Group, handle: SubgroupHandle) -> int:
-    """Number of distinct conjugates of a subgroup, by scanning all of G."""
-    seen = set()
-    for g in G.elements():
-        seen.add(frozenset(conj(x, g) for x in handle.elements))
-    return len(seen)
 
 
 def all_subgroup_chains_brute(G: Group, start: frozenset, p: int):

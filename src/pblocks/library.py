@@ -29,6 +29,7 @@ Generators are written in 0-based disjoint-cycle notation and separated by
 from __future__ import annotations
 
 import re
+from math import gcd
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import InputError
@@ -119,7 +120,7 @@ def semidirect_cyclic(m: int, n: int, k: int, limits: Limits = DEFAULT_LIMITS) -
     """
     if m < 2 or n < 2:
         raise InputError("semidirect factors must have order >= 2")
-    if pow(k, n, m) != 1 or _gcd(k, m) != 1:
+    if pow(k, n, m) != 1 or gcd(k, m) != 1:
         raise InputError(f"k={k} does not define an order-dividing action on C{m}")
     degree = m + n
     a = tuple((i + 1) % m for i in range(m)) + tuple(range(m, degree))
@@ -250,9 +251,3 @@ def parse_group_file(text: str, limits: Limits = DEFAULT_LIMITS) -> Group:
     for chunk in gen_text:
         gens.extend(parse_perm_list(chunk, degree))
     return Group(degree, gens, limits=limits)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

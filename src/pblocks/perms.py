@@ -85,10 +85,6 @@ def cycle_lengths(p: Perm) -> list[int]:
     return out
 
 
-def moved_points(p: Perm) -> list[int]:
-    return [i for i, j in enumerate(p) if i != j]
-
-
 def format_cycles(p: Perm) -> str:
     """Disjoint-cycle string, e.g. ``(0 1 2)(3 4)``; identity is ``()``."""
     seen = set()

@@ -9,6 +9,7 @@ cyclotomic arithmetic and never touches the finite-field reduction.
 import pytest
 
 from pblocks.blocks import (
+    _defect_class,
     brauer_correspondent,
     brauer_induce,
     central_character,
@@ -259,3 +260,24 @@ def test_reduced_central_character_identity_entry(grp):
     table = character_table(grp("SL23"))
     rc = reduced_central_character(table, 0, 2)
     assert rc.values[0] == rc.field.one
+
+
+def _nu(n, p):
+    return 0 if n % p else 1 + _nu(n // p, p)
+
+
+@pytest.mark.parametrize("name,block", [("D6", 1), ("D10", 1), ("D10", 2)])
+def test_defect_class_is_p_regular(grp, name, block):
+    """These blocks have a p-singular class of larger p-part with lam != 0."""
+    table = character_table(grp(name))
+    G = table.group
+    B = p_blocks(table, 2)[block]
+    chosen = table.classes[_defect_class(table, 2, B.lam)]
+    assert perm_order(chosen.rep) % 2 == 1
+    nonzero = [c for k, c in enumerate(table.classes)
+               if B.lam.values[k] != B.lam.field.zero]
+    unrestricted = max(nonzero, key=lambda c: _nu(c.size, 2))
+    assert perm_order(unrestricted.rep) % 2 == 0
+    # the defect group is the one the unrestricted choice gave
+    cent = G.handle(elements=G.centralizer_set(unrestricted.rep))
+    assert B.defect_group.elements == cent.as_group().sylow(2).elements

@@ -150,3 +150,15 @@ def test_exit_code_1_on_failed_check(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_blockfree", fake)
     code, _ = capture(capsys, ["verify-blockfree", "--lib", "C2", "--prime", "2"])
     assert code == 1
+
+
+def test_exit_code_3_on_internal_error(capsys, monkeypatch):
+    from pblocks import cli
+    from pblocks.errors import InternalError
+
+    def broken(G, p, U=None):
+        raise InternalError("consistency check failed")
+
+    monkeypatch.setattr(cli, "verify_blockfree", broken)
+    assert run(["verify-blockfree", "--lib", "C2", "--prime", "2"]) == 3
+    assert "internal error: consistency check failed" in capsys.readouterr().err

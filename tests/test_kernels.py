@@ -1,0 +1,233 @@
+"""Array kernels against the tuple scans they replaced.
+
+The oracles below are the element-by-element scans over tuple permutations
+that the array versions in ``groups`` and ``chartable`` replaced.  They are
+compared on every acceptance-corpus group and on a seeded relabelling of
+its points, together with the float64 product and lift routes of the table
+code against the same computations in exact Python integers.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from sympy import primefactors
+
+from pblocks.chartable import (
+    _check_float_exact,
+    _lift_values,
+    _pairwise_products,
+    character_table,
+    conj_matrix,
+)
+from pblocks.cyclotomic import _power_reductions, euler_phi
+from pblocks.errors import InternalError, ResourceError
+from pblocks.groups import Group
+from pblocks.library import acceptance_corpus, library_group
+from pblocks.modlinalg import inv_mod
+from pblocks.perms import conj, pinv, pmul
+
+# -- brute-force oracles --------------------------------------------------------
+
+
+def oracle_classes(G):
+    """(rep, size, sorted elements) per class, by size then minimal element."""
+    seen = set()
+    raw = []
+    for x in G.elements():
+        if x in seen:
+            continue
+        orbit = {x}
+        queue = [x]
+        while queue:
+            y = queue.pop()
+            for g in G.generators:
+                z = conj(y, g)
+                if z not in orbit:
+                    orbit.add(z)
+                    queue.append(z)
+        seen |= orbit
+        raw.append(tuple(sorted(orbit)))
+    raw.sort(key=lambda orb: (len(orb), orb[0]))
+    return [(orb[0], len(orb), orb) for orb in raw]
+
+
+def oracle_cmc(G, classes):
+    idx = {x: k for k, (_, _, orb) in enumerate(classes) for x in orb}
+    r = len(classes)
+    a = np.zeros((r, r, r), dtype=np.int32)
+    inv = {x: pinv(x) for x in G.elements()}
+    for k, (z, _, _) in enumerate(classes):
+        for x in G.elements():
+            a[idx[x], idx[pmul(inv[x], z)], k] += 1
+    return a
+
+
+def oracle_centralizer(G, x):
+    return frozenset(g for g in G.elements() if pmul(g, x) == pmul(x, g))
+
+
+def oracle_normalizer(G, sub_elements, sub_gens):
+    return frozenset(g for g in G.elements()
+                     if all(conj(h, g) in sub_elements for h in sub_gens))
+
+
+def exact_pairwise_products(A, B, weights, e):
+    """The cyclotomic pairwise products in Python integers (object arrays)."""
+    A, B, weights = A.astype(object), B.astype(object), weights.astype(object)
+    phi = A.shape[2]
+    rows = np.array(_power_reductions(e)[: 2 * phi - 1], dtype=object)[:, :phi]
+    wb = B * weights[None, :, None]
+    conv = np.zeros((A.shape[0], B.shape[0], 2 * phi - 1), dtype=object)
+    for s in range(phi):
+        conv[:, :, s : s + phi] += np.tensordot(A[:, :, s], wb, axes=([1], [1]))
+    return np.tensordot(conv, rows, axes=([2], [0]))
+
+
+def exact_lift(table, values_mod, ell, z):
+    """Fourier inversion of the character values in Python integers."""
+    e, phi = table.conductor, table.phi
+    pm = table.power_map()
+    zinv, inv_e = inv_mod(z, ell), inv_mod(e, ell)
+    basis = [row[:phi] for row in _power_reductions(e)[:e]]
+    out = np.zeros((table.r, table.r, phi), dtype=np.int64)
+    for i in range(table.r):
+        for k in range(table.r):
+            vec = [0] * phi
+            for s in range(e):
+                m = sum(int(values_mod[i][pm[k, t]]) * pow(zinv, s * t, ell)
+                        for t in range(e)) * inv_e % ell
+                for c in range(phi):
+                    vec[c] += m * basis[s][c]
+            out[i, k] = vec
+    return out
+
+
+# -- inputs ---------------------------------------------------------------------
+
+
+def relabelled(G, seed):
+    """G with its points renamed by a seeded permutation sigma."""
+    sigma = list(range(G.degree))
+    random.Random(seed).shuffle(sigma)
+    gens = []
+    for g in G.generators:
+        h = [0] * G.degree
+        for i in range(G.degree):
+            h[sigma[i]] = sigma[g[i]]
+        gens.append(tuple(h))
+    return Group(G.degree, gens)
+
+
+CASES = [(name, None) for name in acceptance_corpus()] + \
+        [(name, f"7:{name}") for name in acceptance_corpus()]
+
+
+@pytest.fixture(scope="module")
+def group_of(grp):
+    cache = {}
+
+    def get(name, seed):
+        if (name, seed) not in cache:
+            G = grp(name)
+            cache[name, seed] = G if seed is None else relabelled(G, seed)
+        return cache[name, seed]
+
+    return get
+
+
+def _case_id(case):
+    name, seed = case
+    return name if seed is None else f"{name}-relabelled"
+
+
+# -- comparisons ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_classes_and_cmc_match_oracles(group_of, case):
+    G = group_of(*case)
+    expected = oracle_classes(G)
+    classes = G.conjugacy_classes()
+    assert [(c.rep, c.size, c.elements) for c in classes] == expected
+    assert all(c.centralizer_order * c.size == G.order for c in classes)
+    assert G.class_index() == {x: k for k, (_, _, orb) in enumerate(expected)
+                               for x in orb}
+    cmc = character_table(G).cmc()
+    assert cmc.dtype == np.int32
+    assert np.array_equal(cmc, oracle_cmc(G, expected))
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_centralizers_and_normalizers_match_oracles(group_of, case):
+    G = group_of(*case)
+    for c in G.conjugacy_classes():
+        assert G.centralizer_set(c.rep) == oracle_centralizer(G, c.rep)
+    assert G.center().elements == frozenset.intersection(
+        *[oracle_centralizer(G, g) for g in G.generators] or [G.element_set()])
+    for p in primefactors(G.order):
+        for h in G.p_subgroup_classes(p):
+            assert G.normalizer_set(h.elements, h.generators) == \
+                oracle_normalizer(G, h.elements, h.generators)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_float_routes_match_exact_integers(group_of, case):
+    table = character_table(group_of(*case))
+    e = table.conductor
+    conj_values = np.tensordot(table.values, conj_matrix(e), axes=([2], [0]))
+    sizes = np.array([c.size for c in table.classes], dtype=np.int64)
+    assert np.array_equal(_pairwise_products(table.values, conj_values, sizes, e),
+                          exact_pairwise_products(table.values, conj_values, sizes, e))
+    ell, z = table.lift_meta["prime"], table.lift_meta["root_power"]
+    if table.r == 1:
+        return  # the trivial table is written down, not lifted
+    zpow = np.array([pow(z, c, ell) for c in range(table.phi)], dtype=np.int64)
+    values_mod = (table.values @ zpow) % ell  # chi(g) mod ell, as z evaluates zeta
+    lifted = _lift_values(table, values_mod, table.degrees, ell, z)
+    assert np.array_equal(lifted, exact_lift(table, values_mod, ell, z))
+    assert np.array_equal(lifted, table.values)
+
+
+@pytest.mark.parametrize("e", [1, 4, 12, 15, 60, 105])
+def test_pairwise_products_on_random_integers(e):
+    rng = np.random.default_rng(e)
+    phi = euler_phi(e)
+    A = rng.integers(-10**4, 10**4, size=(3, 5, phi))
+    B = rng.integers(-10**4, 10**4, size=(4, 5, phi))
+    w = rng.integers(1, 10**3, size=5)
+    assert np.array_equal(_pairwise_products(A, B, w, e),
+                          exact_pairwise_products(A, B, w, e))
+
+
+def test_oversized_products_trip_the_float_guard():
+    big = np.full((2, 3, 1), 2**20, dtype=np.int64)
+    weights = np.full(3, 2**12, dtype=np.int64)
+    with pytest.raises(ResourceError, match=r"2\^53") as info:
+        _pairwise_products(big, big, weights, 2)
+    assert str(3 * 2**52) in str(info.value)  # the bound that was reached
+    _check_float_exact(2**53 - 1, "edge")
+    with pytest.raises(ResourceError):
+        _check_float_exact(2**53, "edge")
+
+
+def test_row_lookup_rejects_non_elements():
+    G = library_group("A4")
+    arr = G._array()
+    assert arr.rows.dtype == np.uint8
+    assert arr.index(arr.rows[::-1]).tolist() == list(range(G.order))[::-1]
+    odd = arr.perm((1, 0, 2, 3))[None, :]  # a transposition, not in A4
+    with pytest.raises(InternalError):
+        arr.index(odd)
+    with pytest.raises(InternalError):
+        G.normalizer_set(frozenset([G.identity]), [(1, 0, 2, 3)])
+
+
+def test_wide_degrees_use_uint16():
+    n = 300
+    G = Group(n, [tuple(range(1, n)) + (0,)])
+    arr = G._array()
+    assert arr.rows.dtype == np.uint16
+    assert [c.size for c in G.conjugacy_classes()] == [1] * n
+    assert np.array_equal(arr.index(arr.inv), np.array(
+        [G.elements().index(pinv(x)) for x in G.elements()]))
