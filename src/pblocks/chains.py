@@ -32,12 +32,6 @@ __all__ = [
     "pair_set",
     "delete_first_term",
     "append_final_term",
-    "second_term_partition",
-    "SecondTermSplit",
-    "second_term_blocks",
-    "local_second_term_sets",
-    "intermediate_subgroup_classes",
-    "chain_conjugate_into",
 ]
 
 
@@ -99,21 +93,23 @@ def _orbit_ceiling(G: Group, reached: int) -> ResourceError:
 
 
 def _extensions(H: Group, final: frozenset, p: int) -> list:
-    """(t, N_H(t)) for one t per H-class of p-subgroups of H with final < t.
+    """(t, N_H(t)) for the representative t of each H-class of p-subgroups
+    above ``final``, in the order of ``H.p_subgroup_classes(p)``.
 
     This is the extension step shared by chain enumeration and counting: H
-    is the stabilizer of a chain with final term ``final``, and each t
-    extends the chain by one term, with stabilizer N_H(t).
+    is the stabilizer of a chain with final term ``final``, so it normalizes
+    ``final`` and each H-class lies above it wholly or not at all.
     """
-    candidates = []
+    out = []
     for cls in H.p_subgroup_classes(p):
         if cls.order <= len(final):
             continue
-        for s in cls.class_orbit:
-            if final < s:
-                candidates.append(s)
-    return [(t, H.normalizer(H.handle(elements=t)))
-            for t in _fuse_under_group(H, candidates)]
+        above = [final < s for s in cls.class_orbit]
+        if any(above) != all(above):
+            raise InternalError("p-subgroup class lies only partly above the final term")
+        if all(above):
+            out.append((cls.elements, H.normalizer(cls)))
+    return out
 
 
 def enumerate_chain_orbits(G: Group, Z: SubgroupHandle, p: int) -> tuple[ChainOrbit, ...]:
@@ -212,33 +208,6 @@ def signed_pair_counts(G: Group, U: SubgroupHandle, p: int) -> tuple[tuple, int]
     return tuple(zip(plus, minus)), orbits
 
 
-def _fuse_under_group(H: Group, candidate_sets) -> list:
-    """Canonical orbit representatives of subgroup sets under H-conjugation.
-
-    The candidate family must be closed under H (true for extensions of a
-    chain by construction); a conjugate escaping the family is a bug.
-    """
-    pending = set(candidate_sets)
-    reps = []
-    universe = set(candidate_sets)
-    while pending:
-        s = min(pending, key=lambda fs: tuple(sorted(fs)))
-        orbit = {s}
-        queue = [s]
-        while queue:
-            t = queue.pop()
-            for g in H.generators:
-                u = frozenset(conj(x, g) for x in t)
-                if u not in orbit:
-                    if u not in universe:
-                        raise InternalError("conjugate left the extension family")
-                    orbit.add(u)
-                    queue.append(u)
-        reps.append(s)
-        pending -= orbit
-    return sorted(reps, key=lambda fs: (len(fs), tuple(sorted(fs))))
-
-
 # -- chain surgery ----------------------------------------------------------------
 
 
@@ -247,11 +216,6 @@ def delete_first_term(chain: PChain) -> PChain:
     if chain.length < 1:
         raise InputError("cannot delete the only term of a chain")
     return PChain(chain.terms[1:])
-
-
-def prepend_first_term(chain: PChain, U: SubgroupHandle) -> PChain:
-    """Inverse of delete_first_term."""
-    return PChain((U,) + chain.terms)
 
 
 def append_final_term(chain: PChain, D: SubgroupHandle) -> PChain:
@@ -264,35 +228,6 @@ def append_final_term(chain: PChain, D: SubgroupHandle) -> PChain:
             if any(conj(x, g) not in t.elements for x in t.generators):
                 raise InputError("new final term does not normalize every chain term")
     return PChain(chain.terms + (D,))
-
-
-def intermediate_subgroup_classes(G: Group, U: SubgroupHandle, D: SubgroupHandle,
-                                  p: int) -> tuple[SubgroupHandle, ...]:
-    """G-classes of p-subgroups Q with U < Q^g < D for some g."""
-    if not (U.is_p_group(p) and D.is_p_group(p)):
-        raise InputError("bounds must be p-subgroups")
-    if not U.elements < D.elements:
-        raise InputError("need U strictly below D")
-    if not G.is_normal(U):
-        raise InputError("lower bound must be normal in the ambient group")
-    out = []
-    for cls in G.p_subgroup_classes(p):
-        if not U.order < cls.order < D.order:
-            continue
-        if any(U.elements < s < D.elements for s in cls.class_orbit):
-            out.append(cls)
-    return tuple(out)
-
-
-def chain_conjugate_into(G: Group, chain: PChain, D: SubgroupHandle):
-    """Some g with every term of chain^g inside D, or None."""
-    for g in G.elements():
-        if all(
-            frozenset(conj(x, g) for x in t.elements) <= D.elements
-            for t in chain.terms
-        ):
-            return g
-    return None
 
 
 # -- signed pair sets ---------------------------------------------------------------
@@ -403,60 +338,4 @@ def pair_set(G: Group, block, Z: SubgroupHandle, d: int, p: int | None = None) -
         orbits=orbits,
         plus=tuple(plus),
         minus=tuple(minus),
-    )
-
-
-@dataclass(frozen=True)
-class SecondTermSplit:
-    """Pair orbits split by whether the chain's second term is conjugate to Q."""
-
-    q: SubgroupHandle
-    matched_plus: tuple
-    matched_minus: tuple
-    rest_plus: tuple
-    rest_minus: tuple
-
-
-def second_term_partition(S: PairSet, Q: SubgroupHandle) -> SecondTermSplit:
-    """Split S by the G-class of the second chain term."""
-    if Q.elements <= S.start.elements:
-        raise InputError("Q must strictly contain the chain start")
-    if not S.start.elements < Q.elements:
-        raise InputError("Q must contain the chain start")
-    qkey = Q.canonical_key
-    matched_p, matched_m, rest_p, rest_m = [], [], [], []
-    for pair in S.plus:
-        chain = S.orbits[pair.chain_index].chain
-        hit = chain.length >= 1 and chain.terms[1].canonical_key == qkey
-        (matched_p if hit else rest_p).append(pair)
-    for pair in S.minus:
-        chain = S.orbits[pair.chain_index].chain
-        hit = chain.length >= 1 and chain.terms[1].canonical_key == qkey
-        (matched_m if hit else rest_m).append(pair)
-    return SecondTermSplit(Q, tuple(matched_p), tuple(matched_m),
-                           tuple(rest_p), tuple(rest_m))
-
-
-def second_term_blocks(G: Group, B: Block, Q: SubgroupHandle, d: int) -> tuple:
-    """Blocks b of N_G(Q) with b^G = B and d(b) = d."""
-    N = G.normalizer(Q).as_group()
-    table = character_table(N)
-    return tuple(
-        b for b in p_blocks(table, B.p)
-        if b.defect == d and brauer_induce(b, G) == B
-    )
-
-
-def local_second_term_sets(G: Group, B: Block, Q: SubgroupHandle, d: int) -> tuple:
-    """The pair sets of N_G(Q) over the blocks inducing to B, start Q.
-
-    Together with :func:`second_term_partition` this realizes the sign
-    flipping transport: deleting the start term from a chain with second
-    term Q yields a chain of N_G(Q) starting at Q, and the pair-orbit counts
-    transport with the sign reversed.
-    """
-    N = G.normalizer(Q).as_group()
-    nq = N.handle(elements=Q.elements)
-    return tuple(
-        pair_set(N, b, nq, d) for b in second_term_blocks(G, B, Q, d)
     )

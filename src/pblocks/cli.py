@@ -13,12 +13,12 @@ from pathlib import Path
 
 from .blocks import p_blocks
 from .chains import pair_set
-from .chartable import _nu, character_table
+from .chartable import _check_prime, _nu, character_table
 from .config import Limits
 from .conjectures import (
     CheckReport,
     defect_support_scan,
-    pairing_with_repair,
+    pi_pairing_check,
     repair_bijection,
     verify_abelian_defect,
     verify_am_count,
@@ -28,7 +28,7 @@ from .conjectures import (
 )
 from .errors import InputError, InternalError, ResourceError
 from .groups import Group
-from .library import library_group, library_names, parse_group_file
+from .library import library_group, parse_group_file
 from .perms import parse_perm_list
 from .reports import (
     SCHEMA_VERSION,
@@ -117,19 +117,17 @@ def _load_ambient(args, G: Group, limits: Limits) -> Group | None:
 def _need_prime(args) -> int:
     if args.prime is None:
         raise InputError("this command needs --prime P")
-    from sympy import isprime
-
-    if not isprime(args.prime):
-        raise InputError(f"{args.prime} is not a prime")
+    _check_prime(args.prime)
     return args.prime
 
 
-def _start_handle(args, G: Group, p: int):
+def _start_handle(args, G: Group, p: int, blockfree: bool = False):
+    """The chain start; block-free checks read the default 'op' as trivial."""
     spec = args.start.strip().lower()
+    if spec == "trivial" or (blockfree and spec == "op"):
+        return G.trivial_subgroup()
     if spec == "op":
         return G.p_core(p)
-    if spec == "trivial":
-        return G.trivial_subgroup()
     gens = parse_perm_list(args.start, G.degree)
     return G.handle(generators=gens)
 
@@ -208,7 +206,7 @@ def _execute(args):
     if command == "verify-ctc":
         Z = _start_handle(args, G, p)
         if args.mode == "blockfree":
-            U = G.trivial_subgroup() if args.start.strip().lower() == "op" else Z
+            U = _start_handle(args, G, p, blockfree=True)
             reports.append(verify_blockfree(G, p, U))
         elif args.max_defect or args.defect is None:
             reports.extend(verify_max_defect(G, p, A=A))
@@ -222,27 +220,13 @@ def _execute(args):
     elif command == "verify-abelian-defect":
         reports.extend(verify_abelian_defect(G, p))
     elif command == "verify-blockfree":
-        U = (G.trivial_subgroup() if args.start.strip().lower() == "op"
-             else _start_handle(args, G, p))
+        U = _start_handle(args, G, p, blockfree=True)
         reports.append(verify_blockfree(G, p, U))
     elif command == "defect-scan":
-        U = (G.trivial_subgroup() if args.start.strip().lower() == "op"
-             else _start_handle(args, G, p))
+        U = _start_handle(args, G, p, blockfree=True)
         reports.append(defect_support_scan(G, p, U))
     elif command == "pi-pairing":
-        for B in _selected_blocks(args, table, p):
-            from .blocks import is_central_defect
-
-            if is_central_defect(B) or B.defect <= _nu(G.p_core(p).order, p):
-                reports.append(CheckReport(
-                    "pi-pairing",
-                    {"group": group_document(G), "p": p, "block": B.index},
-                    None, None, "not-applicable",
-                    witness={"reason": "no non-boundary chains for this block"}))
-                continue
-            rep, witness = pairing_with_repair(G, B)
-            rep.witness["surgery"] = witness.to_dict()
-            reports.append(rep)
+        reports.extend(pi_pairing_check(G, B) for B in _selected_blocks(args, table, p))
     else:  # pragma: no cover
         raise InputError(f"unhandled command {command}")
 

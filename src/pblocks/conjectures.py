@@ -28,6 +28,7 @@ from .chartable import _nu, character_table, p_prime_degree_set
 from .errors import InputError, InternalError
 from .groups import Group, SubgroupHandle
 from .perms import Perm, conj, format_cycles, pinv, pmul
+from .reports import group_document
 
 __all__ = [
     "CheckReport",
@@ -44,6 +45,7 @@ __all__ = [
     "final_term_pairing",
     "repair_bijection",
     "pairing_with_repair",
+    "pi_pairing_check",
 ]
 
 
@@ -77,14 +79,6 @@ class CheckReport:
             "witness": self.witness,
             "notes": list(self.notes),
         }
-
-
-def _group_id(G: Group) -> dict:
-    return {
-        "degree": G.degree,
-        "order": G.order,
-        "generators": [format_cycles(g) for g in G.generators],
-    }
 
 
 def _subgroup_desc(h: SubgroupHandle) -> dict:
@@ -146,7 +140,7 @@ def verify_pair_count(
     if d is None:
         d = B.defect
     inputs = {
-        "group": _group_id(G),
+        "group": group_document(G),
         "p": p,
         "block": B.index,
         "block_degrees": [B.table.degrees[i] for i in B.members],
@@ -155,7 +149,7 @@ def verify_pair_count(
         "mode": mode,
     }
     if A is not None:
-        inputs["ambient"] = _group_id(A)
+        inputs["ambient"] = group_document(A)
 
     if not Z.is_p_group(p) or not G.is_normal(Z):
         raise InputError("start term must be a normal p-subgroup")
@@ -201,7 +195,7 @@ def verify_am_count(G: Group, B: Block) -> CheckReport:
     left = len(irr0(B))
     right = len(irr0(b))
     inputs = {
-        "group": _group_id(G),
+        "group": group_document(G),
         "p": B.p,
         "block": B.index,
         "defect_group": _subgroup_desc(D),
@@ -230,7 +224,7 @@ def verify_max_defect(G: Group, p: int, A: Group | None = None) -> list[CheckRep
     for B in p_blocks(table, p):
         if is_central_defect(B):
             out.append(CheckReport(
-                "max-defect", {"group": _group_id(G), "p": p, "block": B.index},
+                "max-defect", {"group": group_document(G), "p": p, "block": B.index},
                 None, None, "not-applicable",
                 witness={"reason": "central defect groups"}))
             continue
@@ -240,7 +234,7 @@ def verify_max_defect(G: Group, p: int, A: Group | None = None) -> list[CheckRep
             rep = verify_pair_count(G, B, core, B.defect, A=A, mode="permissive")
         else:
             out.append(CheckReport(
-                "max-defect", {"group": _group_id(G), "p": p, "block": B.index},
+                "max-defect", {"group": group_document(G), "p": p, "block": B.index},
                 None, None, "not-applicable",
                 witness={"reason": "defect group equals the non-central p-core"}))
             continue
@@ -257,7 +251,7 @@ def verify_abelian_defect(G: Group, p: int) -> list[CheckReport]:
     m = _nu(core.order, p)
     out = []
     for B in p_blocks(table, p):
-        inputs = {"group": _group_id(G), "p": p, "block": B.index,
+        inputs = {"group": group_document(G), "p": p, "block": B.index,
                   "defect": B.defect}
         dg = B.defect_group.as_group()
         abelian = all(
@@ -310,7 +304,7 @@ def verify_blockfree(G: Group, p: int, U: SubgroupHandle | None = None) -> Check
     N = G.normalizer(P).as_group()
     mckay_left = len(p_prime_degree_set(character_table(G), p))
     mckay_right = len(p_prime_degree_set(character_table(N), p))
-    inputs = {"group": _group_id(G), "p": p, "start": _subgroup_desc(U), "d": d}
+    inputs = {"group": group_document(G), "p": p, "start": _subgroup_desc(U), "d": d}
     witness = _chain_witness(S)
     witness["mckay"] = {
         "p_prime_degree_count": mckay_left,
@@ -333,7 +327,7 @@ def defect_support_scan(G: Group, p: int, U: SubgroupHandle | None = None) -> Ch
         U = G.trivial_subgroup()
     P = G.sylow(p).as_group()
     abelian = all(pmul(a, b) == pmul(b, a) for a in P.generators for b in P.generators)
-    inputs = {"group": _group_id(G), "p": p, "start": _subgroup_desc(U)}
+    inputs = {"group": group_document(G), "p": p, "start": _subgroup_desc(U)}
     if not abelian:
         return CheckReport("defect-scan", inputs, None, None, "not-applicable",
                            witness={"reason": "Sylow p-subgroup is nonabelian"})
@@ -616,7 +610,7 @@ def pairing_with_repair(G: Group, B: Block) -> tuple[CheckReport, PairingWitness
     p = B.p
     Z = G.p_core(p)
     S = pair_set(G, B, Z, B.defect)
-    inputs = {"group": _group_id(G), "p": p, "block": B.index, "d": B.defect}
+    inputs = {"group": group_document(G), "p": p, "block": B.index, "d": B.defect}
     if len(S.plus) != len(S.minus):
         return (
             CheckReport("pi-pairing", inputs, len(S.plus), len(S.minus), "fail",
@@ -657,6 +651,19 @@ def pairing_with_repair(G: Group, B: Block) -> tuple[CheckReport, PairingWitness
         },
     )
     return report, witness
+
+
+def pi_pairing_check(G: Group, B: Block) -> CheckReport:
+    """pairing_with_repair with its surgery witness, if B has non-boundary chains."""
+    p = B.p
+    if is_central_defect(B) or B.defect <= _nu(G.p_core(p).order, p):
+        return CheckReport(
+            "pi-pairing", {"group": group_document(G), "p": p, "block": B.index},
+            None, None, "not-applicable",
+            witness={"reason": "no non-boundary chains for this block"})
+    report, witness = pairing_with_repair(G, B)
+    report.witness["surgery"] = witness.to_dict()
+    return report
 
 
 # -- ambient (equivariance) machinery --------------------------------------------------

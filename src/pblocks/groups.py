@@ -458,9 +458,6 @@ class Group:
         self._cache[key] = h
         return h
 
-    def center_and_core(self, p: int) -> tuple["SubgroupHandle", "SubgroupHandle"]:
-        return self.center(), self.p_core(p)
-
     def subgroup_orbit(self, elements: frozenset) -> tuple:
         """G-orbit of a subgroup under conjugation, as a tuple of frozensets."""
         key = ("sub_orbit", elements)
@@ -496,6 +493,8 @@ class Group:
             g = Group(self.degree, handle.generators, limits=self.limits)
             if g.order != handle.order:
                 raise InternalError("subgroup group has wrong order")
+            # _generating_subset checked that handle.generators span handle.elements
+            g._cache["elements"] = tuple(sorted(handle.elements))
             self._cache[key] = g
         return self._cache[key]
 
@@ -539,18 +538,19 @@ class Group:
 
 
 def _generating_subset(degree: int, elements_sorted) -> list:
-    """Small deterministic generating set drawn from a sorted element list."""
-    idp = identity(degree)
+    """Small deterministic generating set drawn from a sorted subgroup list."""
     gens: list[Perm] = []
-    current = {idp}
+    current = frozenset([identity(degree)])
     total = len(elements_sorted)
     for x in elements_sorted:
+        if len(current) == total:
+            break
         if x in current:
             continue
         gens.append(x)
-        current = set(closure(degree, gens))
-        if len(current) == total:
-            break
+        current = closure(degree, gens, seed=current)
+    if current != frozenset(elements_sorted):
+        raise InternalError("element set is not the subgroup its generators span")
     return gens
 
 
@@ -673,38 +673,3 @@ class SubgroupHandle:
 def group_from_generators(degree: int, gens, limits: Limits = DEFAULT_LIMITS) -> Group:
     """Public constructor mirroring the group-definition file contents."""
     return Group(degree, gens, limits=limits)
-
-
-def all_subgroup_chains_brute(G: Group, start: frozenset, p: int):
-    """Every normal p-chain from ``start``, as tuples of frozensets.
-
-    Test oracle only: enumerates actual chains (not orbits) by expanding all
-    p-subgroups of G.  Exponential; use on groups of order <= 200.
-    """
-    subs = []
-    for h in G.p_subgroup_classes(p):
-        subs.extend(h.class_orbit)
-    chains = []
-
-    def extend(chain):
-        chains.append(chain)
-        last = chain[-1]
-        last_gens = _generating_subset(G.degree, sorted(last))
-        for s in subs:
-            if len(s) <= len(last) or not last < s:
-                continue
-            # normal chain: every earlier term must be normal in the new
-            # final term
-            s_gens = _generating_subset(G.degree, sorted(s))
-            ok = all(
-                conj(t, g) in term
-                for term in chain
-                for term_gens in [_generating_subset(G.degree, sorted(term))]
-                for t in term_gens
-                for g in s_gens
-            )
-            if ok:
-                extend(chain + (s,))
-
-    extend((start,))
-    return chains

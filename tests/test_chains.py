@@ -6,24 +6,29 @@ checks that orbit sizes account for all of them, sign by sign.
 
 import pytest
 
+from chain_oracles import (
+    all_subgroup_chains_brute,
+    candidate_extensions,
+    fuse_under_group,
+    intermediate_subgroup_classes,
+    local_second_term_sets,
+    prepend_first_term,
+    second_term_blocks,
+    second_term_partition,
+)
 from pblocks.blocks import p_blocks
 from pblocks.chains import (
+    _extensions,
     append_final_term,
     chain_orbits_cached,
     delete_first_term,
     enumerate_chain_orbits,
-    intermediate_subgroup_classes,
-    local_second_term_sets,
     pair_set,
-    prepend_first_term,
-    second_term_blocks,
-    second_term_partition,
     signed_pair_counts,
 )
 from pblocks.chartable import character_table
 from pblocks.config import Limits
-from pblocks.errors import InputError, ResourceError
-from pblocks.groups import all_subgroup_chains_brute
+from pblocks.errors import InputError, InternalError, ResourceError
 from pblocks.library import acceptance_corpus, library_group
 from pblocks.perms import conj, parse_cycles
 
@@ -343,3 +348,30 @@ def _nu(n, p):
         n //= p
         v += 1
     return v
+
+
+@pytest.mark.parametrize("name", acceptance_corpus())
+def test_extensions_match_fused_candidates(grp, name):
+    # the H-classes of p_subgroup_classes against the old second fusion of
+    # every p-subgroup above the final term, at every node of the
+    # enumeration from O_p(G) and from the trivial start
+    G = grp(name)
+    for p in _primes(G.order):
+        for U in (G.p_core(p), G.trivial_subgroup()):
+            for orb in enumerate_chain_orbits(G, U, p):
+                H = orb.stabilizer.as_group()
+                final = orb.chain.final.elements
+                ext = _extensions(H, final, p)
+                fused = fuse_under_group(H, candidate_extensions(H, final, p))
+                assert [t for t, _ in ext] == fused
+                assert [n for _, n in ext] == [
+                    H.normalizer(H.handle(elements=t)) for t in fused]
+
+
+def test_extensions_reject_final_term_not_normalized(grp):
+    # <(0 1)> is not normal in S4: it lies in <(0 1), (2 3)> but in neither
+    # S4-conjugate of that four-group
+    S4 = grp("S4")
+    final = S4.handle(generators=[parse_cycles("(0 1)", 4)]).elements
+    with pytest.raises(InternalError, match="partly above"):
+        _extensions(S4, final, 2)

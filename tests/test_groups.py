@@ -6,11 +6,12 @@ group for p-subgroups.  They never touch the stabilizer chain.
 """
 
 import pytest
+from sympy import primefactors
 
 from pblocks.config import Limits
-from pblocks.errors import InputError, ResourceError
-from pblocks.groups import Group, closure, group_from_generators
-from pblocks.library import library_group, parse_group_file
+from pblocks.errors import InputError, InternalError, ResourceError
+from pblocks.groups import Group, _generating_subset, closure, group_from_generators
+from pblocks.library import acceptance_corpus, library_group, parse_group_file
 from pblocks.perms import conj, identity, parse_cycles, perm_order, pmul
 
 
@@ -141,16 +142,14 @@ def test_normalizer_index_is_conjugate_count(grp):
 
 def test_center_and_core(grp):
     C12 = grp("C12")
-    z, core = C12.center_and_core(2)
-    assert z.order == 12
-    assert core.order == 4  # Sylow 2-subgroup of an abelian group
+    assert C12.center().order == 12
+    assert C12.p_core(2).order == 4  # Sylow 2-subgroup of an abelian group
     S4 = grp("S4")
-    _, o2 = S4.center_and_core(2)
+    o2 = S4.p_core(2)
     assert o2.order == 4
     assert S4.is_normal(o2)
     A5 = grp("A5")
-    _, o2 = A5.center_and_core(2)
-    assert o2.order == 1
+    assert A5.p_core(2).order == 1
     Q8 = grp("Q8")
     assert Q8.center().order == 2
 
@@ -259,3 +258,24 @@ def test_dic3_is_dicyclic(grp):
     syl = G.sylow(2)
     orders = sorted(perm_order(x) for x in syl.elements)
     assert orders == [1, 2, 4, 4]
+
+
+def test_generating_subset_rejects_non_subgroup():
+    e, c, t = (0, 1, 2), (1, 2, 0), (2, 1, 0)
+    # {e, (0 1 2), (0 2)} has the size of <(0 1 2)> but is not that subgroup
+    with pytest.raises(InternalError):
+        _generating_subset(3, sorted([e, c, t]))
+    with pytest.raises(InternalError):
+        _generating_subset(3, sorted([e, t, (1, 0, 2)]))
+    assert _generating_subset(3, sorted([e, c, (2, 0, 1)])) == [c]
+
+
+@pytest.mark.parametrize("name", acceptance_corpus())
+def test_as_group_elements_match_closure(grp, name):
+    # as_group() reuses the handle's elements instead of a second closure
+    G = grp(name)
+    for p in primefactors(G.order):
+        for cls in G.p_subgroup_classes(p):
+            for h in (cls, G.normalizer(cls)):
+                H = h.as_group()
+                assert H.elements() == tuple(sorted(closure(G.degree, H.generators)))
