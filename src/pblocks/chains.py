@@ -9,17 +9,20 @@ Chains are enumerated up to G-conjugacy by depth-first extension: the
 extensions of a fixed representative chain sigma, up to conjugacy, are the
 G_sigma-classes of p-subgroups of G_sigma strictly containing the final
 term.  Distinct nodes of the search tree are never conjugate, so the tree
-is an irredundant transversal by construction.
+is an irredundant transversal by construction.  The p-subgroups of every
+stabilizer are read from G's p-subgroup lattice, in G's element indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .blocks import Block, block_of, brauer_induce, p_blocks
 from .chartable import CharTable, _check_prime, _nu, character_table, char_ref
 from .errors import InputError, InternalError, ResourceError
-from .groups import Group, SubgroupHandle
+from .groups import Group, SubgroupHandle, _lex_keys, _orbit_labels
 from .perms import conj
 
 __all__ = [
@@ -92,23 +95,39 @@ def _orbit_ceiling(G: Group, reached: int) -> ResourceError:
     )
 
 
-def _extensions(H: Group, final: frozenset, p: int) -> list:
+def _extensions(G: Group, stab: SubgroupHandle, final: frozenset, p: int) -> list:
     """(t, N_H(t)) for the representative t of each H-class of p-subgroups
-    above ``final``, in the order of ``H.p_subgroup_classes(p)``.
+    of H = ``stab`` above ``final``, by order and then sorted elements.
 
-    This is the extension step shared by chain enumeration and counting: H
-    is the stabilizer of a chain with final term ``final``, so it normalizes
+    This is the extension step shared by chain enumeration and counting.
+    The candidates are the members s of G's p-subgroup lattice with
+    ``final`` < s <= H.  They are fused under H's generators by their index
+    maps, and each class is represented by its least member.  H is the
+    stabilizer of a chain with final term ``final``, so it normalizes
     ``final`` and each H-class lies above it wholly or not at all.
     """
+    inside, below = G._mask(stab.elements), G._mask(final)
+    moves = [G._conj_move(g) for g in stab.generators]
     out = []
-    for cls in H.p_subgroup_classes(p):
-        if cls.order <= len(final):
+    for level in G._p_lattice(p):
+        if level.shape[1] <= len(final):
             continue
-        above = [final < s for s in cls.class_orbit]
-        if any(above) != all(above):
-            raise InternalError("p-subgroup class lies only partly above the final term")
-        if all(above):
-            out.append((cls.elements, H.normalizer(cls)))
+        cand = level[inside[level].all(axis=1) & (below[level].sum(axis=1) == len(final))]
+        if not len(cand):
+            continue
+        keys = _lex_keys(cand)  # sorted, as the lattice rows are
+        images = []
+        for move in moves:
+            image = _lex_keys(np.sort(move[cand], axis=1))
+            at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
+            if not np.array_equal(keys[at], image):
+                raise InternalError("p-subgroup class lies only partly above the final term")
+            images.append(at)
+        label = _orbit_labels(len(cand), images)
+        for i in np.flatnonzero(label == np.arange(len(cand))).tolist():
+            t = G.handle(elements=G._subset(cand[i]))
+            n_in_stab = G.normalizer(t).elements & stab.elements
+            out.append((t.elements, G.handle(elements=n_in_stab)))
     return out
 
 
@@ -121,15 +140,20 @@ def enumerate_chain_orbits(G: Group, Z: SubgroupHandle, p: int) -> tuple[ChainOr
     _check_start(G, Z, p)
 
     nodes = []  # (terms, stabilizer handle, parent node index)
+    # (stabilizer, final term) -> _extensions; kept for this call only, as a
+    # memo on G would hold every state for the group's lifetime
+    extensions = {}
 
     def visit(terms: tuple, stab: SubgroupHandle, parent: int | None):
         my_index = len(nodes)
         nodes.append((terms, stab, parent))
         if len(nodes) > G.limits.max_chain_orbits:
             raise _orbit_ceiling(G, len(nodes))
-        for t, n_in_stab in _extensions(stab.as_group(), terms[-1].elements, p):
-            visit(terms + (G.handle(elements=t),),
-                  G.handle(elements=n_in_stab.elements), my_index)
+        state = (stab.elements, terms[-1].elements)
+        if state not in extensions:
+            extensions[state] = _extensions(G, stab, terms[-1].elements, p)
+        for t, n_in_stab in extensions[state]:
+            visit(terms + (G.handle(elements=t),), n_in_stab, my_index)
 
     visit((Z,), G.full_subgroup(), None)
 
@@ -187,14 +211,13 @@ def signed_pair_counts(G: Group, U: SubgroupHandle, p: int) -> tuple[tuple, int]
         """(same-sign histogram, opposite-sign histogram, orbits) below a chain."""
         state = (stab.elements, final)
         if state not in memo:
-            H = stab.as_group()
-            table = character_table(H)
+            table = character_table(stab.as_group())
             same, other = [0] * (d + 1), [0] * (d + 1)
             for i in range(table.r):
                 same[char_ref(table, i, p).defect] += 1
             orbits = 1
-            for t, n_in_stab in _extensions(H, final, p):
-                c_same, c_other, c_orbits = count(G.handle(elements=n_in_stab.elements), t)
+            for t, n_in_stab in _extensions(G, stab, final, p):
+                c_same, c_other, c_orbits = count(n_in_stab, t)
                 orbits += c_orbits
                 if orbits > limit:
                     raise _orbit_ceiling(G, orbits)

@@ -11,14 +11,16 @@ cheap, but most derived data enumerates all elements, so orders are capped by
 :class:`~pblocks.config.Limits`.
 
 The whole-group scans (classes, centralizers, normalizers, and the
-class-multiplication tensor in :mod:`pblocks.chartable`) run over one cached
-small-int array of the elements, :class:`_ElementArray`; tuples are what
-these scans take in and hand back.
+class-multiplication tensor in :mod:`pblocks.chartable`) and the p-subgroup
+lattice run over one cached small-int array of the elements,
+:class:`_ElementArray`; a subgroup there is the sorted array of its element
+indices.  Tuples are what these scans take in and hand back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import gcd, prod
 
 import numpy as np
@@ -68,6 +70,50 @@ def closure(degree: int, gens, seed=None, max_size: int | None = None) -> frozen
     return frozenset(elems)
 
 
+def _adjoin(closed: frozenset, gens: list, x: Perm,
+            max_size: int | None = None) -> frozenset:
+    """<K, x> for a subgroup K = ``closed`` generated by ``gens``, as a union
+    of right cosets K*y (Dimino's method).
+
+    The union is closed under a generator s once y*s lies in it for every
+    coset representative y, and a y*s outside it starts a new coset.  So
+    each new element costs one product, and only the representatives meet
+    the generators.
+    """
+    gens = gens + [x]
+    elems = set(closed)
+    elems.update(pmul(k, x) for k in closed)
+    reps = [x]
+    for y in reps:  # grows while it is read
+        for s in gens:
+            z = pmul(y, s)
+            if z not in elems:
+                elems.update(pmul(k, z) for k in closed)
+                reps.append(z)
+                if max_size is not None and len(elems) > max_size:
+                    raise ResourceError(f"closure exceeded ceiling of {max_size} elements")
+    return frozenset(elems)
+
+
+def _lex_keys(rows: np.ndarray) -> np.ndarray:
+    """One void key per row; the keys sort as the rows do lexicographically."""
+    rows = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
+def _orbit_labels(n: int, moves) -> np.ndarray:
+    """The least member of the orbit of each of 0..n-1 under index maps."""
+    label = np.arange(n)
+    while True:
+        new = label
+        for move in moves:
+            new = np.minimum(new, new[move])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 @dataclass(frozen=True)
 class ConjClass:
     """A conjugacy class with its canonical (minimal) representative."""
@@ -96,9 +142,11 @@ class _ElementArray:
     ``rows[i]`` is ``elements()[i]`` and ``inv[i]`` its inverse, both
     ``uint8`` (``uint16`` above degree 256), so index order is element
     order.  :meth:`index` maps rows back to indices through their byte keys.
+    Index arrays that are kept use ``idx``, the smallest unsigned dtype that
+    holds every index.
     """
 
-    __slots__ = ("rows", "inv", "_keys", "_sorter")
+    __slots__ = ("rows", "inv", "idx", "_keys", "_sorter")
 
     def __init__(self, elements: tuple, degree: int):
         dtype = np.uint8 if degree <= 256 else np.uint16
@@ -107,6 +155,7 @@ class _ElementArray:
         inv[np.arange(len(rows))[:, None], rows] = np.arange(degree, dtype=dtype)
         self.rows = rows
         self.inv = inv
+        self.idx = np.min_scalar_type(len(rows) - 1)
         keys = self._row_keys(rows)
         self._sorter = np.argsort(keys, kind="stable")
         self._keys = keys[self._sorter]
@@ -263,10 +312,32 @@ class Group:
             self._cache["array"] = _ElementArray(self.elements(), self.degree)
         return self._cache["array"]
 
-    def _subset(self, mask: np.ndarray) -> frozenset:
-        """The elements whose indices are set in a boolean mask."""
+    def _subset(self, indices: np.ndarray) -> frozenset:
+        """The elements at the given indices."""
         elems = self.elements()
-        return frozenset(elems[i] for i in np.flatnonzero(mask).tolist())
+        return frozenset(elems[i] for i in indices.tolist())
+
+    def _mask(self, elements) -> np.ndarray:
+        """Boolean mask of a set of elements over the element indices;
+        InternalError for a non-element."""
+        arr = self._array()
+        rows = np.array(list(elements), dtype=arr.rows.dtype).reshape(-1, self.degree)
+        mask = np.zeros(self.order, dtype=bool)
+        mask[arr.index(rows)] = True
+        return mask
+
+    def _indices(self, elements) -> np.ndarray:
+        """Sorted indices of a set of elements."""
+        return np.flatnonzero(self._mask(elements)).astype(self._array().idx)
+
+    def _conj_move(self, g: Perm) -> np.ndarray:
+        """Conjugation by g as an index map, i -> index(g^-1 x_i g); cached."""
+        key = ("move", g)
+        if key not in self._cache:
+            arr = self._array()
+            ga = arr.perm(g)
+            self._cache[key] = arr.index(ga[arr.rows[:, np.argsort(ga)]]).astype(arr.idx)
+        return self._cache[key]
 
     def element_set(self) -> frozenset:
         if "element_set" not in self._cache:
@@ -296,22 +367,9 @@ class Group:
         """Classes in canonical order: by size, then by minimal representative."""
         if "classes" in self._cache:
             return self._cache["classes"]
-        arr = self._array()
         # Conjugation by each generator permutes the element indices; every
         # element's label falls to the least index in its class.
-        moves = []
-        for g in self.generators:
-            ga = arr.perm(g)
-            moves.append(arr.index(ga[arr.rows[:, np.argsort(ga)]]))
-        label = np.arange(self.order)
-        while True:
-            new = label
-            for move in moves:
-                new = np.minimum(new, new[move])
-            new = new[new]
-            if np.array_equal(new, label):
-                break
-            label = new
+        label = _orbit_labels(self.order, [self._conj_move(g) for g in self.generators])
         members = np.argsort(label, kind="stable")
         reps, starts, sizes = np.unique(label[members], return_index=True,
                                         return_counts=True)
@@ -354,7 +412,7 @@ class Group:
                 if not self.contains(g):
                     raise InputError("generator lies outside the ambient group")
             elements = closure(self.degree, gens, max_size=self.limits.max_order)
-        else:
+        elif not isinstance(elements, frozenset):
             elements = frozenset(tuple(x) for x in elements)
         key = ("handle", elements)
         if key not in self._cache:
@@ -370,14 +428,13 @@ class Group:
     def normalizer_set(self, sub_elements: frozenset, sub_gens) -> frozenset:
         """Elements g of this group with H^g = H, by generator-image tests."""
         arr = self._array()
-        inside = np.fromiter((x in sub_elements for x in self.elements()),
-                             dtype=bool, count=self.order)
+        inside = self._mask(sub_elements)
         mask = np.ones(self.order, dtype=bool)
         for h in sub_gens:
             # row g of the gather is g^-1 h g
             images = np.take_along_axis(arr.rows, arr.perm(h)[arr.inv], axis=1)
             mask &= inside[arr.index(images)]
-        return self._subset(mask)
+        return self._subset(np.flatnonzero(mask))
 
     def normalizer(self, handle: "SubgroupHandle") -> "SubgroupHandle":
         """N_G(H); requires H <= G."""
@@ -399,14 +456,14 @@ class Group:
         return (xa[arr.rows] == arr.rows[:, xa]).all(axis=1)
 
     def centralizer_set(self, x: Perm) -> frozenset:
-        return self._subset(self._commutes_with(x))
+        return self._subset(np.flatnonzero(self._commutes_with(x)))
 
     def center(self) -> "SubgroupHandle":
         if "center" not in self._cache:
             mask = np.ones(self.order, dtype=bool)
             for h in self.generators:
                 mask &= self._commutes_with(h)
-            self._cache["center"] = self.handle(elements=self._subset(mask))
+            self._cache["center"] = self.handle(elements=self._subset(np.flatnonzero(mask)))
         return self._cache["center"]
 
     def sylow(self, p: int) -> "SubgroupHandle":
@@ -429,12 +486,11 @@ class Group:
                 for _ in range(p - 1):
                     xp = pmul(xp, x)
                 if xp in current:
-                    new = closure(self.degree, gens + [x],
-                                  seed=current, max_size=target)
+                    new = _adjoin(current, gens, x, max_size=target)
                     if len(new) <= len(current):
                         raise InternalError("Sylow step failed to grow")
                     current = new
-                    gens = _generating_subset(self.degree, sorted(current))
+                    gens = gens + [x]
                     grown = True
                     break
             if not grown:
@@ -459,21 +515,25 @@ class Group:
         return h
 
     def subgroup_orbit(self, elements: frozenset) -> tuple:
-        """G-orbit of a subgroup under conjugation, as a tuple of frozensets."""
+        """G-orbit of a subgroup under conjugation, as a tuple of frozensets
+        ordered by their sorted element tuples."""
         key = ("sub_orbit", elements)
-        if key in self._cache:
-            return self._cache[key]
-        seen = {elements}
-        queue = [elements]
-        while queue:
-            s = queue.pop()
-            for g in self.generators:
-                t = frozenset(conj(x, g) for x in s)
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        orbit = tuple(sorted(seen, key=lambda s: tuple(sorted(s))))
-        self._cache[key] = orbit
+        if key not in self._cache:
+            orbit = self._index_orbit(self._indices(elements))
+            self._cache[key] = tuple(self._subset(s) for s in orbit)
+        return self._cache[key]
+
+    def _index_orbit(self, sub: np.ndarray) -> np.ndarray:
+        """G-orbit of a subgroup given by its sorted element indices: one
+        row per conjugate, rows in lexicographic order."""
+        moves = [self._conj_move(g) for g in self.generators]
+        orbit = frontier = sub[None, :]
+        while len(frontier) and moves:
+            rows = np.concatenate([orbit] + [np.sort(m[frontier], axis=1) for m in moves])
+            # np.unique keeps the first of equal rows, and the known rows come first
+            first = np.unique(_lex_keys(rows), return_index=True)[1]
+            frontier = rows[first[first >= len(orbit)]]
+            orbit = rows[first]
         return orbit
 
     def conjugating_element(self, src: frozenset, dst: frozenset) -> Perm | None:
@@ -512,29 +572,47 @@ class Group:
 
         Strategy: every p-subgroup lies in a Sylow p-subgroup, so enumerate
         all subgroups of one Sylow subgroup bottom-up and fuse the result
-        under G-conjugacy.
+        under G-conjugacy.  The members of the classes, in element indices,
+        are kept as the lattice that :meth:`_p_lattice` returns.
         """
         key = ("p_classes", p)
         if key in self._cache:
             return self._cache[key]
-        syl = self.sylow(p)
-        all_subs = _subgroups_of_p_group(self.degree, syl.elements, p,
-                                         self.limits.max_p_subgroup_classes)
-        remaining = set(all_subs)
-        handles = []
+        limit = self.limits.max_p_subgroup_classes
+        remaining = {s.tobytes(): s for s in
+                     _subgroups_of_p_group(self, self.sylow(p).elements, p, limit)}
+        orbits = []
         while remaining:
-            s = min(remaining, key=lambda fs: tuple(sorted(fs)))
-            orbit = self.subgroup_orbit(s)
-            remaining -= set(orbit)
-            h = self.handle(elements=orbit[0])
-            h._class_orbit = orbit
-            h._class_size = len(orbit)
+            orbit = self._index_orbit(remaining.popitem()[1])
+            for s in orbit:
+                remaining.pop(s.tobytes(), None)
+            orbits.append(orbit)
+            if len(orbits) > limit:
+                raise ResourceError(
+                    f"p-subgroup class count reached {len(orbits)}, above the "
+                    f"ceiling max_p_subgroup_classes = {limit}")
+        orbits.sort(key=lambda orbit: (orbit.shape[1], orbit[0].tolist()))
+        handles = []
+        for orbit in orbits:
+            members = tuple(self._subset(s) for s in orbit)
+            h = self.handle(elements=members[0])
+            h._canonical_key = tuple(sorted(members[0]))
+            h._class_orbit = members
+            h._class_size = len(members)
             handles.append(h)
-            if len(handles) > self.limits.max_p_subgroup_classes:
-                raise ResourceError("p-subgroup class ceiling exceeded")
-        handles.sort(key=lambda h: (h.order, h.canonical_key))
+        lattice = []
+        for _, level in groupby(orbits, key=lambda orbit: orbit.shape[1]):
+            rows = np.concatenate(list(level))
+            lattice.append(rows[np.argsort(_lex_keys(rows), kind="stable")])
+        self._cache["p_lattice", p] = tuple(lattice)
         self._cache[key] = tuple(handles)
         return self._cache[key]
+
+    def _p_lattice(self, p: int) -> tuple:
+        """Every p-subgroup as the sorted array of its element indices: one
+        array per order, ascending, with its rows in lexicographic order."""
+        self.p_subgroup_classes(p)
+        return self._cache["p_lattice", p]
 
 
 def _generating_subset(degree: int, elements_sorted) -> list:
@@ -547,47 +625,64 @@ def _generating_subset(degree: int, elements_sorted) -> list:
             break
         if x in current:
             continue
+        current = _adjoin(current, gens, x)
         gens.append(x)
-        current = closure(degree, gens, seed=current)
     if current != frozenset(elements_sorted):
         raise InternalError("element set is not the subgroup its generators span")
     return gens
 
 
-def _subgroups_of_p_group(degree: int, elements: frozenset, p: int, ceiling: int):
-    """All subgroups of a p-group, as frozensets, by bottom-up extension.
+def _subgroups_of_p_group(G: Group, elements: frozenset, p: int, ceiling: int) -> list:
+    """All subgroups of a p-subgroup of G as sorted element-index arrays, by
+    bottom-up extension.
 
-    Every subgroup of order p^(k+1) contains a normal subgroup of index p,
-    so it arises as <Q, x> with x in N_P(Q) \\ Q and x^p in Q.
+    Every subgroup of order p^(k+1) contains a normal subgroup Q of index p,
+    so it is <Q, x> = Q u Qx u ... u Qx^(p-1) for an x in N_P(Q) \\ Q with
+    x^p in Q.  Every x in <Q, x> \\ Q gives the same subgroup, so those are
+    skipped once it is found.
     """
-    idp = identity(degree)
-    elems = sorted(elements)
-    levels = [{frozenset([idp])}]
-    found = {frozenset([idp])}
-    while True:
-        nxt = set()
-        for q in levels[-1]:
-            q_gens = _generating_subset(degree, sorted(q))
-            norm = [x for x in elems
-                    if all(conj(h, x) in q for h in q_gens)] if q_gens else elems
-            for x in norm:
-                if x in q:
+    arr = G._array()
+    members = G._indices(elements)
+    rows, inv = arr.rows[members], arr.inv[members]
+    power = rows
+    for _ in range(p - 1):
+        power = np.take_along_axis(rows, power, axis=1)
+    power = arr.index(power)  # the index of x^p, for every x of P
+    trivial = np.zeros(1, dtype=arr.idx)
+    found = [trivial]
+    level = [(trivial, [])]  # (subgroup, its generators as indices)
+    limit = 64 * ceiling
+    while level:
+        nxt = {}
+        for q, gens in level:
+            inside = np.zeros(G.order, dtype=bool)
+            inside[q] = True
+            extends = inside[power] & ~inside[members]
+            for h in gens:
+                # row j of the gather is x_j^-1 h x_j
+                images = np.take_along_axis(rows, arr.rows[h][inv], axis=1)
+                extends &= inside[arr.index(images)]
+            q_rows = arr.rows[q]
+            taken = np.zeros(G.order, dtype=bool)
+            for x in members[extends].tolist():
+                if taken[x]:
                     continue
-                xp = x
+                r = inside.copy()
+                step = x_row = arr.rows[x]
                 for _ in range(p - 1):
-                    xp = pmul(xp, x)
-                if xp not in q:
-                    continue
-                r = closure(degree, q_gens + [x], seed=q)
+                    r[arr.index(step[q_rows])] = True  # the coset q x^i
+                    step = x_row[step]
+                r = np.flatnonzero(r).astype(arr.idx)
                 if len(r) != len(q) * p:
                     raise InternalError("p-group extension has unexpected order")
-                nxt.add(r)
-                if len(found) + len(nxt) > ceiling * 64:
-                    raise ResourceError("p-subgroup enumeration ceiling exceeded")
-        if not nxt:
-            break
-        found |= nxt
-        levels.append(nxt)
+                taken[r] = True
+                nxt.setdefault(r.tobytes(), (r, gens + [x]))
+                if len(found) + len(nxt) > limit:
+                    raise ResourceError(
+                        f"p-subgroup count reached {len(found) + len(nxt)}, above "
+                        f"the ceiling 64 * max_p_subgroup_classes = {limit}")
+        level = list(nxt.values())
+        found.extend(r for r, _ in level)
     return found
 
 

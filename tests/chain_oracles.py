@@ -1,11 +1,12 @@
 """Chain oracles and chain helpers that only the tests use.
 
 ``all_subgroup_chains_brute`` lists every normal p-chain, not orbits.
-``candidate_extensions`` and ``fuse_under_group`` are the extension step
-as it once ran: collect every p-subgroup of H above the final term, then
-fuse the collection under H-conjugation.  The rest are the chain surgery
-and second-term transport helpers that the chain and invariant tests
-exercise.
+``local_extensions`` is the extension step worked out in the stabilizer H
+as a group of its own, from H's p-subgroup classes.  ``candidate_extensions``
+and ``fuse_under_group`` are the extension step as it once ran before that:
+collect every p-subgroup of H above the final term, then fuse the
+collection under H-conjugation.  The rest are the chain surgery and
+second-term transport helpers that the chain and invariant tests exercise.
 """
 
 from __future__ import annotations
@@ -55,6 +56,22 @@ def all_subgroup_chains_brute(G: Group, start: frozenset, p: int):
 
     extend((start,))
     return chains
+
+
+def local_extensions(H: Group, final: frozenset, p: int) -> list:
+    """(t, N_H(t)) for the representative t of each H-class of p-subgroups
+    above ``final``, in the order of ``H.p_subgroup_classes(p)``; the
+    normalizers are handles of H."""
+    out = []
+    for cls in H.p_subgroup_classes(p):
+        if cls.order <= len(final):
+            continue
+        above = [final < s for s in cls.class_orbit]
+        if any(above) != all(above):
+            raise InternalError("p-subgroup class lies only partly above the final term")
+        if all(above):
+            out.append((cls.elements, H.normalizer(cls)))
+    return out
 
 
 def candidate_extensions(H: Group, final: frozenset, p: int) -> list:

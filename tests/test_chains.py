@@ -11,6 +11,7 @@ from chain_oracles import (
     candidate_extensions,
     fuse_under_group,
     intermediate_subgroup_classes,
+    local_extensions,
     local_second_term_sets,
     prepend_first_term,
     second_term_blocks,
@@ -350,22 +351,33 @@ def _nu(n, p):
     return v
 
 
-@pytest.mark.parametrize("name", acceptance_corpus())
+@pytest.mark.parametrize("name", acceptance_corpus() + ["S4xC2xC2", "S6"])
 def test_extensions_match_fused_candidates(grp, name):
-    # the H-classes of p_subgroup_classes against the old second fusion of
-    # every p-subgroup above the final term, at every node of the
-    # enumeration from O_p(G) and from the trivial start
+    # the restriction of G's p-subgroup lattice to each chain stabilizer H,
+    # against the stabilizer's own p-subgroup classes and against the old
+    # second fusion of every p-subgroup of H above the final term, at every
+    # (stabilizer, final term) of the enumeration: from O_p(G) and from the
+    # trivial start at every prime on the corpus, from the trivial start at
+    # p = 2 on the two larger groups
     G = grp(name)
-    for p in _primes(G.order):
-        for U in (G.p_core(p), G.trivial_subgroup()):
-            for orb in enumerate_chain_orbits(G, U, p):
-                H = orb.stabilizer.as_group()
-                final = orb.chain.final.elements
-                ext = _extensions(H, final, p)
-                fused = fuse_under_group(H, candidate_extensions(H, final, p))
-                assert [t for t, _ in ext] == fused
-                assert [n for _, n in ext] == [
-                    H.normalizer(H.handle(elements=t)) for t in fused]
+    if name in acceptance_corpus():
+        runs = [(p, U) for p in _primes(G.order) for U in (G.p_core(p), G.trivial_subgroup())]
+    else:
+        runs = [(2, G.trivial_subgroup())]
+    seen = set()
+    for p, U in runs:
+        for orb in enumerate_chain_orbits(G, U, p):
+            stab, final = orb.stabilizer, orb.chain.final.elements
+            if (p, stab.elements, final) in seen:
+                continue
+            seen.add((p, stab.elements, final))
+            H = stab.as_group()
+            ext = _extensions(G, stab, final, p)
+            local = local_extensions(H, final, p)
+            fused = fuse_under_group(H, candidate_extensions(H, final, p))
+            assert [t for t, _ in ext] == [t for t, _ in local] == fused
+            assert [n.elements for _, n in ext] == [n.elements for _, n in local] == [
+                H.normalizer(H.handle(elements=t)).elements for t in fused]
 
 
 def test_extensions_reject_final_term_not_normalized(grp):
@@ -374,4 +386,6 @@ def test_extensions_reject_final_term_not_normalized(grp):
     S4 = grp("S4")
     final = S4.handle(generators=[parse_cycles("(0 1)", 4)]).elements
     with pytest.raises(InternalError, match="partly above"):
-        _extensions(S4, final, 2)
+        _extensions(S4, S4.full_subgroup(), final, 2)
+    with pytest.raises(InternalError, match="partly above"):
+        local_extensions(S4, final, 2)

@@ -162,3 +162,26 @@ def test_exit_code_3_on_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_blockfree", broken)
     assert run(["verify-blockfree", "--lib", "C2", "--prime", "2"]) == 3
     assert "internal error: consistency check failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,message", [
+    # S4 at p = 2: a Sylow subgroup has 10 subgroups, in 7 classes of S4
+    ("S4", "p-subgroup class count reached 2, above the ceiling "
+           "max_p_subgroup_classes = 1"),
+    # C2^4 has 1 + 15 + 35 + 15 + 1 subgroups
+    ("C2xC2xC2xC2", "p-subgroup count reached 65, above the ceiling "
+                    "64 * max_p_subgroup_classes = 64"),
+])
+def test_p_subgroup_ceilings_exit_2(capsys, monkeypatch, name, message):
+    from pblocks import cli
+    from pblocks.config import Limits
+    from pblocks.errors import ResourceError
+    from pblocks.library import library_group
+
+    G = library_group(name, limits=Limits(max_p_subgroup_classes=1))
+    with pytest.raises(ResourceError) as info:
+        G.p_subgroup_classes(2)
+    assert str(info.value) == message
+    monkeypatch.setattr(cli, "_limits", lambda args: Limits(max_p_subgroup_classes=1))
+    assert run(["chains", "--lib", name, "--prime", "2", "--start", "trivial"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,10 +1,12 @@
 """Array kernels against the tuple scans they replaced.
 
 The oracles below are the element-by-element scans over tuple permutations
-that the array versions in ``groups`` and ``chartable`` replaced.  They are
-compared on every acceptance-corpus group and on a seeded relabelling of
-its points, together with the float64 product and lift routes of the table
-code against the same computations in exact Python integers.
+that the array versions in ``groups`` and ``chartable`` replaced: classes,
+the class-multiplication tensor, centralizers, normalizers, subgroup
+conjugation orbits and the subgroups of a p-group.  They are compared on
+every acceptance-corpus group and on a seeded relabelling of its points,
+together with the float64 product and lift routes of the table code against
+the same computations in exact Python integers.
 """
 
 import random
@@ -22,7 +24,7 @@ from pblocks.chartable import (
 )
 from pblocks.cyclotomic import _power_reductions, euler_phi
 from pblocks.errors import InternalError, ResourceError
-from pblocks.groups import Group
+from pblocks.groups import Group, _generating_subset, _subgroups_of_p_group, closure
 from pblocks.library import acceptance_corpus, library_group
 from pblocks.modlinalg import inv_mod
 from pblocks.perms import conj, pinv, pmul
@@ -70,6 +72,44 @@ def oracle_centralizer(G, x):
 def oracle_normalizer(G, sub_elements, sub_gens):
     return frozenset(g for g in G.elements()
                      if all(conj(h, g) in sub_elements for h in sub_gens))
+
+
+def oracle_subgroup_orbit(G, elements):
+    """G-orbit of a subgroup by tuple conjugation, sorted by element tuples."""
+    seen = {elements}
+    queue = [elements]
+    while queue:
+        s = queue.pop()
+        for g in G.generators:
+            t = frozenset(conj(x, g) for x in s)
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return tuple(sorted(seen, key=lambda s: tuple(sorted(s))))
+
+
+def oracle_subgroups_of_p_group(degree, elements, p):
+    """Every subgroup of a p-group as <Q, x>, x in N_P(Q) \\ Q with x^p in Q,
+    by tuple closures."""
+    idp = tuple(range(degree))
+    elems = sorted(elements)
+    levels = [{frozenset([idp])}]
+    found = {frozenset([idp])}
+    while levels[-1]:
+        nxt = set()
+        for q in levels[-1]:
+            q_gens = _generating_subset(degree, sorted(q))
+            for x in elems:
+                if x in q or not all(conj(h, x) in q for h in q_gens):
+                    continue
+                xp = x
+                for _ in range(p - 1):
+                    xp = pmul(xp, x)
+                if xp in q:
+                    nxt.add(closure(degree, q_gens + [x], seed=q))
+        found |= nxt
+        levels.append(nxt)
+    return found
 
 
 def exact_pairwise_products(A, B, weights, e):
@@ -169,6 +209,31 @@ def test_centralizers_and_normalizers_match_oracles(group_of, case):
         for h in G.p_subgroup_classes(p):
             assert G.normalizer_set(h.elements, h.generators) == \
                 oracle_normalizer(G, h.elements, h.generators)
+
+
+@pytest.mark.parametrize("case", CASES + [("S6", None)], ids=_case_id)
+def test_p_subgroups_and_orbits_match_oracles(group_of, case):
+    # S6 has 720 elements, so its subgroups are uint16 index arrays
+    G = group_of(*case)
+    for p in primefactors(G.order):
+        syl = G.sylow(p)
+        subs = _subgroups_of_p_group(G, syl.elements, p, G.limits.max_p_subgroup_classes)
+        assert len(subs) == len({s.tobytes() for s in subs})
+        assert {G._subset(s) for s in subs} == \
+            oracle_subgroups_of_p_group(G.degree, syl.elements, p)
+        for h in G.p_subgroup_classes(p):
+            orbit = oracle_subgroup_orbit(G, h.elements)
+            assert h.class_orbit == orbit
+            assert h.canonical_key == tuple(sorted(orbit[0]))
+            assert G.subgroup_orbit(h.elements) == orbit
+            n = G.normalizer(h).elements  # most normalizers are no p-groups
+            assert G.subgroup_orbit(n) == oracle_subgroup_orbit(G, n)
+        lattice = G._p_lattice(p)
+        assert [len(level[0]) for level in lattice] == sorted(
+            {h.order for h in G.p_subgroup_classes(p)})
+        assert [G._subset(s) for level in lattice for s in level] == sorted(
+            (s for h in G.p_subgroup_classes(p) for s in h.class_orbit),
+            key=lambda s: (len(s), tuple(sorted(s))))
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
