@@ -13,6 +13,8 @@ returned; a table that fails validation is never handed out.
 The integer products of the lift and of the validation run through float64
 matrix products.  Each is preceded by an a-priori bound on its partial sums;
 at 2^53 the result could be inexact, so a ResourceError is raised instead.
+The eigenspace split works in int64 and raises the same way where its
+partial sums, r * (ell - 1)^2, would reach 2^63.
 """
 
 from __future__ import annotations
@@ -275,45 +277,55 @@ def _common_eigenvectors(a: np.ndarray, ell: int) -> np.ndarray:
     Each M_i = a[i] satisfies M_i v = omega(K_i) v on the central character
     vector v = (omega(K_k))_k; since ell does not divide |G| the common
     eigenspaces are one-dimensional.
+
+    A space is a basis in reduced row echelon form with its pivot columns,
+    so the coordinates of a vector in it are its entries there, and the
+    basis is never reduced again.  A class matrix that acts on a space as a
+    scalar cannot split it, so the space is kept as it is (Schneider,
+    J. Symbolic Comput. 9 (1990)).
     """
     r = a.shape[0]
-    spaces = [np.eye(r, dtype=np.int64)]
+    _check_exact(r * (ell - 1) ** 2, "eigenspace split", 63, "int64")
+    spaces = [(np.eye(r, dtype=np.int64), np.arange(r))]
     for i in range(1, r):
-        if all(s.shape[0] == 1 for s in spaces):
+        if all(len(pivots) == 1 for _, pivots in spaces):
             break
         mt = (a[i].T.astype(np.int64)) % ell
         new_spaces = []
-        for basis in spaces:
-            if basis.shape[0] == 1:
-                new_spaces.append(basis)
+        for basis, pivots in spaces:
+            n = len(pivots)
+            if n == 1:
+                new_spaces.append((basis, pivots))
                 continue
-            image = (basis @ mt) % ell
-            reduced, pivots = rref(basis, ell)
-            if reduced.shape[0] != basis.shape[0]:
+            eye = np.eye(n, dtype=np.int64)
+            if not np.array_equal(basis[:, pivots], eye):
                 raise InternalError("eigenspace basis lost rank")
-            restriction = image[:, pivots] % ell
-            if not np.array_equal((restriction @ basis) % ell, image % ell):
+            image = (basis @ mt) % ell
+            restriction = image[:, pivots]
+            if not np.array_equal((restriction @ basis) % ell, image):
                 raise InternalError("class-sum matrix does not preserve eigenspace")
-            poly = charpoly(restriction, ell)
-            roots = poly_roots(poly, ell)
+            if np.array_equal(restriction, restriction[0, 0] * eye):
+                new_spaces.append((basis, pivots))
+                continue
             dim_total = 0
-            for lam in roots:
+            for lam in poly_roots(charpoly(restriction, ell), ell):
                 # coordinates act by right multiplication with the
                 # restriction, so eigen-rows come from the left nullspace
-                shifted = (restriction - lam * np.eye(basis.shape[0], dtype=np.int64)) % ell
-                null = nullspace(shifted.T % ell, ell)
+                null = nullspace(((restriction - lam * eye) % ell).T, ell)
                 if null.shape[0] == 0:
                     continue
-                sub, _ = rref((null @ basis) % ell, ell)
-                dim_total += sub.shape[0]
-                new_spaces.append(sub)
-            if dim_total != basis.shape[0]:
+                # an echelon basis in the coordinates of an echelon basis
+                # is echelon, with the pivots of the pivots
+                coords, sub_pivots = rref(null, ell)
+                dim_total += coords.shape[0]
+                new_spaces.append(((coords @ basis) % ell, pivots[sub_pivots]))
+            if dim_total != n:
                 raise InternalError("eigenspace refinement lost dimension")
         spaces = new_spaces
-    if not all(s.shape[0] == 1 for s in spaces) or len(spaces) != r:
+    if not all(len(pivots) == 1 for _, pivots in spaces) or len(spaces) != r:
         raise InternalError("class-sum action failed to split into lines")
     out = np.zeros((r, r), dtype=np.int64)
-    for i, s in enumerate(spaces):
+    for i, (s, _) in enumerate(spaces):
         v = s[0] % ell
         if v[0] == 0:
             raise InternalError("central character vanishes on the identity class")
@@ -413,16 +425,19 @@ def galois_matrix(e: int, k: int) -> np.ndarray:
     return out
 
 
-_FLOAT_EXACT = 2**53
+def _check_exact(bound: int, what: str, bits: int, kind: str) -> None:
+    """Raise ResourceError unless partial sums bounded by ``bound`` stay
+    below 2^bits, where the ``kind`` arithmetic is exact."""
+    if bound >= 2**bits:
+        raise ResourceError(
+            f"{what}: partial sums may reach {bound}, at or above the "
+            f"{kind} bound 2^{bits} = {2**bits}"
+        )
 
 
 def _check_float_exact(bound: int, what: str) -> None:
-    """Raise ResourceError unless partial sums bounded by ``bound`` stay exact."""
-    if bound >= _FLOAT_EXACT:
-        raise ResourceError(
-            f"{what}: partial sums may reach {bound}, at or above the "
-            f"float64 exact-integer bound 2^53 = {_FLOAT_EXACT}"
-        )
+    """Raise ResourceError unless float64 partial sums bounded by ``bound`` stay exact."""
+    _check_exact(bound, what, 53, "float64 exact-integer")
 
 
 def _pairwise_products(A: np.ndarray, B: np.ndarray, weights: np.ndarray, e: int):

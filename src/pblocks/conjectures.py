@@ -28,7 +28,7 @@ from .chartable import _nu, character_table, p_prime_degree_set
 from .errors import InputError, InternalError
 from .groups import Group, SubgroupHandle
 from .perms import Perm, conj, format_cycles, pinv, pmul
-from .reports import group_document
+from .reports import chain_orbit_document, group_document
 
 __all__ = [
     "CheckReport",
@@ -96,22 +96,12 @@ def _chain_witness(S: PairSet) -> dict:
         per_chain_plus[pair.chain_index] = per_chain_plus.get(pair.chain_index, 0) + 1
     for pair in S.minus:
         per_chain_minus[pair.chain_index] = per_chain_minus.get(pair.chain_index, 0) + 1
-    orbits = []
-    for o in S.orbits:
-        orbits.append(
-            {
-                "terms": [t.order for t in o.chain.terms],
-                "term_generators": [
-                    [format_cycles(g) for g in t.generators] for t in o.chain.terms
-                ],
-                "length": o.chain.length,
-                "sign": "+" if o.sign > 0 else "-",
-                "stabilizer_order": o.stabilizer.order,
-                "orbit_size": o.orbit_size,
-                "pairs_here": per_chain_plus.get(o.index, 0)
-                + per_chain_minus.get(o.index, 0),
-            }
-        )
+    formatted: dict = {}
+    orbits = [
+        dict(chain_orbit_document(o, formatted),
+             pairs_here=per_chain_plus.get(o.index, 0) + per_chain_minus.get(o.index, 0))
+        for o in S.orbits
+    ]
     return {"chain_orbits": orbits}
 
 

@@ -547,7 +547,13 @@ class Group:
         return None
 
     def subgroup_group(self, handle: "SubgroupHandle") -> "Group":
-        """The subgroup as a Group in its own right (same degree); cached."""
+        """The subgroup as a Group in its own right (same degree); cached.
+
+        The whole group is its own subgroup group, so its table, classes and
+        p-subgroup lattice are built once, whatever subgroup role it plays.
+        """
+        if handle.elements == self.element_set():
+            return self
         key = ("sub_group", handle.elements)
         if key not in self._cache:
             g = Group(self.degree, handle.generators, limits=self.limits)

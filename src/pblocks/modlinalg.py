@@ -1,7 +1,8 @@
 """Dense linear algebra over a prime field F_ell, on numpy int64 arrays.
 
-ell is always small enough that products of two residues fit in int64 with
-room for row-length accumulation.
+A matrix product sums up to r products of two residues before it reduces;
+:func:`pblocks.chartable._common_eigenvectors` checks that r * (ell - 1)^2
+stays below 2^63 before it calls these routines.
 """
 
 from __future__ import annotations

@@ -107,28 +107,39 @@ def _one_block(b: Block) -> dict:
     }
 
 
+def chain_orbit_document(o, formatted: dict) -> dict:
+    """The fields shared by every report of one chain orbit.
+
+    Orbits share few distinct terms, so ``formatted`` (one dict per
+    document) keeps each term's generators in cycle notation.
+    """
+    term_generators = []
+    for t in o.chain.terms:
+        if t not in formatted:
+            formatted[t] = [format_cycles(g) for g in t.generators]
+        term_generators.append(list(formatted[t]))
+    return {
+        "terms": [t.order for t in o.chain.terms],
+        "term_generators": term_generators,
+        "length": o.chain.length,
+        "sign": "+" if o.sign > 0 else "-",
+        "stabilizer_order": o.stabilizer.order,
+        "orbit_size": o.orbit_size,
+    }
+
+
 def chain_document(S: PairSet) -> dict:
     """Chain report: every orbit with per-defect character counts by induced block."""
     orbits = []
+    formatted: dict = {}
     for o in S.orbits:
         per_defect: dict = {}
         for _, defect, target in _stabilizer_rows(S.group, o.stabilizer, S.p):
             bucket = per_defect.setdefault(str(defect), {})
             label = "undefined" if target is None else str(target.index)
             bucket[label] = bucket.get(label, 0) + 1
-        orbits.append(
-            {
-                "terms": [t.order for t in o.chain.terms],
-                "term_generators": [
-                    [format_cycles(g) for g in t.generators] for t in o.chain.terms
-                ],
-                "length": o.chain.length,
-                "sign": "+" if o.sign > 0 else "-",
-                "stabilizer_order": o.stabilizer.order,
-                "orbit_size": o.orbit_size,
-                "characters_by_defect": per_defect,
-            }
-        )
+        orbits.append(dict(chain_orbit_document(o, formatted),
+                           characters_by_defect=per_defect))
     doc = {
         "schema": SCHEMA_VERSION + "/chains",
         "group": group_document(S.group),

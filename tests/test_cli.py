@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from pblocks import chartable
 from pblocks.cli import run
 
 
@@ -185,3 +186,22 @@ def test_p_subgroup_ceilings_exit_2(capsys, monkeypatch, name, message):
     monkeypatch.setattr(cli, "_limits", lambda args: Limits(max_p_subgroup_classes=1))
     assert run(["chains", "--lib", name, "--prime", "2", "--start", "trivial"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-am", "--lib", "S5xS4", "--prime", "5", "--all-blocks"],
+    ["defect-scan", "--lib", "C2xC2xC2xC2xC3", "--prime", "2"],
+])
+def test_each_element_set_is_tabled_once(monkeypatch, capsys, argv):
+    # G is also a chain stabiliser, N_G(1) and a centraliser in these jobs
+    tabled = []
+    build = chartable._dixon_table
+
+    def counting(G):
+        tabled.append(G.element_set())
+        return build(G)
+
+    monkeypatch.setattr(chartable, "_dixon_table", counting)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert tabled and len(tabled) == len(set(tabled))

@@ -279,3 +279,12 @@ def test_as_group_elements_match_closure(grp, name):
             for h in (cls, G.normalizer(cls)):
                 H = h.as_group()
                 assert H.elements() == tuple(sorted(closure(G.degree, H.generators)))
+
+
+def test_full_subgroup_is_the_group(grp):
+    # so the table, classes and lattices of G are built once
+    G = grp("S4")
+    assert G.full_subgroup().as_group() is G
+    assert G.normalizer(G.trivial_subgroup()).as_group() is G
+    assert G.handle(elements=G.centralizer_set(G.identity)).as_group() is G
+    assert G.sylow(2).as_group() is not G

@@ -6,17 +6,22 @@ the class-multiplication tensor, centralizers, normalizers, subgroup
 conjugation orbits and the subgroups of a p-group.  They are compared on
 every acceptance-corpus group and on a seeded relabelling of its points,
 together with the float64 product and lift routes of the table code against
-the same computations in exact Python integers.
+the same computations in exact Python integers, and the eigenspace split
+against the split that reduces every basis again and splits every space.
 """
 
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
-from sympy import primefactors
+from sympy import isprime, primefactors
 
+from pblocks import chartable
 from pblocks.chartable import (
+    _check_exact,
     _check_float_exact,
+    _common_eigenvectors,
     _lift_values,
     _pairwise_products,
     character_table,
@@ -26,7 +31,7 @@ from pblocks.cyclotomic import _power_reductions, euler_phi
 from pblocks.errors import InternalError, ResourceError
 from pblocks.groups import Group, _generating_subset, _subgroups_of_p_group, closure
 from pblocks.library import acceptance_corpus, library_group
-from pblocks.modlinalg import inv_mod
+from pblocks.modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
 from pblocks.perms import conj, pinv, pmul
 
 # -- brute-force oracles --------------------------------------------------------
@@ -110,6 +115,45 @@ def oracle_subgroups_of_p_group(degree, elements, p):
         found |= nxt
         levels.append(nxt)
     return found
+
+
+def oracle_common_eigenvectors(a, ell):
+    """The eigenspace split that reduces every basis again and takes the
+    characteristic polynomial of every restriction, scalar ones included."""
+    r = a.shape[0]
+    spaces = [np.eye(r, dtype=np.int64)]
+    for i in range(1, r):
+        if all(s.shape[0] == 1 for s in spaces):
+            break
+        mt = (a[i].T.astype(np.int64)) % ell
+        new_spaces = []
+        for basis in spaces:
+            if basis.shape[0] == 1:
+                new_spaces.append(basis)
+                continue
+            image = (basis @ mt) % ell
+            reduced, pivots = rref(basis, ell)
+            assert reduced.shape[0] == basis.shape[0]
+            restriction = image[:, pivots] % ell
+            assert np.array_equal((restriction @ basis) % ell, image % ell)
+            dim_total = 0
+            for lam in poly_roots(charpoly(restriction, ell), ell):
+                shifted = (restriction - lam * np.eye(basis.shape[0], dtype=np.int64)) % ell
+                null = nullspace(shifted.T % ell, ell)
+                if null.shape[0] == 0:
+                    continue
+                sub, _ = rref((null @ basis) % ell, ell)
+                dim_total += sub.shape[0]
+                new_spaces.append(sub)
+            assert dim_total == basis.shape[0]
+        spaces = new_spaces
+    assert all(s.shape[0] == 1 for s in spaces) and len(spaces) == r
+    out = np.zeros((r, r), dtype=np.int64)
+    for i, s in enumerate(spaces):
+        v = s[0] % ell
+        assert v[0] != 0
+        out[i] = (v * inv_mod(v[0], ell)) % ell
+    return out
 
 
 def exact_pairwise_products(A, B, weights, e):
@@ -252,6 +296,57 @@ def test_float_routes_match_exact_integers(group_of, case):
     lifted = _lift_values(table, values_mod, table.degrees, ell, z)
     assert np.array_equal(lifted, exact_lift(table, values_mod, ell, z))
     assert np.array_equal(lifted, table.values)
+
+
+# these two split many spaces on which a class matrix acts as a scalar
+SPLIT_CASES = CASES + [("C4xC2xC2xC2", None), ("C3xC3xC3xC2", None)]
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES, ids=_case_id)
+def test_eigenspace_split_matches_oracle(group_of, case):
+    table = character_table(group_of(*case))
+    if table.r == 1:
+        return  # the trivial table is written down, not split
+    a, ell = table.cmc(), table.lift_meta["prime"]
+    out = _common_eigenvectors(a, ell)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, oracle_common_eigenvectors(a, ell))
+
+
+def test_split_rejects_a_basis_off_its_pivots(monkeypatch, group_of):
+    table = character_table(group_of("C4xC2xC2xC2", None))
+    real_rref = chartable.rref
+
+    def reversed_pivots(mat, ell):
+        reduced, pivots = real_rref(mat, ell)
+        return reduced, pivots[::-1]
+
+    monkeypatch.setattr(chartable, "rref", reversed_pivots)
+    with pytest.raises(InternalError, match="lost rank"):
+        _common_eigenvectors(table.cmc(), table.lift_meta["prime"])
+
+
+def test_split_rejects_lines_off_the_identity_class():
+    # diagonal class matrices split F^3 into the coordinate lines, and all
+    # but the first vanish on the identity class
+    a = np.stack([np.eye(3, dtype=np.int32)] + [np.diag([1, 2, 3]).astype(np.int32)] * 2)
+    with pytest.raises(InternalError, match="vanishes on the identity class"):
+        _common_eigenvectors(a, 7)
+
+
+def test_large_split_prime_trips_the_int64_guard(monkeypatch):
+    G = library_group("S3")  # r = 3, exponent 6
+    r, e = 3, 6
+    ell = isqrt(2**63 // r) + 2  # so r * (ell - 1)^2 > 2^63
+    while not (ell % e == 1 and isprime(ell)):
+        ell += 1
+    monkeypatch.setattr(chartable, "_dixon_prime", lambda order, exponent: ell)
+    with pytest.raises(ResourceError, match=r"2\^63") as info:
+        character_table(G)
+    assert str(r * (ell - 1) ** 2) in str(info.value)  # the value reached
+    _check_exact(2**63 - 1, "edge", 63, "int64")
+    with pytest.raises(ResourceError):
+        _check_exact(2**63, "edge", 63, "int64")
 
 
 @pytest.mark.parametrize("e", [1, 4, 12, 15, 60, 105])
