@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
 from sympy import GF, Poly, Symbol
 
-from .cyclotomic import cyclotomic_poly
+from .chartable import _check_exact
+from .cyclotomic import cyclotomic_poly, euler_phi
 from .errors import InputError, InternalError
 
 __all__ = ["BlockField", "block_field"]
@@ -30,7 +32,11 @@ def block_field(p: int, conductor: int) -> "BlockField":
 
 
 class BlockField:
-    """F_p[x]/(q) together with the reduction map from Z[zeta_conductor]."""
+    """F_p[x]/(q) together with the reduction map from Z[zeta_conductor].
+
+    An element of the field is a length-f row of residues mod p, the
+    coefficients of 1, x, ..., x^(f-1).
+    """
 
     def __init__(self, p: int, conductor: int):
         if p < 2:
@@ -44,63 +50,45 @@ class BlockField:
         self.e1 = e1
         self.modulus = _canonical_factor(e1, p)
         self.f = len(self.modulus) - 1
-        self.zero = (0,) * self.f
-        self.one = (1,) + (0,) * (self.f - 1)
         # zeta_conductor maps to x^t with t the inverse of p^a mod e1.
         self.t = pow(p**a % e1, -1, e1) if e1 > 1 else 0
-        self.xpow = self._x_powers()
+        self._reductions: dict[int, np.ndarray] = {}
 
     def __repr__(self) -> str:
         return f"BlockField(p={self.p}, f={self.f}, e'={self.e1})"
 
-    def _x_powers(self):
-        powers = [self.one]
-        x = ((0, 1) + (0,) * (self.f - 2)) if self.f >= 2 else (1 % self.p,)
-        if self.f == 1:
-            # q = x - c: x acts as the scalar c.
-            c = (-self.modulus[0]) % self.p
-            x = (c,)
-        for _ in range(1, self.e1):
-            powers.append(self.mul(powers[-1], x))
-        return powers
+    def _reduction(self, src_conductor: int) -> np.ndarray:
+        """R with row i the image of zeta_src^i: shape [phi(src), f]; cached.
 
-    def add(self, u, v):
-        return tuple((a + b) % self.p for a, b in zip(u, v))
+        zeta_src = zeta_conductor^step maps to x^(t * step), and the powers
+        x^k mod (q, p) come by shift-and-fold: x * x^(k-1) shifts the row
+        up and folds the top coefficient back with q's lower coefficients.
+        """
+        if src_conductor not in self._reductions:
+            if self.conductor % src_conductor:
+                raise InputError("source conductor must divide the field conductor")
+            step = self.conductor // src_conductor
+            powers = np.zeros((self.e1, self.f), dtype=np.int64)
+            powers[0, 0] = 1
+            low = np.array(self.modulus[:-1], dtype=np.int64)
+            for k in range(1, self.e1):
+                powers[k, 1:] = powers[k - 1, :-1]
+                powers[k] = (powers[k] - powers[k - 1, -1] * low) % self.p
+            exps = self.t * step * np.arange(euler_phi(src_conductor)) % self.e1
+            self._reductions[src_conductor] = powers[exps]
+        return self._reductions[src_conductor]
 
-    def mul(self, u, v):
-        conv = [0] * (2 * self.f - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    if b:
-                        conv[i + j] += a * b
-        # reduce mod the monic modulus
-        for i in range(len(conv) - 1, self.f - 1, -1):
-            c = conv[i] % self.p
-            if c:
-                for j in range(self.f + 1):
-                    conv[i - self.f + j] -= c * self.modulus[j]
-            conv[i] = 0
-        return tuple(c % self.p for c in conv[: self.f])
+    def reduce_int_vector(self, coeffs, src_conductor: int) -> np.ndarray:
+        """Reduce integer power-basis vectors over Q(zeta_src) into the field.
 
-    def scalar(self, n: int):
-        return (n % self.p,) + (0,) * (self.f - 1)
-
-    def reduce_int_vector(self, coeffs, src_conductor: int):
-        """Reduce sum_i coeffs[i] * zeta_src^i (power basis) into the field."""
-        if self.conductor % src_conductor:
-            raise InputError("source conductor must divide the field conductor")
-        step = self.conductor // src_conductor
-        acc = [0] * self.f
-        for i, c in enumerate(coeffs):
-            c = int(c) % self.p
-            if not c:
-                continue
-            exp = (self.t * i * step) % self.e1 if self.e1 > 1 else 0
-            row = self.xpow[exp]
-            for j in range(self.f):
-                acc[j] += c * row[j]
-        return tuple(v % self.p for v in acc)
+        ``coeffs`` is any integer array of shape [..., phi(src)]; the result
+        has shape [..., f].  The product sums phi(src) products of residues
+        below p, so it is exact in int64 while phi(src) * (p - 1)^2 < 2^63.
+        """
+        _check_exact(euler_phi(src_conductor) * (self.p - 1) ** 2,
+                     "central character reduction", 63, "int64")
+        reduction = self._reduction(src_conductor)
+        return (np.asarray(coeffs, dtype=np.int64) % self.p) @ reduction % self.p
 
     def describe(self) -> dict:
         return {

@@ -2,7 +2,9 @@
 
 Two irreducible characters lie in the same p-block iff their central
 characters agree after reduction modulo a fixed prime ideal over p; the
-reduction is the canonical one provided by :mod:`pblocks.blockfield`.
+reduction is the canonical one provided by :mod:`pblocks.blockfield`.  The
+reduced central characters of a table are one integer array [r, r, f],
+lam[i, k] the image of omega_i(K_k), built by one matrix product per prime.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blockfield import BlockField, block_field
+from .blockfield import block_field
 from .chartable import CharRef, CharTable, _nu, char_ref, character_table
 from .cyclotomic import Cyclo
 from .errors import InputError, InternalError
@@ -22,7 +24,6 @@ from .perms import perm_order
 __all__ = [
     "Block",
     "HeightTag",
-    "ReducedCentralChar",
     "central_character",
     "p_blocks",
     "block_of",
@@ -36,19 +37,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReducedCentralChar:
-    """omega mod a prime ideal over p: one field element per conjugacy class."""
-
-    p: int
-    field: BlockField
-    values: tuple
-
-    def __post_init__(self):
-        if self.values[0] != self.field.one:
-            raise InternalError("reduced central character is not 1 at the identity")
-
-
 @dataclass
 class Block:
     """One p-block of a character table."""
@@ -59,7 +47,7 @@ class Block:
     members: tuple  # row indices
     defect: int
     defect_group: SubgroupHandle
-    lam: ReducedCentralChar
+    lam: np.ndarray  # [r, f]: lam(K) per class, the same for every member
     is_principal: bool
 
     def __eq__(self, other):
@@ -94,40 +82,28 @@ class HeightTag:
 
 def central_character(table: CharTable, index: int) -> tuple:
     """Exact omega values: omega(K) = |K| chi(g_K) / chi(1), per class."""
-    vec = omega_int_vectors(table, index)
+    vec = omega_int_vectors(table)[index]
     return tuple(
         Cyclo(table.conductor, tuple(Fraction(int(c)) for c in vec[k]))
         for k in range(table.r)
     )
 
 
-def omega_int_vectors(table: CharTable, index: int) -> np.ndarray:
-    """omega values as integer coefficient vectors [r, phi].
+def omega_int_vectors(table: CharTable) -> np.ndarray:
+    """omega values of every row as integer coefficient vectors [r, r, phi];
+    cached on the table.
 
     Central character values are algebraic integers; if the division by the
     degree is not exact the table is corrupt.
     """
-    key = ("omega", index)
-    if key in table._cache:
-        return table._cache[key]
-    deg = table.degrees[index]
-    sizes = np.array([c.size for c in table.classes], dtype=np.int64)
-    scaled = table.values[index] * sizes[:, None]
-    if np.any(scaled % deg):
-        raise InternalError("central character is not an algebraic integer")
-    out = scaled // deg
-    table._cache[key] = out
-    return out
-
-
-def reduced_central_character(table: CharTable, index: int, p: int,
-                              field: BlockField | None = None) -> ReducedCentralChar:
-    field = field or block_field(p, table.conductor)
-    omega = omega_int_vectors(table, index)
-    values = tuple(
-        field.reduce_int_vector(omega[k], table.conductor) for k in range(table.r)
-    )
-    return ReducedCentralChar(p, field, values)
+    if "omega" not in table._cache:
+        sizes = np.array([c.size for c in table.classes], dtype=np.int64)
+        degs = np.array(table.degrees, dtype=np.int64)[:, None, None]
+        scaled = table.values * sizes[:, None]
+        if np.any(scaled % degs):
+            raise InternalError("central character is not an algebraic integer")
+        table._cache["omega"] = scaled // degs
+    return table._cache["omega"]
 
 
 def p_blocks(table: CharTable, p: int) -> tuple[Block, ...]:
@@ -135,13 +111,13 @@ def p_blocks(table: CharTable, p: int) -> tuple[Block, ...]:
     key = ("blocks", p)
     if key in table._cache:
         return table._cache[key]
-    field = block_field(p, table.conductor)
-    lam_of: dict[tuple, list[int]] = {}
-    lams = {}
+    lams = block_field(p, table.conductor).reduce_int_vector(
+        omega_int_vectors(table), table.conductor)
+    if (lams[:, 0, 0] != 1).any() or lams[:, 0, 1:].any():
+        raise InternalError("reduced central character is not 1 at the identity")
+    lam_of: dict[bytes, list[int]] = {}
     for i in range(table.r):
-        rc = reduced_central_character(table, i, p, field)
-        lams[i] = rc
-        lam_of.setdefault(rc.values, []).append(i)
+        lam_of.setdefault(lams[i].tobytes(), []).append(i)
 
     trivial = table.trivial_index()
     groups = sorted(lam_of.values(), key=lambda ms: (trivial not in ms, min(ms)))
@@ -170,7 +146,7 @@ def p_blocks(table: CharTable, p: int) -> tuple[Block, ...]:
     return table._cache[key]
 
 
-def _defect_group(table: CharTable, p: int, members, lam: ReducedCentralChar,
+def _defect_group(table: CharTable, p: int, members, lam: np.ndarray,
                   d: int) -> SubgroupHandle:
     """Sylow p-subgroup of the centralizer of a defect-class element."""
     G = table.group
@@ -185,7 +161,7 @@ def _defect_group(table: CharTable, p: int, members, lam: ReducedCentralChar,
     return dg
 
 
-def _defect_class(table: CharTable, p: int, lam: ReducedCentralChar) -> int:
+def _defect_class(table: CharTable, p: int, lam: np.ndarray) -> int:
     """Index of a defect class of the block with reduced central character lam.
 
     A defect class is a p-regular class with lam(K) != 0 whose size has
@@ -194,7 +170,7 @@ def _defect_class(table: CharTable, p: int, lam: ReducedCentralChar) -> int:
     best_nu = -1
     chosen = None
     for k, c in enumerate(table.classes):
-        if lam.values[k] == lam.field.zero or perm_order(c.rep) % p == 0:
+        if not lam[k].any() or perm_order(c.rep) % p == 0:
             continue
         nu = _nu(c.size, p)
         if nu > best_nu:
@@ -258,15 +234,14 @@ def brauer_induce(b: Block, G: Group) -> Block | None:
     if Gt.conductor % b.table.conductor:
         raise InternalError("subgroup exponent does not divide the group exponent")
     field = block_field(b.p, Gt.conductor)
-    lam_h = reduced_central_character(b.table, b.members[0], b.p, field)
+    lam_h = field.reduce_int_vector(omega_int_vectors(b.table)[b.members[0]],
+                                    b.table.conductor)
     g_class = G.class_index()
-    acc = [field.zero] * Gt.r
-    for l, hc in enumerate(b.table.classes):
-        k = g_class[hc.rep]
-        acc[k] = field.add(acc[k], lam_h.values[l])
-    acc = tuple(acc)
+    acc = np.zeros((Gt.r, field.f), dtype=np.int64)
+    np.add.at(acc, [g_class[hc.rep] for hc in b.table.classes], lam_h)
+    acc %= b.p
     for B in p_blocks(Gt, b.p):
-        if B.lam.values == acc:
+        if np.array_equal(B.lam, acc):
             return B
     return None
 

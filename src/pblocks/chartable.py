@@ -31,7 +31,6 @@ from .cyclotomic import Cyclo, _power_reductions, euler_phi
 from .errors import InputError, InternalError, ResourceError
 from .groups import ConjClass, Group
 from .modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
-from .perms import pinv, pmul
 
 __all__ = [
     "CharTable",
@@ -85,25 +84,27 @@ class CharTable:
         return self.group.class_index()
 
     def inverse_class(self, k: int) -> int:
-        if "inv_map" not in self._cache:
-            idx = self.class_index()
-            self._cache["inv_map"] = tuple(
-                idx[pinv(c.rep)] for c in self.classes
-            )
-        return self._cache["inv_map"][k]
+        # rep^(e-1) = rep^-1, e the exponent
+        return int(self.power_map()[k, self.conductor - 1])
 
     def power_map(self) -> np.ndarray:
-        """power_map[k, t] = class index of rep_k ** t, 0 <= t < conductor."""
+        """power_map[k, t] = class index of rep_k ** t, 0 <= t < conductor.
+
+        One gather per power step takes every class representative's power
+        to the next one on the element array; one lookup finds them all.
+        """
         if "power_map" not in self._cache:
-            idx = self.class_index()
-            e = self.conductor
-            pm = np.zeros((self.r, e), dtype=np.int64)
-            for k, c in enumerate(self.classes):
-                acc = self.group.identity
-                for t in range(e):
-                    pm[k, t] = idx[acc]
-                    acc = pmul(acc, c.rep)
-            self._cache["power_map"] = pm
+            arr = self.group._array()
+            n = self.group.degree
+            reps = np.array([c.rep for c in self.classes], dtype=arr.rows.dtype)
+            powers = np.empty((self.r, self.conductor, n), dtype=reps.dtype)
+            powers[:, 0] = np.arange(n)
+            k = np.arange(self.r)[:, None]
+            for t in range(1, self.conductor):
+                powers[:, t] = reps[k, powers[:, t - 1]]  # rep^(t-1) * rep
+            found = arr.index(powers.reshape(-1, n))
+            self._cache["power_map"] = self.group._class_of()[found].reshape(
+                self.r, self.conductor)
         return self._cache["power_map"]
 
     def entry(self, i: int, k: int) -> Cyclo:

@@ -43,31 +43,7 @@ __all__ = [
     "SubgroupHandle",
     "ConjClass",
     "group_from_generators",
-    "closure",
 ]
-
-
-def closure(degree: int, gens, seed=None, max_size: int | None = None) -> frozenset:
-    """Closure of ``seed`` (default: identity) under right multiplication by gens."""
-    idp = identity(degree)
-    elems = set(seed) if seed is not None else {idp}
-    elems.add(idp)
-    gens = [g for g in gens if g != idp]
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = pmul(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-                    if max_size is not None and len(elems) > max_size:
-                        raise ResourceError(
-                            f"closure exceeded ceiling of {max_size} elements"
-                        )
-        frontier = nxt
-    return frozenset(elems)
 
 
 def _adjoin(closed: frozenset, gens: list, x: Perm,
@@ -93,6 +69,25 @@ def _adjoin(closed: frozenset, gens: list, x: Perm,
                 if max_size is not None and len(elems) > max_size:
                     raise ResourceError(f"closure exceeded ceiling of {max_size} elements")
     return frozenset(elems)
+
+
+def _span(degree: int, candidates, size: int | None = None) -> tuple[frozenset, list]:
+    """The subgroup spanned by ``candidates``, grown coset by coset through
+    :func:`_adjoin`, with the candidates it took as generators.
+
+    A candidate already in the span is skipped, and the loop stops once the
+    span has ``size`` elements.
+    """
+    current = frozenset([identity(degree)])
+    gens: list[Perm] = []
+    for x in candidates:
+        if len(current) == size:
+            break
+        if x in current:
+            continue
+        current = _adjoin(current, gens, x)
+        gens.append(x)
+    return current, gens
 
 
 def _lex_keys(rows: np.ndarray) -> np.ndarray:
@@ -301,7 +296,8 @@ class Group:
     def elements(self) -> tuple:
         """All elements, sorted; cached."""
         if "elements" not in self._cache:
-            elems = closure(self.degree, self.generators, max_size=self.limits.max_order)
+            # __init__ checked the order against the ceiling
+            elems, _ = _span(self.degree, self.generators)
             if len(elems) != self.order:
                 raise InternalError("element closure disagrees with chain order")
             self._cache["elements"] = tuple(sorted(elems))
@@ -411,7 +407,7 @@ class Group:
             for g in gens:
                 if not self.contains(g):
                     raise InputError("generator lies outside the ambient group")
-            elements = closure(self.degree, gens, max_size=self.limits.max_order)
+            elements, _ = _span(self.degree, gens)
         elif not isinstance(elements, frozenset):
             elements = frozenset(tuple(x) for x in elements)
         key = ("handle", elements)
@@ -623,16 +619,7 @@ class Group:
 
 def _generating_subset(degree: int, elements_sorted) -> list:
     """Small deterministic generating set drawn from a sorted subgroup list."""
-    gens: list[Perm] = []
-    current = frozenset([identity(degree)])
-    total = len(elements_sorted)
-    for x in elements_sorted:
-        if len(current) == total:
-            break
-        if x in current:
-            continue
-        current = _adjoin(current, gens, x)
-        gens.append(x)
+    current, gens = _span(degree, elements_sorted, size=len(elements_sorted))
     if current != frozenset(elements_sorted):
         raise InternalError("element set is not the subgroup its generators span")
     return gens

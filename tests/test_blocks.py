@@ -8,6 +8,9 @@ cyclotomic arithmetic and never touches the finite-field reduction.
 
 import pytest
 
+from kernel_oracles import TupleField
+from pblocks import blocks
+from pblocks.blockfield import block_field
 from pblocks.blocks import (
     _defect_class,
     brauer_correspondent,
@@ -18,11 +21,11 @@ from pblocks.blocks import (
     irr_defect,
     is_central_defect,
     p_blocks,
-    reduced_central_character,
 )
 from pblocks.chartable import character_table
 from pblocks.cyclotomic import Cyclo
-from pblocks.errors import InputError
+from pblocks.errors import InputError, InternalError
+from pblocks.library import library_group
 from pblocks.perms import perm_order, pinv
 
 CORPUS = [
@@ -103,18 +106,17 @@ def test_central_character_values(grp):
 def test_reduced_central_character_is_multiplicative(grp, name, p):
     table = character_table(grp(name))
     a = table.cmc()
+    f = TupleField(block_field(p, table.conductor))
     for b in p_blocks(table, p):
-        lam = b.lam
-        f = lam.field
+        lam = [tuple(row) for row in b.lam.tolist()]
         r = table.r
         for i in range(r):
             for j in range(r):
-                lhs = f.mul(lam.values[i], lam.values[j])
+                lhs = f.mul(lam[i], lam[j])
                 rhs = f.zero
                 for k in range(r):
                     if a[i, j, k]:
-                        rhs = f.add(rhs, f.mul(f.scalar(int(a[i, j, k])),
-                                               lam.values[k]))
+                        rhs = f.add(rhs, f.mul(f.scalar(int(a[i, j, k])), lam[k]))
                 assert lhs == rhs
 
 
@@ -258,8 +260,17 @@ def test_is_central_defect(grp):
 
 def test_reduced_central_character_identity_entry(grp):
     table = character_table(grp("SL23"))
-    rc = reduced_central_character(table, 0, 2)
-    assert rc.values[0] == rc.field.one
+    one = TupleField(block_field(2, table.conductor)).one
+    for b in p_blocks(table, 2):
+        assert tuple(b.lam[0].tolist()) == one
+
+
+def test_identity_entry_other_than_one_is_rejected(monkeypatch):
+    table = character_table(library_group("S3"))  # a fresh table: no blocks cached
+    real = blocks.omega_int_vectors
+    monkeypatch.setattr(blocks, "omega_int_vectors", lambda t: 2 * real(t))
+    with pytest.raises(InternalError, match="not 1 at the identity"):
+        p_blocks(table, 3)
 
 
 def _nu(n, p):
@@ -274,8 +285,7 @@ def test_defect_class_is_p_regular(grp, name, block):
     B = p_blocks(table, 2)[block]
     chosen = table.classes[_defect_class(table, 2, B.lam)]
     assert perm_order(chosen.rep) % 2 == 1
-    nonzero = [c for k, c in enumerate(table.classes)
-               if B.lam.values[k] != B.lam.field.zero]
+    nonzero = [c for k, c in enumerate(table.classes) if B.lam[k].any()]
     unrestricted = max(nonzero, key=lambda c: _nu(c.size, 2))
     assert perm_order(unrestricted.rep) % 2 == 0
     # the defect group is the one the unrestricted choice gave

@@ -8,9 +8,10 @@ group for p-subgroups.  They never touch the stabilizer chain.
 import pytest
 from sympy import primefactors
 
+from kernel_oracles import closure
 from pblocks.config import Limits
 from pblocks.errors import InputError, InternalError, ResourceError
-from pblocks.groups import Group, _generating_subset, closure, group_from_generators
+from pblocks.groups import Group, _generating_subset, group_from_generators
 from pblocks.library import acceptance_corpus, library_group, parse_group_file
 from pblocks.perms import conj, identity, parse_cycles, perm_order, pmul
 

@@ -2,12 +2,14 @@
 
 The oracles below are the element-by-element scans over tuple permutations
 that the array versions in ``groups`` and ``chartable`` replaced: classes,
-the class-multiplication tensor, centralizers, normalizers, subgroup
-conjugation orbits and the subgroups of a p-group.  They are compared on
-every acceptance-corpus group and on a seeded relabelling of its points,
-together with the float64 product and lift routes of the table code against
-the same computations in exact Python integers, and the eigenspace split
-against the split that reduces every basis again and splits every space.
+the class-multiplication tensor, the power map, centralizers, normalizers,
+subgroup conjugation orbits and the subgroups of a p-group; with
+``kernel_oracles``, the breadth-first element closure and the tuple
+reduction of central characters.  They are compared on every
+acceptance-corpus group and on a seeded relabelling of its points, together
+with the float64 product and lift routes of the table code against the same
+computations in exact Python integers, and the eigenspace split against the
+split that reduces every basis again and splits every space.
 """
 
 import random
@@ -17,7 +19,10 @@ import numpy as np
 import pytest
 from sympy import isprime, primefactors
 
+from kernel_oracles import TupleField, closure
 from pblocks import chartable
+from pblocks.blockfield import block_field
+from pblocks.blocks import brauer_correspondent, omega_int_vectors, p_blocks
 from pblocks.chartable import (
     _check_exact,
     _check_float_exact,
@@ -29,7 +34,7 @@ from pblocks.chartable import (
 )
 from pblocks.cyclotomic import _power_reductions, euler_phi
 from pblocks.errors import InternalError, ResourceError
-from pblocks.groups import Group, _generating_subset, _subgroups_of_p_group, closure
+from pblocks.groups import Group, _generating_subset, _subgroups_of_p_group
 from pblocks.library import acceptance_corpus, library_group
 from pblocks.modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
 from pblocks.perms import conj, pinv, pmul
@@ -68,6 +73,26 @@ def oracle_cmc(G, classes):
         for x in G.elements():
             a[idx[x], idx[pmul(inv[x], z)], k] += 1
     return a
+
+
+def oracle_power_map(table):
+    """power_map[k, t] = class of rep_k^t, by tuple products and class lookups."""
+    idx = table.class_index()
+    pm = np.zeros((table.r, table.conductor), dtype=np.int64)
+    for k, c in enumerate(table.classes):
+        acc = table.group.identity
+        for t in range(table.conductor):
+            pm[k, t] = idx[acc]
+            acc = pmul(acc, c.rep)
+    return pm
+
+
+def oracle_reduction(field, omega, src_conductor):
+    """Each [phi] vector of an integer array reduced by the tuple field."""
+    oracle = TupleField(field)
+    flat = omega.reshape(-1, omega.shape[-1])
+    out = [oracle.reduce_int_vector(v, src_conductor) for v in flat]
+    return np.array(out, dtype=np.int64).reshape(omega.shape[:-1] + (field.f,))
 
 
 def oracle_centralizer(G, x):
@@ -243,6 +268,46 @@ def test_classes_and_cmc_match_oracles(group_of, case):
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_coset_spans_match_closure(group_of, case):
+    G = group_of(*case)
+    assert G.elements() == tuple(sorted(closure(G.degree, G.generators)))
+    for p in primefactors(G.order):
+        gens = G.sylow(p).generators
+        assert G.handle(generators=gens).elements == closure(G.degree, gens)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_power_map_matches_oracle(group_of, case):
+    table = character_table(group_of(*case))
+    pm = table.power_map()
+    assert pm.dtype == np.int64
+    assert np.array_equal(pm, oracle_power_map(table))
+    idx = table.class_index()
+    assert [table.inverse_class(k) for k in range(table.r)] == \
+        [idx[pinv(c.rep)] for c in table.classes]
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_reduction_matches_tuple_oracle(group_of, case):
+    G = group_of(*case)
+    table = character_table(G)
+    omega = omega_int_vectors(table)
+    for p in primefactors(G.order):
+        field = block_field(p, table.conductor)
+        lam = field.reduce_int_vector(omega, table.conductor)
+        assert lam.shape == (table.r, table.r, field.f)
+        assert np.array_equal(lam, oracle_reduction(field, omega, table.conductor))
+        for B in p_blocks(table, p):
+            assert all(np.array_equal(lam[i], B.lam) for i in B.members)
+            # the correspondent's normaliser table, reduced into G's field
+            nt = brauer_correspondent(B).table
+            assert table.conductor % nt.conductor == 0
+            assert np.array_equal(
+                field.reduce_int_vector(omega_int_vectors(nt), nt.conductor),
+                oracle_reduction(field, omega_int_vectors(nt), nt.conductor))
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_centralizers_and_normalizers_match_oracles(group_of, case):
     G = group_of(*case)
     for c in G.conjugacy_classes():
@@ -347,6 +412,18 @@ def test_large_split_prime_trips_the_int64_guard(monkeypatch):
     _check_exact(2**63 - 1, "edge", 63, "int64")
     with pytest.raises(ResourceError):
         _check_exact(2**63, "edge", 63, "int64")
+
+
+def test_large_reduction_prime_trips_the_int64_guard():
+    # phi(5) * (p - 1)^2 = 4 * (2^31 - 2)^2 >= 2^63
+    p = 2**31 - 1
+    with pytest.raises(ResourceError, match=r"central character reduction.*2\^63") as info:
+        block_field(p, 5).reduce_int_vector(np.ones((1, 4), dtype=np.int64), 5)
+    assert str(4 * (p - 1) ** 2) in str(info.value)  # the value reached
+    # phi(3) * (p - 1)^2 stays below 2^63, and the product is exact there
+    field = block_field(p, 3)
+    big = np.full((1, 2), p - 1, dtype=np.int64)
+    assert np.array_equal(field.reduce_int_vector(big, 3), oracle_reduction(field, big, 3))
 
 
 @pytest.mark.parametrize("e", [1, 4, 12, 15, 60, 105])
