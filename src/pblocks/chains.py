@@ -28,7 +28,6 @@ from .perms import conj
 __all__ = [
     "PChain",
     "ChainOrbit",
-    "PairOrbit",
     "PairSet",
     "enumerate_chain_orbits",
     "signed_pair_counts",
@@ -257,26 +256,15 @@ def append_final_term(chain: PChain, D: SubgroupHandle) -> PChain:
 
 
 @dataclass(frozen=True)
-class PairOrbit:
-    """A G-orbit of (chain, character) pairs.
-
-    Orbits of pairs over a fixed representative chain correspond one to one
-    with characters of the stabilizer, because inner conjugation fixes each
-    character of the stabilizer.
-    """
-
-    chain_index: int
-    char_index: int
-    defect: int
-    induced_block: int | None  # block index in the ambient group, if defined
-
-    def key(self):
-        return (self.chain_index, self.char_index)
-
-
-@dataclass(frozen=True)
 class PairSet:
-    """The signed pair families for (block, start, defect)."""
+    """The signed pair families for (block, start, defect).
+
+    G-orbits of (chain, character) pairs over a fixed representative chain
+    correspond one to one with characters of the stabilizer, because inner
+    conjugation fixes each character of the stabilizer.  So ``chars[i]``,
+    the ascending indices of the eligible stabilizer characters of orbit i,
+    lists the pairs over that orbit.
+    """
 
     group: Group
     p: int
@@ -284,12 +272,31 @@ class PairSet:
     start: SubgroupHandle
     d: int
     orbits: tuple  # tuple[ChainOrbit]
-    plus: tuple  # tuple[PairOrbit]
-    minus: tuple
+    chars: tuple  # tuple[tuple[int, ...]], one per orbit
+
+    def _pairs(self, sign: int) -> tuple:
+        return tuple((o.index, i) for o, chars in zip(self.orbits, self.chars)
+                     if o.sign == sign for i in chars)
+
+    @property
+    def plus(self) -> tuple:
+        """(chain index, char index) of each pair on an even-length chain."""
+        return self._pairs(1)
+
+    @property
+    def minus(self) -> tuple:
+        """The same on an odd-length chain."""
+        return self._pairs(-1)
 
     @property
     def counts(self) -> tuple[int, int]:
-        return (len(self.plus), len(self.minus))
+        plus = minus = 0
+        for o, chars in zip(self.orbits, self.chars):
+            if o.sign > 0:
+                plus += len(chars)
+            else:
+                minus += len(chars)
+        return (plus, minus)
 
     def stabilizer_table(self, chain_index: int) -> CharTable:
         return character_table(self.orbits[chain_index].stabilizer.as_group())
@@ -337,21 +344,12 @@ def pair_set(G: Group, block, Z: SubgroupHandle, d: int, p: int | None = None) -
         raise InputError("defect must be non-negative")
 
     orbits = chain_orbits_cached(G, Z, p)
-    plus = []
-    minus = []
+    eligible = {}  # stabilizer elements -> eligible character indices
     for orb in orbits:
-        for i, defect, target in _stabilizer_rows(G, orb.stabilizer, p):
-            if defect != d:
-                continue
-            if block is not None and target != block:
-                continue
-            pair = PairOrbit(
-                chain_index=orb.index,
-                char_index=i,
-                defect=d,
-                induced_block=None if target is None else target.index,
-            )
-            (plus if orb.sign > 0 else minus).append(pair)
+        if orb.stabilizer.elements not in eligible:
+            eligible[orb.stabilizer.elements] = tuple(
+                i for i, defect, target in _stabilizer_rows(G, orb.stabilizer, p)
+                if defect == d and (block is None or target == block))
     return PairSet(
         group=G,
         p=p,
@@ -359,6 +357,5 @@ def pair_set(G: Group, block, Z: SubgroupHandle, d: int, p: int | None = None) -
         start=Z,
         d=d,
         orbits=orbits,
-        plus=tuple(plus),
-        minus=tuple(minus),
+        chars=tuple(eligible[orb.stabilizer.elements] for orb in orbits),
     )

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class Limits:
@@ -17,8 +19,10 @@ class Limits:
     max_chain_orbits: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.max_order < 1 or self.max_p_subgroup_classes < 1 or self.max_chain_orbits < 1:
-            raise ValueError("ceilings must be positive")
+        for name in ("max_order", "max_p_subgroup_classes", "max_chain_orbits"):
+            value = getattr(self, name)
+            if value < 1:
+                raise InputError(f"ceiling {name} must be at least 1, got {value}")
 
 
 DEFAULT_LIMITS = Limits()

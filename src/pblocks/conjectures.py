@@ -23,7 +23,7 @@ from .blocks import (
     is_central_defect,
     p_blocks,
 )
-from .chains import PairOrbit, PairSet, pair_set, signed_pair_counts
+from .chains import PairSet, pair_set, signed_pair_counts
 from .chartable import _nu, character_table, p_prime_degree_set
 from .errors import InputError, InternalError
 from .groups import Group, SubgroupHandle
@@ -90,17 +90,10 @@ def _subgroup_desc(h: SubgroupHandle) -> dict:
 
 def _chain_witness(S: PairSet) -> dict:
     """Orbit listing plus per-chain pair counts; the reproducible core data."""
-    per_chain_plus: dict[int, int] = {}
-    per_chain_minus: dict[int, int] = {}
-    for pair in S.plus:
-        per_chain_plus[pair.chain_index] = per_chain_plus.get(pair.chain_index, 0) + 1
-    for pair in S.minus:
-        per_chain_minus[pair.chain_index] = per_chain_minus.get(pair.chain_index, 0) + 1
     formatted: dict = {}
     orbits = [
-        dict(chain_orbit_document(o, formatted),
-             pairs_here=per_chain_plus.get(o.index, 0) + per_chain_minus.get(o.index, 0))
-        for o in S.orbits
+        dict(chain_orbit_document(o, formatted), pairs_here=len(chars))
+        for o, chars in zip(S.orbits, S.chars)
     ]
     return {"chain_orbits": orbits}
 
@@ -129,6 +122,8 @@ def verify_pair_count(
         Z = G.p_core(p)
     if d is None:
         d = B.defect
+    if d < 0:
+        raise InputError("defect must be non-negative")
     inputs = {
         "group": group_document(G),
         "p": p,
@@ -243,11 +238,8 @@ def verify_abelian_defect(G: Group, p: int) -> list[CheckReport]:
     for B in p_blocks(table, p):
         inputs = {"group": group_document(G), "p": p, "block": B.index,
                   "defect": B.defect}
-        dg = B.defect_group.as_group()
-        abelian = all(
-            pmul(a, b) == pmul(b, a)
-            for a in dg.generators for b in dg.generators
-        )
+        gens = B.defect_group.generators
+        abelian = all(pmul(a, b) == pmul(b, a) for a in gens for b in gens)
         if not abelian:
             bad = [(B.table.degrees[t.char.index], t.height)
                    for t in heights(B) if t.height > 0]
@@ -315,8 +307,8 @@ def defect_support_scan(G: Group, p: int, U: SubgroupHandle | None = None) -> Ch
     """
     if U is None:
         U = G.trivial_subgroup()
-    P = G.sylow(p).as_group()
-    abelian = all(pmul(a, b) == pmul(b, a) for a in P.generators for b in P.generators)
+    gens = G.sylow(p).generators
+    abelian = all(pmul(a, b) == pmul(b, a) for a in gens for b in gens)
     inputs = {"group": group_document(G), "p": p, "start": _subgroup_desc(U)}
     if not abelian:
         return CheckReport("defect-scan", inputs, None, None, "not-applicable",
@@ -332,11 +324,11 @@ def defect_support_scan(G: Group, p: int, U: SubgroupHandle | None = None) -> Ch
             wit = [
                 {
                     "sign": sgn,
-                    "chain_terms": [t.order for t in S.orbits[pr.chain_index].chain.terms],
-                    "char_degree": S.stabilizer_table(pr.chain_index).degrees[pr.char_index],
+                    "chain_terms": [t.order for t in S.orbits[ci].chain.terms],
+                    "char_degree": S.stabilizer_table(ci).degrees[i],
                 }
                 for sgn, side in (("+", S.plus), ("-", S.minus))
-                for pr in side
+                for ci, i in side
             ]
             flagged.append({"f": f, "counts": list(counts), "pairs": wit})
     witness = {"counts_by_defect": {str(f): list(c) for f, c in enumerate(rows)},
@@ -367,13 +359,13 @@ def boundary_sets(S: PairSet, B: Block) -> BoundarySets:
     dkey = B.defect_group.canonical_key
     c0, c1, jp, jm = [], [], [], []
     for pair in S.plus:
-        chain = S.orbits[pair.chain_index].chain
+        chain = S.orbits[pair[0]].chain
         if chain.length == 0:
             c0.append(pair)
         else:
             jp.append(pair)
     for pair in S.minus:
-        chain = S.orbits[pair.chain_index].chain
+        chain = S.orbits[pair[0]].chain
         if chain.length == 1 and chain.terms[1].canonical_key == dkey:
             c1.append(pair)
         else:
@@ -425,17 +417,12 @@ def final_term_pairing(G: Group, B: Block) -> PairingWitness:
     S = pair_set(G, B, Z, B.defect)
     bounds = boundary_sets(S, B)
 
-    def chains_of(pairs):
-        out: dict[int, int] = {}
-        for pr in pairs:
-            out[pr.chain_index] = out.get(pr.chain_index, 0) + 1
-        return out
-
-    plus_chains = chains_of(bounds.Jplus)
-    minus_chains = chains_of(bounds.Jminus)
+    # chain index -> eligible characters, for the chains off the boundary
+    plus_chains = {ci: len(S.chars[ci]) for ci, _ in bounds.Jplus}
+    minus_chains = {ci: len(S.chars[ci]) for ci, _ in bounds.Jminus}
     dkey = B.defect_group.canonical_key
 
-    def surgery_target(ci: int, pairs_here) -> int:
+    def surgery_target(ci: int) -> int:
         orb = S.orbits[ci]
         if orb.chain.final.canonical_key == dkey:
             if orb.parent is None:
@@ -443,10 +430,7 @@ def final_term_pairing(G: Group, B: Block) -> PairingWitness:
             return orb.parent
         H = orb.stabilizer.as_group()
         table = character_table(H)
-        dg_sets = []
-        for pr in pairs_here:
-            hb = block_of(table, p, pr.char_index)
-            dg_sets.append(hb.defect_group.elements)
+        dg_sets = [block_of(table, p, i).defect_group.elements for i in S.chars[ci]]
         target_set = min(dg_sets, key=lambda s: tuple(sorted(s)))
         if len(target_set) != p**B.defect:
             raise InternalError("eligible stabilizer block has wrong defect")
@@ -466,14 +450,12 @@ def final_term_pairing(G: Group, B: Block) -> PairingWitness:
 
     mapping = {}
     for ci in sorted(plus_chains):
-        here = [pr for pr in bounds.Jplus if pr.chain_index == ci]
-        mapping[ci] = surgery_target(ci, here)
+        mapping[ci] = surgery_target(ci)
     if sorted(mapping.values()) != sorted(minus_chains):
         raise InternalError("final-term surgery is not a bijection on chain orbits")
     # involution: the same rule applied on the minus side must invert the map
     for cj in sorted(minus_chains):
-        here = [pr for pr in bounds.Jminus if pr.chain_index == cj]
-        back = surgery_target(cj, here)
+        back = surgery_target(cj)
         if mapping.get(back) != cj:
             raise InternalError("final-term surgery is not an involution")
     chain_pairs = []
@@ -600,10 +582,11 @@ def pairing_with_repair(G: Group, B: Block) -> tuple[CheckReport, PairingWitness
     p = B.p
     Z = G.p_core(p)
     S = pair_set(G, B, Z, B.defect)
+    plus, minus = S.plus, S.minus
     inputs = {"group": group_document(G), "p": p, "block": B.index, "d": B.defect}
-    if len(S.plus) != len(S.minus):
+    if len(plus) != len(minus):
         return (
-            CheckReport("pi-pairing", inputs, len(S.plus), len(S.minus), "fail",
+            CheckReport("pi-pairing", inputs, len(plus), len(minus), "fail",
                         witness={"reason": "signed counts differ; no pairing exists"}),
             PairingWitness(()),
         )
@@ -611,25 +594,10 @@ def pairing_with_repair(G: Group, B: Block) -> tuple[CheckReport, PairingWitness
     bounds = boundary_sets(S, B)
     if len(bounds.C0) != len(bounds.C1):
         raise InternalError("boundary sets have different sizes despite count equality")
-    omega = {u.key(): v.key() for u, v in zip(S.plus, S.minus)}
-    pi = {}
-    index_plus = {}
-    for pr in bounds.Jplus:
-        index_plus.setdefault(pr.chain_index, []).append(pr)
-    index_minus = {}
-    for pr in bounds.Jminus:
-        index_minus.setdefault(pr.chain_index, []).append(pr)
-    for (ci, cj, _n, _m) in witness.chain_pairs:
-        for u, v in zip(index_plus.get(ci, []), index_minus.get(cj, [])):
-            pi[u.key()] = v.key()
-    result = repair_bijection(
-        [pr.key() for pr in S.plus],
-        [pr.key() for pr in bounds.C0],
-        [pr.key() for pr in S.minus],
-        [pr.key() for pr in bounds.C1],
-        omega,
-        pi,
-    )
+    omega = dict(zip(plus, minus))
+    pi = {(ci, i): (cj, j) for (ci, cj, _n, _m) in witness.chain_pairs
+          for i, j in zip(S.chars[ci], S.chars[cj])}
+    result = repair_bijection(plus, bounds.C0, minus, bounds.C1, omega, pi)
     witness.repaired_map = result.mapping
     witness.swap_log = result.swap_log
     report = CheckReport(
@@ -714,7 +682,7 @@ def ambient_orbit_sizes(G: Group, A: Group, B: Block, S: PairSet):
 
 
 def _orbit_sizes_on_pairs(G: Group, S: PairSet, pairs, stab: Group):
-    index = {pr.key(): n for n, pr in enumerate(pairs)}
+    index = {pr: n for n, pr in enumerate(pairs)}
     n = len(pairs)
     adj = [set() for _ in range(n)]
     chain_transport: dict = {}
@@ -741,18 +709,19 @@ def _orbit_sizes_on_pairs(G: Group, S: PairSet, pairs, stab: Group):
     return sizes
 
 
-def _pair_image(G: Group, S: PairSet, pr: PairOrbit, a: Perm, cache: dict):
-    """The orbit key of (sigma, theta)^a, identified against the stored reps."""
-    ckey = (pr.chain_index, a)
-    if ckey not in cache:
-        cache[ckey] = _chain_image(G, S, pr.chain_index, a)
-    j, m = cache[ckey]
-    src_table = character_table(S.orbits[pr.chain_index].stabilizer.as_group())
+def _pair_image(G: Group, S: PairSet, pr: tuple, a: Perm, cache: dict):
+    """The (chain index, char index) of (sigma, theta)^a, identified against
+    the stored reps."""
+    ci, i = pr
+    if (ci, a) not in cache:
+        cache[ci, a] = _chain_image(G, S, ci, a)
+    j, m = cache[ci, a]
+    src_table = character_table(S.orbits[ci].stabilizer.as_group())
     dst_table = character_table(S.orbits[j].stabilizer.as_group())
     mi = pinv(m)
     src_idx = src_table.class_index()
     col = [src_idx[conj(c.rep, mi)] for c in dst_table.classes]
-    values = src_table.values[pr.char_index][col]
+    values = src_table.values[i][col]
     return (j, dst_table.row_index_of_values(values))
 
 

@@ -151,7 +151,8 @@ def chain_document(S: PairSet) -> dict:
     if S.block is not None:
         doc["block"] = S.block.index
         doc["d"] = S.d
-        doc["pair_counts"] = {"plus": len(S.plus), "minus": len(S.minus)}
+        plus, minus = S.counts
+        doc["pair_counts"] = {"plus": plus, "minus": minus}
     return doc
 
 

@@ -170,11 +170,11 @@ def second_term_partition(S: PairSet, Q: SubgroupHandle) -> SecondTermSplit:
     qkey = Q.canonical_key
     matched_p, matched_m, rest_p, rest_m = [], [], [], []
     for pair in S.plus:
-        chain = S.orbits[pair.chain_index].chain
+        chain = S.orbits[pair[0]].chain
         hit = chain.length >= 1 and chain.terms[1].canonical_key == qkey
         (matched_p if hit else rest_p).append(pair)
     for pair in S.minus:
-        chain = S.orbits[pair.chain_index].chain
+        chain = S.orbits[pair[0]].chain
         hit = chain.length >= 1 and chain.terms[1].canonical_key == qkey
         (matched_m if hit else rest_m).append(pair)
     return SecondTermSplit(Q, tuple(matched_p), tuple(matched_m),

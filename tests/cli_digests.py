@@ -2,9 +2,10 @@
 
 Each job runs through :func:`pblocks.cli.run` in process; its record is the
 exit code and the sha256 of its stdout.  The jobs cover ``chains``,
-``verify-ctc``, ``verify-blockfree``, ``defect-scan`` and ``pi-pairing`` at
-every prime dividing the order of each acceptance-corpus group with the
-default start, plus ``chains --start trivial``.
+``verify-ctc``, ``verify-blockfree``, ``defect-scan``, ``pi-pairing`` and
+``verify-abelian-defect`` at every prime dividing the order of each
+acceptance-corpus group with the default start, plus ``chains --start
+trivial`` and ``chains --block 0``.
 
 ``tests/test_cli_digests.py`` compares a fresh run with the committed
 fixture.  Recapture the fixture only for an intended and explained change
@@ -28,7 +29,8 @@ from pblocks.library import acceptance_corpus, library_group
 
 FIXTURE = Path(__file__).parent / "fixtures" / "cli_digests.json"
 
-COMMANDS = ("chains", "verify-ctc", "verify-blockfree", "defect-scan", "pi-pairing")
+COMMANDS = ("chains", "verify-ctc", "verify-blockfree", "defect-scan", "pi-pairing",
+            "verify-abelian-defect")
 
 
 def jobs() -> list[list[str]]:
@@ -38,6 +40,7 @@ def jobs() -> list[list[str]]:
             base = ["--lib", name, "--prime", str(p)]
             out.extend([command] + base for command in COMMANDS)
             out.append(["chains"] + base + ["--start", "trivial"])
+            out.append(["chains"] + base + ["--block", "0"])
     return out
 
 

@@ -20,6 +20,7 @@ from chain_oracles import (
 from pblocks.blocks import p_blocks
 from pblocks.chains import (
     _extensions,
+    _stabilizer_rows,
     append_final_term,
     chain_orbits_cached,
     delete_first_term,
@@ -154,6 +155,13 @@ def test_delete_first_term_stabilizer_unchanged(grp):
     assert stab == full.stabilizer.elements
 
 
+def induced_block(S, pr):
+    """Index of the block of S.group that pair pr's character induces to, or None."""
+    ci, i = pr
+    target = _stabilizer_rows(S.group, S.orbits[ci].stabilizer, S.p)[i][2]
+    return None if target is None else target.index
+
+
 def test_pair_set_a5(grp):
     A5 = grp("A5")
     B0 = p_blocks(character_table(A5), 2)[0]
@@ -162,7 +170,7 @@ def test_pair_set_a5(grp):
     assert S.counts == (8, 8)
     per_chain = {}
     for pr in S.plus + S.minus:
-        per_chain[pr.chain_index] = per_chain.get(pr.chain_index, 0) + 1
+        per_chain[pr[0]] = per_chain.get(pr[0], 0) + 1
     assert per_chain == {0: 4, 1: 4, 2: 4, 3: 4}
     assert pair_set(A5, B0, Z, 1).counts == (0, 0)
     # defect beyond the p-part bound: both sides empty
@@ -197,12 +205,12 @@ def test_aggregation_identity(grp):
             union_minus = []
             for B in p_blocks(table, p):
                 S = pair_set(G, B, Z, d)
-                union_plus.extend(pr.key() for pr in S.plus)
-                union_minus.extend(pr.key() for pr in S.minus)
+                union_plus.extend(S.plus)
+                union_minus.extend(S.minus)
             assert sorted(union_plus) == sorted(
-                pr.key() for pr in free.plus if pr.induced_block is not None)
+                pr for pr in free.plus if induced_block(free, pr) is not None)
             assert sorted(union_minus) == sorted(
-                pr.key() for pr in free.minus if pr.induced_block is not None)
+                pr for pr in free.minus if induced_block(free, pr) is not None)
 
 
 def test_induced_defect_dominates(grp):
@@ -215,8 +223,8 @@ def test_induced_defect_dominates(grp):
         for d in range(_nu(G.order, p) + 1):
             S = pair_set(G, "all", Z, d, p=p)
             for pr in S.plus + S.minus:
-                if pr.induced_block is not None:
-                    assert d <= blocks[pr.induced_block].defect
+                if induced_block(S, pr) is not None:
+                    assert d <= blocks[induced_block(S, pr)].defect
 
 
 def test_second_term_partition_a5(grp):
@@ -226,7 +234,7 @@ def test_second_term_partition_a5(grp):
     S = pair_set(A5, B0, Z, 2)
     c2 = A5.p_subgroup_classes(2)[1]
     split = second_term_partition(S, c2)
-    lengths = {S.orbits[pr.chain_index].chain.length
+    lengths = {S.orbits[pr[0]].chain.length
                for pr in split.matched_plus + split.matched_minus}
     assert lengths == {1, 2}
     assert len(split.matched_plus) == 4 and len(split.matched_minus) == 4
@@ -236,12 +244,11 @@ def test_second_term_partition_a5(grp):
     with pytest.raises(InputError):
         second_term_partition(S, A5.trivial_subgroup())
     # transversal over second-term classes plus length-0 chains recovers S
-    matched = [pr.key() for pr in split.matched_plus + split.matched_minus
+    matched = [pr for pr in split.matched_plus + split.matched_minus
                + split4.matched_plus + split4.matched_minus]
-    zero_len = [pr.key() for pr in S.plus + S.minus
-                if S.orbits[pr.chain_index].chain.length == 0]
-    assert sorted(matched + zero_len) == sorted(
-        pr.key() for pr in S.plus + S.minus)
+    zero_len = [pr for pr in S.plus + S.minus
+                if S.orbits[pr[0]].chain.length == 0]
+    assert sorted(matched + zero_len) == sorted(S.plus + S.minus)
 
 
 def test_second_term_transport_counts(grp):

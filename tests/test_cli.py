@@ -109,6 +109,25 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_ceiling_below_one_exits_2(capsys, value):
+    from pblocks.config import Limits
+    from pblocks.errors import InputError
+
+    assert run(["table", "--lib", "S4", "--max-order", value]) == 2
+    assert capsys.readouterr().err == f"error: ceiling max_order must be at least 1, got {value}\n"
+    with pytest.raises(InputError, match="ceiling max_chain_orbits must be at least 1, got 0"):
+        Limits(max_chain_orbits=0)
+
+
+@pytest.mark.parametrize("mode", ["strict", "permissive"])
+def test_negative_defect_exits_2(capsys, mode):
+    argv = ["verify-ctc", "--lib", "S4", "--prime", "2", "--block", "0",
+            "--defect", "-1", "--mode", mode]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: defect must be non-negative\n"
+
+
 def test_byte_identical_reruns(capsys):
     argv = ["verify-ctc", "--lib", "A5", "--prime", "2", "--block", "0",
             "--defect", "2"]

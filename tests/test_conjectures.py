@@ -133,7 +133,7 @@ def test_boundary_sets(grp):
     bounds = boundary_sets(S, B0)
     assert len(bounds.C0) == 4 and len(bounds.C1) == 4
     assert len(bounds.Jplus) == 4 and len(bounds.Jminus) == 4
-    c1_chains = {S.orbits[p_.chain_index].chain.terms[1].order for p_ in bounds.C1}
+    c1_chains = {S.orbits[p_[0]].chain.terms[1].order for p_ in bounds.C1}
     assert c1_chains == {4}
 
 
@@ -168,8 +168,8 @@ def test_final_term_pairing_corpus(grp, name, p):
         assert rep.verdict == "pass"
         S = pair_set(G, B, G.p_core(p), B.defect)
         bounds = boundary_sets(S, B)
-        image = {full.repaired_map[pr.key()] for pr in bounds.C0}
-        assert image == {pr.key() for pr in bounds.C1}
+        image = {full.repaired_map[pr] for pr in bounds.C0}
+        assert image == set(bounds.C1)
 
 
 def test_ambient_equivariance_a4_in_s4(grp):

@@ -40,7 +40,7 @@ def test_pairs_conjugate_into_a_defect_group(grp, name, p):
         S = pair_set(G, B, Z, B.defect)
         D = B.defect_group
         for pr in S.plus + S.minus:
-            chain = S.orbits[pr.chain_index].chain
+            chain = S.orbits[pr[0]].chain
             assert chain_conjugate_into(G, chain, D) is not None, (
                 name, p, B.index, [t.order for t in chain.terms])
 
