@@ -152,8 +152,7 @@ def _defect_group(table: CharTable, p: int, members, lam: np.ndarray,
     G = table.group
     rep = table.classes[_defect_class(table, p, lam)].rep
     cent = G.handle(elements=G.centralizer_set(rep))
-    syl = cent.as_group().sylow(p)
-    dg = G.handle(elements=syl.elements)
+    dg = cent.lift(cent.as_group().sylow(p))
     if dg.order != p**d:
         raise InternalError(
             "defect group from the defect class disagrees with the member defects"
@@ -256,14 +255,13 @@ def brauer_correspondent(B: Block, D: SubgroupHandle | None = None) -> Block:
     D = D or B.defect_group
     if D.canonical_key != B.defect_group.canonical_key:
         raise InputError("D is not a defect group of this block")
-    N = G.normalizer(D).as_group()
-    Nt = character_table(N)
-    d_elements = D.elements
+    N = G.normalizer(D)
+    Nt = character_table(N.as_group())
     candidates = []
     for b in p_blocks(Nt, B.p):
         if b.defect != B.defect:
             continue
-        if b.defect_group.elements != d_elements:
+        if N.lift(b.defect_group) != D:
             continue
         if brauer_induce(b, G) == B:
             candidates.append(b)

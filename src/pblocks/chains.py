@@ -22,8 +22,7 @@ import numpy as np
 from .blocks import Block, block_of, brauer_induce, p_blocks
 from .chartable import CharTable, _check_prime, _nu, character_table, char_ref
 from .errors import InputError, InternalError, ResourceError
-from .groups import Group, SubgroupHandle, _lex_keys, _orbit_labels
-from .perms import conj
+from .groups import Group, SubgroupHandle, _lex_keys, _member_mask, _orbit_labels
 
 __all__ = [
     "PChain",
@@ -105,7 +104,7 @@ def _extensions(G: Group, stab: SubgroupHandle, final: frozenset, p: int) -> lis
     stabilizer of a chain with final term ``final``, so it normalizes
     ``final`` and each H-class lies above it wholly or not at all.
     """
-    inside, below = G._mask(stab.elements), G._mask(final)
+    inside, below = _member_mask(G.order, stab.elements), _member_mask(G.order, final)
     moves = [G._conj_move(g) for g in stab.generators]
     out = []
     for level in G._p_lattice(p):
@@ -124,7 +123,7 @@ def _extensions(G: Group, stab: SubgroupHandle, final: frozenset, p: int) -> lis
             images.append(at)
         label = _orbit_labels(len(cand), images)
         for i in np.flatnonzero(label == np.arange(len(cand))).tolist():
-            t = G.handle(elements=G._subset(cand[i]))
+            t = G.handle(elements=cand[i].tolist())
             n_in_stab = G.normalizer(t).elements & stab.elements
             out.append((t.elements, G.handle(elements=n_in_stab)))
     return out
@@ -246,9 +245,8 @@ def append_final_term(chain: PChain, D: SubgroupHandle) -> PChain:
     if not final.elements < D.elements:
         raise InputError("new final term must strictly contain the old one")
     for t in chain.terms:
-        for g in D.generators:
-            if any(conj(x, g) not in t.elements for x in t.generators):
-                raise InputError("new final term does not normalize every chain term")
+        if not D.elements <= t.normalizer().elements:
+            raise InputError("new final term does not normalize every chain term")
     return PChain(chain.terms + (D,))
 
 

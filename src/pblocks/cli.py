@@ -95,20 +95,28 @@ def _limits(args) -> Limits:
     return Limits(max_order=args.max_order)
 
 
+def _read_group_file(path: str, limits: Limits) -> Group:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read group file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"group file {path} is not UTF-8 text") from exc
+    return parse_group_file(text, limits=limits)
+
+
 def _load_group(args, limits: Limits) -> Group:
     if args.lib:
         return library_group(args.lib, limits=limits)
     if args.group:
-        text = Path(args.group).read_text(encoding="utf-8")
-        return parse_group_file(text, limits=limits)
+        return _read_group_file(args.group, limits)
     raise InputError("need --group FILE or --lib NAME")
 
 
 def _load_ambient(args, G: Group, limits: Limits) -> Group | None:
     if not args.ambient:
         return None
-    text = Path(args.ambient).read_text(encoding="utf-8")
-    A = parse_group_file(text, limits=limits)
+    A = _read_group_file(args.ambient, limits)
     if A.degree != G.degree:
         raise InputError("ambient group must act on the same points")
     return A

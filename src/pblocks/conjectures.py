@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .blocks import (
     Block,
     block_of,
@@ -26,7 +28,7 @@ from .blocks import (
 from .chains import PairSet, pair_set, signed_pair_counts
 from .chartable import _nu, character_table, p_prime_degree_set
 from .errors import InputError, InternalError
-from .groups import Group, SubgroupHandle
+from .groups import Group, SubgroupHandle, _member_mask
 from .perms import Perm, conj, format_cycles, pinv, pmul
 from .reports import chain_orbit_document, group_document
 
@@ -428,23 +430,30 @@ def final_term_pairing(G: Group, B: Block) -> PairingWitness:
             if orb.parent is None:
                 raise InternalError("defect-group chain with no parent orbit")
             return orb.parent
-        H = orb.stabilizer.as_group()
-        table = character_table(H)
-        dg_sets = [block_of(table, p, i).defect_group.elements for i in S.chars[ci]]
-        target_set = min(dg_sets, key=lambda s: tuple(sorted(s)))
-        if len(target_set) != p**B.defect:
+        stab = orb.stabilizer
+        table = character_table(stab.as_group())
+        dgs = [stab.lift(block_of(table, p, i).defect_group) for i in S.chars[ci]]
+        target = min(dgs, key=lambda h: sorted(h.elements))
+        if target.order != p**B.defect:
             raise InternalError("eligible stabilizer block has wrong defect")
-        if not orb.chain.final.elements < target_set:
+        if not orb.chain.final.elements < target.elements:
             raise InternalError("append target does not contain the final term")
-        for s in dg_sets:
-            if H.conjugating_element(target_set, s) is None:
+        in_stab = list(stab.elements)
+
+        def conjugate_in_stab(s: SubgroupHandle) -> bool:
+            # some g of the stabilizer with target^g = s
+            return s.order == target.order and G._transporter(
+                target.generators, _member_mask(G.order, s.elements))[in_stab].any()
+
+        for s in dgs:
+            if not conjugate_in_stab(s):
                 raise InternalError("eligible defect groups are not conjugate")
         for j, o in enumerate(S.orbits):
             if o.parent != ci:
                 continue
-            if o.chain.final.order != len(target_set):
+            if o.chain.final.order != target.order:
                 continue
-            if H.conjugating_element(target_set, o.chain.final.elements) is not None:
+            if conjugate_in_stab(o.chain.final):
                 return j
         raise InternalError("no enumerated extension matches the append target")
 
@@ -643,7 +652,7 @@ def block_stabilizer(A: Group, G: Group, B: Block) -> Group:
     generators on the set of blocks."""
     if not G.element_set() <= A.element_set():
         raise InputError("G must be contained in the ambient group")
-    if not A.is_normal(A.handle(elements=G.element_set())):
+    if not A.is_normal(A.handle(generators=G.generators)):
         raise InputError("G must be normal in the ambient group")
     Gt = B.table
     start = frozenset(B.members)
@@ -733,12 +742,9 @@ def _chain_image(G: Group, S: PairSet, ci: int, a: Perm):
     for j, o in enumerate(S.orbits):
         if tuple(t.order for t in o.chain.terms) != profile:
             continue
-        targets = [t.elements for t in o.chain.terms]
-        for g in G.elements():
-            if all(
-                conj(x, g) in targets[k]
-                for k in range(len(targets))
-                for x in conj_gens[k]
-            ):
-                return j, pmul(a, g)
+        mask = np.ones(G.order, dtype=bool)
+        for gens, t in zip(conj_gens, o.chain.terms):
+            mask &= G._transporter(gens, _member_mask(G.order, t.elements))
+        if mask.any():
+            return j, pmul(a, G.elements()[int(np.argmax(mask))])
     raise InternalError("conjugated chain matches no stored orbit")

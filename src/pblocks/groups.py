@@ -5,16 +5,20 @@ deterministic stabilizer-chain certificate (Schreier-Sims with base points in
 ascending point order).  The group order is the product of the transversal
 sizes of the chain; membership is tested by sifting.
 
-Everything else (conjugacy classes, normalizers, Sylow subgroups, p-subgroup
-classes) is computed by exact search.  Groups are desk scale: the chain is
-cheap, but most derived data enumerates all elements, so orders are capped by
-:class:`~pblocks.config.Limits`.
+The elements are the products of the chain's transversals, sorted and held
+as the rows of one small-int array, :class:`_ElementArray`.  They are
+certified by their count, by their distinctness and by their closure under
+each generator.  Everything else runs on the element indices 0..|G|-1:
+conjugacy classes, centralizers, normalizers and transporters, Sylow
+subgroups, the p-subgroup lattice and the class-multiplication tensor in
+:mod:`pblocks.chartable`.  A :class:`SubgroupHandle` is the frozenset of its
+element indices, spanned by one coset-by-coset closure over index arrays.
+Tuples are only what comes in (the generators, and the stabilizer chain
+built from them) and what goes out (generating sets, class
+representatives, :meth:`Group.elements`).
 
-The whole-group scans (classes, centralizers, normalizers, and the
-class-multiplication tensor in :mod:`pblocks.chartable`) and the p-subgroup
-lattice run over one cached small-int array of the elements,
-:class:`_ElementArray`; a subgroup there is the sorted array of its element
-indices.  Tuples are what these scans take in and hand back.
+Groups are desk scale: the chain is cheap, but most derived data enumerates
+all elements, so orders are capped by :class:`~pblocks.config.Limits`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .config import DEFAULT_LIMITS, Limits
 from .errors import InputError, InternalError, ResourceError
 from .perms import (
     Perm,
-    conj,
     format_cycles,
     identity,
     perm_order,
@@ -44,50 +47,6 @@ __all__ = [
     "ConjClass",
     "group_from_generators",
 ]
-
-
-def _adjoin(closed: frozenset, gens: list, x: Perm,
-            max_size: int | None = None) -> frozenset:
-    """<K, x> for a subgroup K = ``closed`` generated by ``gens``, as a union
-    of right cosets K*y (Dimino's method).
-
-    The union is closed under a generator s once y*s lies in it for every
-    coset representative y, and a y*s outside it starts a new coset.  So
-    each new element costs one product, and only the representatives meet
-    the generators.
-    """
-    gens = gens + [x]
-    elems = set(closed)
-    elems.update(pmul(k, x) for k in closed)
-    reps = [x]
-    for y in reps:  # grows while it is read
-        for s in gens:
-            z = pmul(y, s)
-            if z not in elems:
-                elems.update(pmul(k, z) for k in closed)
-                reps.append(z)
-                if max_size is not None and len(elems) > max_size:
-                    raise ResourceError(f"closure exceeded ceiling of {max_size} elements")
-    return frozenset(elems)
-
-
-def _span(degree: int, candidates, size: int | None = None) -> tuple[frozenset, list]:
-    """The subgroup spanned by ``candidates``, grown coset by coset through
-    :func:`_adjoin`, with the candidates it took as generators.
-
-    A candidate already in the span is skipped, and the loop stops once the
-    span has ``size`` elements.
-    """
-    current = frozenset([identity(degree)])
-    gens: list[Perm] = []
-    for x in candidates:
-        if len(current) == size:
-            break
-        if x in current:
-            continue
-        current = _adjoin(current, gens, x)
-        gens.append(x)
-    return current, gens
 
 
 def _lex_keys(rows: np.ndarray) -> np.ndarray:
@@ -107,6 +66,13 @@ def _orbit_labels(n: int, moves) -> np.ndarray:
         if np.array_equal(new, label):
             return label
         label = new
+
+
+def _member_mask(n: int, elements) -> np.ndarray:
+    """Boolean mask over the indices 0..n-1 of a set of element indices."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(elements, dtype=np.intp, count=len(elements))] = True
+    return mask
 
 
 @dataclass(frozen=True)
@@ -136,35 +102,27 @@ class _ElementArray:
 
     ``rows[i]`` is ``elements()[i]`` and ``inv[i]`` its inverse, both
     ``uint8`` (``uint16`` above degree 256), so index order is element
-    order.  :meth:`index` maps rows back to indices through their byte keys.
-    Index arrays that are kept use ``idx``, the smallest unsigned dtype that
-    holds every index.
+    order.  The big-endian byte keys of the rows ascend with them, so
+    :meth:`index` maps rows back to indices by one binary search.  Index
+    arrays that are kept use ``idx``, the smallest unsigned dtype that holds
+    every index.
     """
 
-    __slots__ = ("rows", "inv", "idx", "_keys", "_sorter")
+    __slots__ = ("rows", "inv", "idx", "_keys")
 
-    def __init__(self, elements: tuple, degree: int):
-        dtype = np.uint8 if degree <= 256 else np.uint16
-        rows = np.array(elements, dtype=dtype).reshape(len(elements), degree)
+    def __init__(self, rows: np.ndarray):
         inv = np.empty_like(rows)
-        inv[np.arange(len(rows))[:, None], rows] = np.arange(degree, dtype=dtype)
+        inv[np.arange(len(rows))[:, None], rows] = np.arange(rows.shape[1], dtype=rows.dtype)
         self.rows = rows
         self.inv = inv
         self.idx = np.min_scalar_type(len(rows) - 1)
-        keys = self._row_keys(rows)
-        self._sorter = np.argsort(keys, kind="stable")
-        self._keys = keys[self._sorter]
-
-    @staticmethod
-    def _row_keys(rows: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(rows)
-        return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+        self._keys = _lex_keys(rows)
 
     def index(self, rows: np.ndarray) -> np.ndarray:
         """Element index of every row; InternalError if a row is no element."""
-        pos = np.searchsorted(self._keys, self._row_keys(rows))
-        found = self._sorter[np.minimum(pos, len(self._keys) - 1)]
-        if not np.array_equal(self.rows[found], rows):
+        keys = _lex_keys(rows)
+        found = np.minimum(self._keys.searchsorted(keys), len(self._keys) - 1)
+        if self._keys[found].tobytes() != keys.tobytes():
             raise InternalError("permutation row is not an element of the group")
         return found
 
@@ -263,8 +221,8 @@ class Group:
         self.order = prod(len(lvl.transversal) for lvl in self._levels)
         if self.order > limits.max_order:
             raise ResourceError(
-                f"group order {self.order} exceeds ceiling {limits.max_order}"
-            )
+                f"group order {self.order} exceeds the ceiling max_order = "
+                f"{limits.max_order} (--max-order)")
         for g in self.generators:
             if not self.contains(g):
                 raise InternalError("generator fails membership against its own chain")
@@ -296,35 +254,32 @@ class Group:
     def elements(self) -> tuple:
         """All elements, sorted; cached."""
         if "elements" not in self._cache:
-            # __init__ checked the order against the ceiling
-            elems, _ = _span(self.degree, self.generators)
-            if len(elems) != self.order:
-                raise InternalError("element closure disagrees with chain order")
-            self._cache["elements"] = tuple(sorted(elems))
+            self._cache["elements"] = tuple(map(tuple, self._array().rows.tolist()))
         return self._cache["elements"]
 
     def _array(self) -> _ElementArray:
+        """The sorted elements as rows; cached.
+
+        Every element is one product u_k ... u_1 of a coset representative
+        u_i from each chain level.  The products are certified: there are
+        as many distinct ones as the chain order, and right multiplication
+        by each generator maps them into themselves, which ``index`` checks.
+        """
         if "array" not in self._cache:
-            self._cache["array"] = _ElementArray(self.elements(), self.degree)
+            # __init__ checked the order against the ceiling
+            dtype = np.uint8 if self.degree <= 256 else np.uint16
+            rows = np.arange(self.degree, dtype=dtype)[None, :]
+            for lvl in reversed(self._levels):
+                trans = np.array(list(lvl.transversal.values()), dtype=dtype)
+                rows = trans[:, rows].reshape(-1, self.degree)  # row h*u for each h, u
+            first = np.unique(_lex_keys(rows), return_index=True)[1]
+            if len(first) != self.order:
+                raise InternalError("transversal products disagree with the chain order")
+            arr = _ElementArray(rows[first])
+            for g in self.generators:
+                arr.index(arr.perm(g)[arr.rows])
+            self._cache["array"] = arr
         return self._cache["array"]
-
-    def _subset(self, indices: np.ndarray) -> frozenset:
-        """The elements at the given indices."""
-        elems = self.elements()
-        return frozenset(elems[i] for i in indices.tolist())
-
-    def _mask(self, elements) -> np.ndarray:
-        """Boolean mask of a set of elements over the element indices;
-        InternalError for a non-element."""
-        arr = self._array()
-        rows = np.array(list(elements), dtype=arr.rows.dtype).reshape(-1, self.degree)
-        mask = np.zeros(self.order, dtype=bool)
-        mask[arr.index(rows)] = True
-        return mask
-
-    def _indices(self, elements) -> np.ndarray:
-        """Sorted indices of a set of elements."""
-        return np.flatnonzero(self._mask(elements)).astype(self._array().idx)
 
     def _conj_move(self, g: Perm) -> np.ndarray:
         """Conjugation by g as an index map, i -> index(g^-1 x_i g); cached."""
@@ -399,7 +354,8 @@ class Group:
     # -- subgroups ----------------------------------------------------------
 
     def handle(self, elements=None, generators=None) -> "SubgroupHandle":
-        """Build a SubgroupHandle from an element set or a generator list."""
+        """Build a SubgroupHandle from a set of element indices or from a
+        list of generating permutations; cached per element set."""
         if elements is None:
             if generators is None:
                 raise InputError("need elements or generators")
@@ -407,39 +363,83 @@ class Group:
             for g in gens:
                 if not self.contains(g):
                     raise InputError("generator lies outside the ambient group")
-            elements, _ = _span(self.degree, gens)
-        elif not isinstance(elements, frozenset):
-            elements = frozenset(tuple(x) for x in elements)
+            arr = self._array()
+            rows = np.array(gens, dtype=arr.rows.dtype).reshape(-1, self.degree)
+            inside, _ = self._extend(_member_mask(self.order, [0]), [],
+                                     arr.index(rows).tolist())
+            elements = np.flatnonzero(inside).tolist()
+        elements = frozenset(elements)
         key = ("handle", elements)
         if key not in self._cache:
             self._cache[key] = SubgroupHandle(self, elements)
         return self._cache[key]
 
+    def _extend(self, inside: np.ndarray, gens: list, candidates,
+                size: int | None = None) -> tuple[np.ndarray, list]:
+        """Grow the subgroup K marked by ``inside`` and generated by the
+        element indices ``gens`` by each candidate index it does not contain
+        yet, until it has ``size`` (default |G|) elements or more.  Returns
+        the new mask and generators.
+
+        Each step is Dimino's method: <K, x> is a union of right cosets K*y,
+        closed under a generator s once y*s lies in it for every coset
+        representative y, and a y*s outside it starts a new coset.  So each
+        new coset costs one gather and one lookup of |K| rows, and only the
+        representatives meet the generators.
+        """
+        arr = self._array()
+        inside = inside.copy()
+        count = int(inside.sum())
+        for x in candidates:
+            if count >= (size or self.order):
+                break
+            if inside[x]:
+                continue
+            k_rows = arr.rows[inside]
+            gens = gens + [x]
+            gen_rows = arr.rows[gens]
+            inside[arr.index(arr.rows[x][k_rows])] = True  # the coset K*x
+            reps = [x]
+            for y in reps:  # grows while it is read
+                for z in arr.index(gen_rows[:, arr.rows[y]]).tolist():  # y*s for each s
+                    if not inside[z]:
+                        inside[arr.index(arr.rows[z][k_rows])] = True
+                        reps.append(z)
+            count = len(k_rows) * (len(reps) + 1)
+        return inside, gens
+
     def trivial_subgroup(self) -> "SubgroupHandle":
-        return self.handle(elements=[self.identity])
+        return self.handle(elements=[0])  # the identity sorts first
 
     def full_subgroup(self) -> "SubgroupHandle":
-        return self.handle(elements=self.element_set())
+        return self.handle(elements=range(self.order))
 
-    def normalizer_set(self, sub_elements: frozenset, sub_gens) -> frozenset:
-        """Elements g of this group with H^g = H, by generator-image tests."""
+    def _transporter(self, gens, inside: np.ndarray) -> np.ndarray:
+        """Mask of the g with h^g in the set marked by ``inside`` for every
+        permutation h of ``gens``.  For gens generating H and ``inside``
+        marking K this is the transporter {g : H^g <= K}.  A generator
+        outside this group is an InternalError."""
         arr = self._array()
-        inside = self._mask(sub_elements)
         mask = np.ones(self.order, dtype=bool)
-        for h in sub_gens:
+        for h in gens:
             # row g of the gather is g^-1 h g
             images = np.take_along_axis(arr.rows, arr.perm(h)[arr.inv], axis=1)
             mask &= inside[arr.index(images)]
-        return self._subset(np.flatnonzero(mask))
+        return mask
+
+    def normalizer_set(self, sub_elements: frozenset, sub_gens) -> frozenset:
+        """Element indices g with H^g = H, for the subgroup H with element
+        indices ``sub_elements`` and generating permutations ``sub_gens``."""
+        mask = self._transporter(sub_gens, _member_mask(self.order, sub_elements))
+        return frozenset(np.flatnonzero(mask).tolist())
 
     def normalizer(self, handle: "SubgroupHandle") -> "SubgroupHandle":
-        """N_G(H); requires H <= G."""
-        if not handle.elements <= self.element_set():
-            raise InputError("subgroup is not contained in the ambient group")
+        """N_G(H) for a handle H of this group."""
+        if handle.ambient is not self:
+            raise InputError("subgroup handle belongs to another group")
         key = ("normalizer", handle.elements)
         if key not in self._cache:
-            n_set = self.normalizer_set(handle.elements, handle.generators)
-            n = self.handle(elements=n_set)
+            n = self.handle(elements=self.normalizer_set(handle.elements, handle.generators))
             if not handle.elements <= n.elements:
                 raise InternalError("normalizer does not contain the subgroup")
             self._cache[key] = n
@@ -452,15 +452,27 @@ class Group:
         return (xa[arr.rows] == arr.rows[:, xa]).all(axis=1)
 
     def centralizer_set(self, x: Perm) -> frozenset:
-        return self._subset(np.flatnonzero(self._commutes_with(x)))
+        """Element indices of C_G(x)."""
+        return frozenset(np.flatnonzero(self._commutes_with(x)).tolist())
 
     def center(self) -> "SubgroupHandle":
         if "center" not in self._cache:
             mask = np.ones(self.order, dtype=bool)
             for h in self.generators:
                 mask &= self._commutes_with(h)
-            self._cache["center"] = self.handle(elements=self._subset(np.flatnonzero(mask)))
+            self._cache["center"] = self.handle(elements=np.flatnonzero(mask).tolist())
         return self._cache["center"]
+
+    def _powers(self, p: int) -> np.ndarray:
+        """Index of x^p for every element index x; cached."""
+        key = ("powers", p)
+        if key not in self._cache:
+            arr = self._array()
+            power = arr.rows
+            for _ in range(p - 1):
+                power = np.take_along_axis(arr.rows, power, axis=1)
+            self._cache[key] = arr.index(power)
+        return self._cache[key]
 
     def sylow(self, p: int) -> "SubgroupHandle":
         """A Sylow p-subgroup, grown deterministically inside normalizers."""
@@ -468,55 +480,46 @@ class Group:
         if key in self._cache:
             return self._cache[key]
         target = self.order_p_part(p)
-        current = frozenset([self.identity])
-        gens: list[Perm] = []
-        while len(current) < target:
-            # Any x in N_G(P) \ P with x^p in P is a p-element; <P, x> has
-            # order p*|P| or more and is again a p-group.
-            n_set = self.normalizer_set(current, gens or [self.identity])
-            grown = False
-            for x in sorted(n_set):
-                if x in current:
-                    continue
-                xp = x
-                for _ in range(p - 1):
-                    xp = pmul(xp, x)
-                if xp in current:
-                    new = _adjoin(current, gens, x, max_size=target)
-                    if len(new) <= len(current):
-                        raise InternalError("Sylow step failed to grow")
-                    current = new
-                    gens = gens + [x]
-                    grown = True
-                    break
-            if not grown:
+        if target == self.order:  # a p-group is its own Sylow subgroup
+            self._cache[key] = self.full_subgroup()
+            return self._cache[key]
+        arr = self._array()
+        inside = _member_mask(self.order, [0])
+        gens: list[int] = []
+        size = 1
+        while size < target:
+            # Any x in N_G(P) \ P with x^p in P is a p-element, and <P, x> is
+            # a p-group of order p*|P|.  The least such x is taken.
+            grow = self._transporter(arr.rows[gens], inside) & ~inside
+            grow &= inside[self._powers(p)]
+            if not grow.any():
                 raise InternalError("Sylow construction stalled below target order")
-        h = self.handle(elements=current)
+            inside, gens = self._extend(inside, gens, [int(np.argmax(grow))])
+            grown = int(inside.sum())
+            if not size < grown <= target:
+                raise InternalError("Sylow step did not grow to a larger p-subgroup")
+            size = grown
+        h = self.handle(elements=np.flatnonzero(inside).tolist())
         self._cache[key] = h
         return h
 
     def p_core(self, p: int) -> "SubgroupHandle":
         """O_p(G): the intersection of all Sylow p-subgroups."""
         key = ("p_core", p)
-        if key in self._cache:
-            return self._cache[key]
-        syl = self.sylow(p)
-        core = set(syl.elements)
-        for conj_set in self.subgroup_orbit(syl.elements):
-            core &= conj_set
-            if len(core) == 1:
-                break
-        h = self.handle(elements=frozenset(core))
-        self._cache[key] = h
-        return h
+        if key not in self._cache:
+            orbit = self.subgroup_orbit(self.sylow(p).elements)
+            core = np.bincount(orbit.ravel(), minlength=self.order) == len(orbit)
+            self._cache[key] = self.handle(elements=np.flatnonzero(core).tolist())
+        return self._cache[key]
 
-    def subgroup_orbit(self, elements: frozenset) -> tuple:
-        """G-orbit of a subgroup under conjugation, as a tuple of frozensets
-        ordered by their sorted element tuples."""
+    def subgroup_orbit(self, elements: frozenset) -> np.ndarray:
+        """G-orbit of a subgroup under conjugation, given by its element
+        indices: one row of sorted indices per conjugate, rows in
+        lexicographic order; cached."""
         key = ("sub_orbit", elements)
         if key not in self._cache:
-            orbit = self._index_orbit(self._indices(elements))
-            self._cache[key] = tuple(self._subset(s) for s in orbit)
+            sub = np.array(sorted(elements), dtype=self._array().idx)
+            self._cache[key] = self._index_orbit(sub)
         return self._cache[key]
 
     def _index_orbit(self, sub: np.ndarray) -> np.ndarray:
@@ -532,40 +535,29 @@ class Group:
             orbit = rows[first]
         return orbit
 
-    def conjugating_element(self, src: frozenset, dst: frozenset) -> Perm | None:
-        """Some g in G with src^g = dst, or None."""
-        if len(src) != len(dst):
-            return None
-        src_gens = _generating_subset(self.degree, sorted(src))
-        for g in self.elements():
-            if all(conj(x, g) in dst for x in src_gens):
-                return g
-        return None
-
     def subgroup_group(self, handle: "SubgroupHandle") -> "Group":
         """The subgroup as a Group in its own right (same degree); cached.
 
-        The whole group is its own subgroup group, so its table, classes and
-        p-subgroup lattice are built once, whatever subgroup role it plays.
+        Its element index i is the i-th smallest element index of the
+        handle, so :meth:`SubgroupHandle.lift` maps its handles back by a
+        gather.  The whole group is its own subgroup group, so its table,
+        classes and p-subgroup lattice are built once, whatever subgroup
+        role it plays.
         """
-        if handle.elements == self.element_set():
+        if handle.order == self.order:
             return self
         key = ("sub_group", handle.elements)
         if key not in self._cache:
             g = Group(self.degree, handle.generators, limits=self.limits)
             if g.order != handle.order:
                 raise InternalError("subgroup group has wrong order")
-            # _generating_subset checked that handle.generators span handle.elements
-            g._cache["elements"] = tuple(sorted(handle.elements))
+            # the handle checked that its generators span exactly its elements
+            g._cache["array"] = _ElementArray(self._array().rows[sorted(handle.elements)])
             self._cache[key] = g
         return self._cache[key]
 
     def is_normal(self, handle: "SubgroupHandle") -> bool:
-        return all(
-            conj(h, g) in handle.elements
-            for g in self.generators
-            for h in handle.generators
-        ) and handle.elements <= self.element_set()
+        return self.normalizer(handle).order == self.order
 
     # -- p-subgroup enumeration ---------------------------------------------
 
@@ -596,11 +588,8 @@ class Group:
         orbits.sort(key=lambda orbit: (orbit.shape[1], orbit[0].tolist()))
         handles = []
         for orbit in orbits:
-            members = tuple(self._subset(s) for s in orbit)
-            h = self.handle(elements=members[0])
-            h._canonical_key = tuple(sorted(members[0]))
-            h._class_orbit = members
-            h._class_size = len(members)
+            h = self.handle(elements=orbit[0].tolist())
+            h._orbit = orbit
             handles.append(h)
         lattice = []
         for _, level in groupby(orbits, key=lambda orbit: orbit.shape[1]):
@@ -617,14 +606,6 @@ class Group:
         return self._cache["p_lattice", p]
 
 
-def _generating_subset(degree: int, elements_sorted) -> list:
-    """Small deterministic generating set drawn from a sorted subgroup list."""
-    current, gens = _span(degree, elements_sorted, size=len(elements_sorted))
-    if current != frozenset(elements_sorted):
-        raise InternalError("element set is not the subgroup its generators span")
-    return gens
-
-
 def _subgroups_of_p_group(G: Group, elements: frozenset, p: int, ceiling: int) -> list:
     """All subgroups of a p-subgroup of G as sorted element-index arrays, by
     bottom-up extension.
@@ -635,12 +616,9 @@ def _subgroups_of_p_group(G: Group, elements: frozenset, p: int, ceiling: int) -
     skipped once it is found.
     """
     arr = G._array()
-    members = G._indices(elements)
+    members = np.array(sorted(elements), dtype=arr.idx)
     rows, inv = arr.rows[members], arr.inv[members]
-    power = rows
-    for _ in range(p - 1):
-        power = np.take_along_axis(rows, power, axis=1)
-    power = arr.index(power)  # the index of x^p, for every x of P
+    power = G._powers(p)[members]  # the index of x^p, for every x of P
     trivial = np.zeros(1, dtype=arr.idx)
     found = [trivial]
     level = [(trivial, [])]  # (subgroup, its generators as indices)
@@ -680,29 +658,38 @@ def _subgroups_of_p_group(G: Group, elements: frozenset, p: int, ceiling: int) -
 
 
 class SubgroupHandle:
-    """A subgroup of a fixed ambient group.
+    """A subgroup of a fixed ambient group: the frozenset of its element
+    indices in the ambient group.
 
-    Carries the element set, a small deterministic generating set, and a
-    canonical key that is invariant under ambient conjugacy (the minimal
-    sorted element tuple over all conjugates), used for orbit fusion.
+    Its generating set is a small deterministic list of permutations: the
+    ascending elements that the ones before them do not span, up to the
+    full order.  Index order is element order in every group, so a subgroup
+    has the same generating set in each group that contains it.  The
+    canonical key, the least sorted index tuple over the ambient conjugates,
+    is invariant under ambient conjugacy.
     """
 
-    __slots__ = ("ambient", "elements", "order", "generators",
-                 "_canonical_key", "_class_orbit", "_class_size")
+    __slots__ = ("ambient", "elements", "order", "generators", "_orbit", "_canonical_key")
 
     def __init__(self, ambient: Group, elements: frozenset):
-        elements = frozenset(elements)
         if not elements:
             raise InputError("a subgroup needs at least the identity")
+        if min(elements) < 0 or max(elements) >= ambient.order:
+            raise InputError("subgroup elements must be element indices of the ambient group")
         self.ambient = ambient
         self.elements = elements
         self.order = len(elements)
         if ambient.order % self.order:
             raise InputError("subgroup order does not divide the ambient order")
-        self.generators = tuple(_generating_subset(ambient.degree, sorted(elements)))
+        members = sorted(elements)
+        inside, gens = ambient._extend(_member_mask(ambient.order, [0]), [], members,
+                                       size=self.order)
+        if not np.array_equal(np.flatnonzero(inside), members):
+            raise InternalError("element set is not the subgroup its generators span")
+        elems = ambient.elements()
+        self.generators = tuple(elems[i] for i in gens)
+        self._orbit = None
         self._canonical_key = None
-        self._class_orbit = None
-        self._class_size = None
 
     def __repr__(self) -> str:
         gens = ", ".join(format_cycles(g) for g in self.generators) or "()"
@@ -715,29 +702,25 @@ class SubgroupHandle:
     def __hash__(self) -> int:
         return hash(self.elements)
 
+    def _conjugates(self) -> np.ndarray:
+        if self._orbit is None:
+            self._orbit = self.ambient.subgroup_orbit(self.elements)
+        return self._orbit
+
     @property
     def canonical_key(self) -> tuple:
         if self._canonical_key is None:
-            orbit = self.ambient.subgroup_orbit(self.elements)
-            self._canonical_key = min(tuple(sorted(s)) for s in orbit)
-            self._class_orbit = orbit
-            self._class_size = len(orbit)
+            self._canonical_key = tuple(self._conjugates()[0].tolist())
         return self._canonical_key
 
     @property
     def class_orbit(self) -> tuple:
-        if self._class_orbit is None:
-            self.canonical_key
-        return self._class_orbit
+        """The ambient conjugates as sets of element indices, in canonical order."""
+        return tuple(frozenset(s) for s in self._conjugates().tolist())
 
     @property
     def class_size(self) -> int:
-        if self._class_size is None:
-            self.canonical_key
-        return self._class_size
-
-    def conjugate(self, g: Perm) -> "SubgroupHandle":
-        return self.ambient.handle(elements=frozenset(conj(x, g) for x in self.elements))
+        return len(self._conjugates())
 
     def normalizer(self) -> "SubgroupHandle":
         return self.ambient.normalizer(self)
@@ -748,14 +731,18 @@ class SubgroupHandle:
             n //= p
         return n == 1
 
-    def contains(self, other: "SubgroupHandle") -> bool:
-        return other.elements <= self.elements
-
     def as_group(self) -> Group:
         return self.ambient.subgroup_group(self)
 
-    def intersection(self, other: "SubgroupHandle") -> "SubgroupHandle":
-        return self.ambient.handle(elements=self.elements & other.elements)
+    def lift(self, sub: "SubgroupHandle") -> "SubgroupHandle":
+        """The ambient handle of ``sub``, a subgroup handle of
+        :meth:`as_group`: index i there is the i-th smallest index here."""
+        if sub.ambient is not self.as_group():
+            raise InputError("subgroup handle belongs to another group")
+        if sub.ambient is self.ambient:
+            return sub
+        members = sorted(self.elements)
+        return self.ambient.handle(elements=[members[i] for i in sub.elements])
 
 
 def group_from_generators(degree: int, gens, limits: Limits = DEFAULT_LIMITS) -> Group:

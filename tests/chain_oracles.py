@@ -17,22 +17,25 @@ from pblocks.blocks import Block, brauer_induce, p_blocks
 from pblocks.chains import PChain, PairSet, pair_set
 from pblocks.chartable import character_table
 from pblocks.errors import InputError, InternalError
-from pblocks.groups import Group, SubgroupHandle, _generating_subset
+from pblocks.groups import Group, SubgroupHandle
 from pblocks.perms import conj
+
+from kernel_oracles import generating_subset, index_set, perm_set
 
 
 # -- oracles ------------------------------------------------------------------------
 
 
 def all_subgroup_chains_brute(G: Group, start: frozenset, p: int):
-    """Every normal p-chain from ``start``, as tuples of frozensets.
+    """Every normal p-chain from ``start``, as tuples of frozensets of
+    elements.
 
     Test oracle only: enumerates actual chains (not orbits) by expanding all
     p-subgroups of G.  Exponential; use on groups of order <= 200.
     """
     subs = []
     for h in G.p_subgroup_classes(p):
-        subs.extend(h.class_orbit)
+        subs.extend(perm_set(G, s) for s in h.class_orbit)
     chains = []
 
     def extend(chain):
@@ -43,11 +46,11 @@ def all_subgroup_chains_brute(G: Group, start: frozenset, p: int):
                 continue
             # normal chain: every earlier term must be normal in the new
             # final term
-            s_gens = _generating_subset(G.degree, sorted(s))
+            s_gens = generating_subset(G.degree, sorted(s))
             ok = all(
                 conj(t, g) in term
                 for term in chain
-                for term_gens in [_generating_subset(G.degree, sorted(term))]
+                for term_gens in [generating_subset(G.degree, sorted(term))]
                 for t in term_gens
                 for g in s_gens
             )
@@ -87,11 +90,13 @@ def candidate_extensions(H: Group, final: frozenset, p: int) -> list:
 
 
 def fuse_under_group(H: Group, candidate_sets) -> list:
-    """Canonical orbit representatives of subgroup sets under H-conjugation.
+    """Canonical orbit representatives of subgroup sets (element indices of
+    H) under H-conjugation, found by conjugating the elements themselves.
 
     The candidate family must be closed under H (true for extensions of a
     chain by construction); a conjugate escaping the family is a bug.
     """
+    candidate_sets = [perm_set(H, s) for s in candidate_sets]
     pending = set(candidate_sets)
     reps = []
     universe = set(candidate_sets)
@@ -110,7 +115,8 @@ def fuse_under_group(H: Group, candidate_sets) -> list:
                     queue.append(u)
         reps.append(s)
         pending -= orbit
-    return sorted(reps, key=lambda fs: (len(fs), tuple(sorted(fs))))
+    reps.sort(key=lambda fs: (len(fs), tuple(sorted(fs))))
+    return [index_set(H, s) for s in reps]
 
 
 # -- chain surgery and second-term transport ---------------------------------------
@@ -141,11 +147,10 @@ def intermediate_subgroup_classes(G: Group, U: SubgroupHandle, D: SubgroupHandle
 
 def chain_conjugate_into(G: Group, chain: PChain, D: SubgroupHandle):
     """Some g with every term of chain^g inside D, or None."""
+    terms = [perm_set(G, t.elements) for t in chain.terms]
+    target = perm_set(G, D.elements)
     for g in G.elements():
-        if all(
-            frozenset(conj(x, g) for x in t.elements) <= D.elements
-            for t in chain.terms
-        ):
+        if all(frozenset(conj(x, g) for x in t) <= target for t in terms):
             return g
     return None
 
@@ -200,7 +205,7 @@ def local_second_term_sets(G: Group, B: Block, Q: SubgroupHandle, d: int) -> tup
     transport with the sign reversed.
     """
     N = G.normalizer(Q).as_group()
-    nq = N.handle(elements=Q.elements)
+    nq = N.handle(generators=Q.generators)
     return tuple(
         pair_set(N, b, nq, d) for b in second_term_blocks(G, B, Q, d)
     )

@@ -2,14 +2,72 @@
 
 ``closure`` is the breadth-first element closure that ``Group.elements()``
 and ``Group.handle(generators=...)`` used before they grew by whole cosets.
+``adjoin``, ``span`` and ``generating_subset`` are that coset-by-coset
+closure on tuple elements, as it ran before subgroups became sets of element
+indices and ``Group.elements()`` the products of the chain's transversals.
 ``TupleField`` is F_p[x]/(q) with elements as residue tuples, the arithmetic
 ``BlockField`` used to reduce central characters one class at a time.
+``perm_set`` and ``index_set`` translate between a group's element indices
+and its elements.
 """
 
 from __future__ import annotations
 
 from pblocks.blockfield import BlockField
+from pblocks.errors import InternalError
 from pblocks.perms import identity, pmul
+
+
+def perm_set(G, indices) -> frozenset:
+    """The elements of G at the given element indices."""
+    elems = G.elements()
+    return frozenset(elems[i] for i in indices)
+
+
+def index_set(G, perms) -> frozenset:
+    """The element indices of the given elements of G."""
+    position = {x: i for i, x in enumerate(G.elements())}
+    return frozenset(position[x] for x in perms)
+
+
+def adjoin(closed: frozenset, gens: list, x) -> frozenset:
+    """<K, x> for a subgroup K = ``closed`` generated by ``gens``, as a union
+    of right cosets K*y (Dimino's method)."""
+    gens = gens + [x]
+    elems = set(closed)
+    elems.update(pmul(k, x) for k in closed)
+    reps = [x]
+    for y in reps:  # grows while it is read
+        for s in gens:
+            z = pmul(y, s)
+            if z not in elems:
+                elems.update(pmul(k, z) for k in closed)
+                reps.append(z)
+    return frozenset(elems)
+
+
+def span(degree: int, candidates, size: int | None = None) -> tuple[frozenset, list]:
+    """The subgroup spanned by ``candidates``, grown through :func:`adjoin`,
+    with the candidates it took as generators: a candidate already in the
+    span is skipped, and the loop stops once the span has ``size`` elements."""
+    current = frozenset([identity(degree)])
+    gens: list = []
+    for x in candidates:
+        if len(current) == size:
+            break
+        if x in current:
+            continue
+        current = adjoin(current, gens, x)
+        gens.append(x)
+    return current, gens
+
+
+def generating_subset(degree: int, elements_sorted) -> list:
+    """Small deterministic generating set drawn from a sorted subgroup list."""
+    current, gens = span(degree, elements_sorted, size=len(elements_sorted))
+    if current != frozenset(elements_sorted):
+        raise InternalError("element set is not the subgroup its generators span")
+    return gens
 
 
 def closure(degree: int, gens, seed=None) -> frozenset:

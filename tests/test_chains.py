@@ -17,6 +17,7 @@ from chain_oracles import (
     second_term_blocks,
     second_term_partition,
 )
+from kernel_oracles import index_set, perm_set
 from pblocks.blocks import p_blocks
 from pblocks.chains import (
     _extensions,
@@ -104,7 +105,7 @@ def test_stabilizer_contains_final_term_and_centralizer(grp):
                     frozenset(G.centralizer_set(x)) for x in final.generators
                 ])
             else:
-                cent = G.element_set()
+                cent = frozenset(range(G.order))
             assert cent <= o.stabilizer.elements
 
 
@@ -145,14 +146,12 @@ def test_delete_first_term_stabilizer_unchanged(grp):
     orbits = enumerate_chain_orbits(A5, A5.trivial_subgroup(), 2)
     full = orbits[3]
     short = delete_first_term(full.chain)
+    terms = [perm_set(A5, t.elements) for t in short.terms]
     stab = {
         g for g in A5.elements()
-        if all(
-            frozenset(conj(x, g) for x in t.elements) == t.elements
-            for t in short.terms
-        )
+        if all(frozenset(conj(x, g) for x in t) == t for t in terms)
     }
-    assert stab == full.stabilizer.elements
+    assert stab == perm_set(A5, full.stabilizer.elements)
 
 
 def induced_block(S, pr):
@@ -380,11 +379,15 @@ def test_extensions_match_fused_candidates(grp, name):
             seen.add((p, stab.elements, final))
             H = stab.as_group()
             ext = _extensions(G, stab, final, p)
-            local = local_extensions(H, final, p)
-            fused = fuse_under_group(H, candidate_extensions(H, final, p))
-            assert [t for t, _ in ext] == [t for t, _ in local] == fused
-            assert [n.elements for _, n in ext] == [n.elements for _, n in local] == [
-                H.normalizer(H.handle(elements=t)).elements for t in fused]
+            # ext is in G's element indices, local and fused in H's
+            final_h = index_set(H, perm_set(G, final))
+            local = local_extensions(H, final_h, p)
+            fused = fuse_under_group(H, candidate_extensions(H, final_h, p))
+            assert [perm_set(G, t) for t, _ in ext] == [perm_set(H, t) for t, _ in local] \
+                == [perm_set(H, t) for t in fused]
+            assert [perm_set(G, n.elements) for _, n in ext] == \
+                [perm_set(H, n.elements) for _, n in local] == [
+                perm_set(H, H.normalizer(H.handle(elements=t)).elements) for t in fused]
 
 
 def test_extensions_reject_final_term_not_normalized(grp):

@@ -109,6 +109,33 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_order_ceiling_names_ceiling_value_and_flag(capsys):
+    assert run(["table", "--lib", "S5", "--max-order", "50"]) == 2
+    assert capsys.readouterr().err == \
+        "error: group order 120 exceeds the ceiling max_order = 50 (--max-order)\n"
+    assert run(["table", "--lib", "S7"]) == 2
+    assert capsys.readouterr().err == \
+        "error: group order 5040 exceeds the ceiling max_order = 5000 (--max-order)\n"
+
+
+@pytest.mark.parametrize("flag", ["--group", "--ambient"])
+def test_unreadable_group_file_exits_2(tmp_path, capsys, flag):
+    s4 = tmp_path / "s4.grp"
+    s4.write_text("degree: 4\ngenerators: (0 1); (0 1 2 3)\n")
+    latin1 = tmp_path / "latin1.grp"
+    latin1.write_bytes("# caf\xe9\ndegree: 4\ngenerators: (0 1)\n".encode("latin-1"))
+    cases = [
+        (tmp_path / "missing.grp", "cannot read group file {}: No such file or directory"),
+        (tmp_path, "cannot read group file {}: Is a directory"),
+        (latin1, "group file {} is not UTF-8 text"),
+    ]
+    for path, message in cases:
+        source = ["--group", str(path)] if flag == "--group" else \
+            ["--group", str(s4), "--ambient", str(path)]
+        assert run(["blocks", *source, "--prime", "2"]) == 2
+        assert capsys.readouterr().err == "error: " + message.format(path) + "\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_ceiling_below_one_exits_2(capsys, value):
     from pblocks.config import Limits

@@ -8,10 +8,10 @@ group for p-subgroups.  They never touch the stabilizer chain.
 import pytest
 from sympy import primefactors
 
-from kernel_oracles import closure
+from kernel_oracles import closure, generating_subset, index_set, perm_set
 from pblocks.config import Limits
 from pblocks.errors import InputError, InternalError, ResourceError
-from pblocks.groups import Group, _generating_subset, group_from_generators
+from pblocks.groups import Group, group_from_generators
 from pblocks.library import acceptance_corpus, library_group, parse_group_file
 from pblocks.perms import conj, identity, parse_cycles, perm_order, pmul
 
@@ -117,7 +117,7 @@ def test_class_canonical_order(grp):
 
 
 def brute_conjugate_count(G, H):
-    return len({frozenset(conj(x, g) for x in H.elements) for g in G.elements()})
+    return len({frozenset(conj(x, g) for x in perm_set(G, H.elements)) for g in G.elements()})
 
 
 def test_normalizer_examples(grp):
@@ -211,7 +211,7 @@ def test_p_subgroup_classes(grp, name, p, orders):
     assert [h.order for h in classes] == orders
     # fuse the brute-force enumeration and compare the class sets exactly
     brute = brute_p_subgroups(G, p)
-    assert brute == {s for h in classes for s in h.class_orbit}
+    assert brute == {perm_set(G, s) for h in classes for s in h.class_orbit}
     for h in classes:
         assert h.is_p_group(p)
         assert G.order == h.class_size * G.normalizer(h).order
@@ -257,7 +257,7 @@ def test_dic3_is_dicyclic(grp):
     # nonabelian of order 12 with cyclic Sylow 2-subgroup
     assert any(pmul(a, b) != pmul(b, a) for a in G.generators for b in G.generators)
     syl = G.sylow(2)
-    orders = sorted(perm_order(x) for x in syl.elements)
+    orders = sorted(perm_order(x) for x in perm_set(G, syl.elements))
     assert orders == [1, 2, 4, 4]
 
 
@@ -265,10 +265,17 @@ def test_generating_subset_rejects_non_subgroup():
     e, c, t = (0, 1, 2), (1, 2, 0), (2, 1, 0)
     # {e, (0 1 2), (0 2)} has the size of <(0 1 2)> but is not that subgroup
     with pytest.raises(InternalError):
-        _generating_subset(3, sorted([e, c, t]))
+        generating_subset(3, sorted([e, c, t]))
     with pytest.raises(InternalError):
-        _generating_subset(3, sorted([e, t, (1, 0, 2)]))
-    assert _generating_subset(3, sorted([e, c, (2, 0, 1)])) == [c]
+        generating_subset(3, sorted([e, t, (1, 0, 2)]))
+    assert generating_subset(3, sorted([e, c, (2, 0, 1)])) == [c]
+    # the same sets as element indices of S3, for a handle
+    S3 = Group(3, [c, t])
+    with pytest.raises(InternalError):
+        S3.handle(elements=index_set(S3, [e, c, t]))
+    with pytest.raises(InternalError):
+        S3.handle(elements=index_set(S3, [e, t, (1, 0, 2)]))
+    assert S3.handle(elements=index_set(S3, [e, c, (2, 0, 1)])).generators == (c,)
 
 
 @pytest.mark.parametrize("name", acceptance_corpus())

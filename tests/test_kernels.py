@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from sympy import isprime, primefactors
 
-from kernel_oracles import TupleField, closure
+from kernel_oracles import TupleField, closure, generating_subset, perm_set
 from pblocks import chartable
 from pblocks.blockfield import block_field
 from pblocks.blocks import brauer_correspondent, omega_int_vectors, p_blocks
@@ -34,7 +34,7 @@ from pblocks.chartable import (
 )
 from pblocks.cyclotomic import _power_reductions, euler_phi
 from pblocks.errors import InternalError, ResourceError
-from pblocks.groups import Group, _generating_subset, _subgroups_of_p_group
+from pblocks.groups import Group, _subgroups_of_p_group
 from pblocks.library import acceptance_corpus, library_group
 from pblocks.modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
 from pblocks.perms import conj, pinv, pmul
@@ -118,6 +118,11 @@ def oracle_subgroup_orbit(G, elements):
     return tuple(sorted(seen, key=lambda s: tuple(sorted(s))))
 
 
+def perm_orbit(G, rows):
+    """A subgroup orbit given as rows of element indices, as element sets."""
+    return tuple(perm_set(G, s) for s in rows.tolist())
+
+
 def oracle_subgroups_of_p_group(degree, elements, p):
     """Every subgroup of a p-group as <Q, x>, x in N_P(Q) \\ Q with x^p in Q,
     by tuple closures."""
@@ -128,7 +133,7 @@ def oracle_subgroups_of_p_group(degree, elements, p):
     while levels[-1]:
         nxt = set()
         for q in levels[-1]:
-            q_gens = _generating_subset(degree, sorted(q))
+            q_gens = generating_subset(degree, sorted(q))
             for x in elems:
                 if x in q or not all(conj(h, x) in q for h in q_gens):
                     continue
@@ -273,7 +278,22 @@ def test_coset_spans_match_closure(group_of, case):
     assert G.elements() == tuple(sorted(closure(G.degree, G.generators)))
     for p in primefactors(G.order):
         gens = G.sylow(p).generators
-        assert G.handle(generators=gens).elements == closure(G.degree, gens)
+        assert perm_set(G, G.handle(generators=gens).elements) == closure(G.degree, gens)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_generating_sets_match_tuple_oracle(group_of, case):
+    # a handle's generators are the ascending elements its index closure
+    # did not span yet, as the tuple closure chose them
+    G = group_of(*case)
+    handles = [G.handle(elements=G.centralizer_set(c.rep)) for c in G.conjugacy_classes()]
+    handles.append(G.center())
+    for p in primefactors(G.order):
+        handles += [G.sylow(p), G.p_core(p)]
+        for h in G.p_subgroup_classes(p):
+            handles += [h, G.normalizer(h)]
+    for h in handles:
+        assert list(h.generators) == generating_subset(G.degree, sorted(perm_set(G, h.elements)))
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -311,13 +331,13 @@ def test_reduction_matches_tuple_oracle(group_of, case):
 def test_centralizers_and_normalizers_match_oracles(group_of, case):
     G = group_of(*case)
     for c in G.conjugacy_classes():
-        assert G.centralizer_set(c.rep) == oracle_centralizer(G, c.rep)
-    assert G.center().elements == frozenset.intersection(
+        assert perm_set(G, G.centralizer_set(c.rep)) == oracle_centralizer(G, c.rep)
+    assert perm_set(G, G.center().elements) == frozenset.intersection(
         *[oracle_centralizer(G, g) for g in G.generators] or [G.element_set()])
     for p in primefactors(G.order):
         for h in G.p_subgroup_classes(p):
-            assert G.normalizer_set(h.elements, h.generators) == \
-                oracle_normalizer(G, h.elements, h.generators)
+            assert perm_set(G, G.normalizer_set(h.elements, h.generators)) == \
+                oracle_normalizer(G, perm_set(G, h.elements), h.generators)
 
 
 @pytest.mark.parametrize("case", CASES + [("S6", None)], ids=_case_id)
@@ -328,20 +348,21 @@ def test_p_subgroups_and_orbits_match_oracles(group_of, case):
         syl = G.sylow(p)
         subs = _subgroups_of_p_group(G, syl.elements, p, G.limits.max_p_subgroup_classes)
         assert len(subs) == len({s.tobytes() for s in subs})
-        assert {G._subset(s) for s in subs} == \
-            oracle_subgroups_of_p_group(G.degree, syl.elements, p)
+        assert {perm_set(G, s.tolist()) for s in subs} == \
+            oracle_subgroups_of_p_group(G.degree, perm_set(G, syl.elements), p)
         for h in G.p_subgroup_classes(p):
-            orbit = oracle_subgroup_orbit(G, h.elements)
-            assert h.class_orbit == orbit
-            assert h.canonical_key == tuple(sorted(orbit[0]))
-            assert G.subgroup_orbit(h.elements) == orbit
+            orbit = oracle_subgroup_orbit(G, perm_set(G, h.elements))
+            assert tuple(perm_set(G, s) for s in h.class_orbit) == orbit
+            assert tuple(G.elements()[i] for i in h.canonical_key) == tuple(sorted(orbit[0]))
+            assert perm_orbit(G, G.subgroup_orbit(h.elements)) == orbit
             n = G.normalizer(h).elements  # most normalizers are no p-groups
-            assert G.subgroup_orbit(n) == oracle_subgroup_orbit(G, n)
+            assert perm_orbit(G, G.subgroup_orbit(n)) == \
+                oracle_subgroup_orbit(G, perm_set(G, n))
         lattice = G._p_lattice(p)
         assert [len(level[0]) for level in lattice] == sorted(
             {h.order for h in G.p_subgroup_classes(p)})
-        assert [G._subset(s) for level in lattice for s in level] == sorted(
-            (s for h in G.p_subgroup_classes(p) for s in h.class_orbit),
+        assert [perm_set(G, s) for level in lattice for s in level.tolist()] == sorted(
+            (perm_set(G, s) for h in G.p_subgroup_classes(p) for s in h.class_orbit),
             key=lambda s: (len(s), tuple(sorted(s))))
 
 
@@ -457,7 +478,7 @@ def test_row_lookup_rejects_non_elements():
     with pytest.raises(InternalError):
         arr.index(odd)
     with pytest.raises(InternalError):
-        G.normalizer_set(frozenset([G.identity]), [(1, 0, 2, 3)])
+        G.normalizer_set(frozenset([0]), [(1, 0, 2, 3)])
 
 
 def test_wide_degrees_use_uint16():

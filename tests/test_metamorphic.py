@@ -1,11 +1,17 @@
-"""Metamorphic relabelling: pair sets do not depend on the names of the points.
+"""Metamorphic tests: results do not depend on how a group is presented.
 
 Renaming the points of a group by a seeded permutation gives an isomorphic
 permutation group, so every signed pair count, blockwise and block-free at
 every defect, and the shape of every chain-orbit listing must come out the
 same.  Block indices follow the table's row order, so blockwise results are
 compared as a multiset keyed by each block's defect and degrees.
+
+Rebuilding a group from a random generating set gives the same group with
+another stabilizer chain, so its degrees, block defects, signed pair counts
+and check verdicts must come out the same.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +23,8 @@ from test_kernels import relabelled
 from pblocks.blocks import p_blocks
 from pblocks.chains import pair_set, signed_pair_counts
 from pblocks.chartable import _nu, character_table
+from pblocks.conjectures import verify_blockfree, verify_max_defect
+from pblocks.groups import Group
 from pblocks.library import library_group
 
 CASES = [(name, p) for name in ("S4", "A5", "SL23", "D8", "C2xD4")
@@ -57,3 +65,38 @@ def test_pair_sets_survive_relabelling(name, p, seed):
     if (name, p) not in _expected:
         _expected[name, p] = invariants(G, p)
     assert invariants(relabelled(G, seed), p) == _expected[name, p]
+
+
+def regenerated(G, seed) -> Group:
+    """G rebuilt from random elements, drawn until they generate all of G."""
+    rng = random.Random(seed)
+    elements = G.elements()
+    gens = []
+    while True:
+        gens.append(rng.choice(elements))
+        H = Group(G.degree, gens)
+        if H.order == G.order:
+            return H
+
+
+def presentation_invariants(G, p: int) -> tuple:
+    table = character_table(G)
+    checks = verify_max_defect(G, p) + [verify_blockfree(G, p)]
+    return (sorted(table.degrees), sorted(B.defect for B in p_blocks(table, p)),
+            signed_pair_counts(G, G.trivial_subgroup(), p),
+            sorted((r.check, r.verdict, r.left, r.right) for r in checks))
+
+
+_presented = {}
+
+
+@pytest.mark.parametrize("name,p", CASES)
+@settings(derandomize=True, deadline=None, max_examples=8, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_random_generating_sets_change_nothing(name, p, seed):
+    G = library_group(name)
+    if (name, p) not in _presented:
+        _presented[name, p] = presentation_invariants(G, p)
+    H = regenerated(G, seed)
+    assert H.elements() == G.elements()
+    assert presentation_invariants(H, p) == _presented[name, p]
