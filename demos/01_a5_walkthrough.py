@@ -6,6 +6,8 @@ up to conjugacy, the signed pair families at maximal defect, and the
 height-zero count across the Brauer correspondence.
 """
 
+from math import cos, pi
+
 from pblocks.blocks import brauer_correspondent, heights, irr0, p_blocks
 from pblocks.chains import pair_set
 from pblocks.chartable import character_table
@@ -22,8 +24,11 @@ print(f"\ncharacter degrees: {table.degrees}  (conductor {table.conductor})")
 print("the degree-3 rows contain the two roots of x^2 - x - 1 on the 5-cycles:")
 for i in range(table.r):
     if table.degrees[i] == 3:
-        vals = [table.entry(i, k) for k in range(table.r)]
-        print("  ", [str(v.complex_value().real.__round__(3)) for v in vals])
+        # real part of sum_j c_j z^j, z = exp(2 pi i / e), over the power basis
+        reals = [sum(int(c) * cos(2 * pi * j / table.conductor)
+                     for j, c in enumerate(table.values[i, k]))
+                 for k in range(table.r)]
+        print("  ", [str(round(x, 3)) for x in reals])
 
 blocks = p_blocks(table, 2)
 print("\n2-blocks:")

@@ -14,10 +14,10 @@ reports reproducible.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import numpy as np
-from sympy import GF, Poly, Symbol
 
 from .chartable import _check_exact
 from .cyclotomic import cyclotomic_poly, euler_phi
@@ -100,21 +100,99 @@ class BlockField:
 
 
 def _canonical_factor(e1: int, p: int) -> tuple:
-    """Lexicographically smallest irreducible factor of Phi_e1 mod p, ascending."""
-    if e1 == 1:
-        return ((p - 1) % p, 1)  # x - 1
-    x = Symbol("x")
-    coeffs_desc = list(reversed(cyclotomic_poly(e1)))
-    poly = Poly(coeffs_desc, x, domain=GF(p))
-    _, factors = poly.factor_list()
-    candidates = []
-    for fac, _mult in factors:
-        asc = [int(c) % p for c in reversed(fac.all_coeffs())]
-        if asc[-1] != 1:
-            lead_inv = pow(asc[-1], -1, p)
-            asc = [(c * lead_inv) % p for c in asc]
-        candidates.append(tuple(asc))
-    degrees = {len(c) for c in candidates}
-    if len(degrees) != 1:
+    """Lexicographically smallest irreducible factor of Phi_e1 mod p, ascending.
+
+    Phi_e1 splits mod p into distinct monic factors of one degree f, the
+    order of p mod e1, and equal-degree splitting (Cantor and Zassenhaus,
+    Math. Comp. 36 (1981)) finds them all.  The set of factors is unique,
+    so the random draws change only the time taken, never the result.
+    """
+    f, q = 1, p % e1
+    while q != 1 % e1:  # f = 1 for e1 = 1, where x - 1 is the only factor
+        q = q * p % e1
+        f += 1
+    phi = [c % p for c in cyclotomic_poly(e1)]
+    return min(_equal_degree_factors(phi, f, p, random.Random(0)))
+
+
+def _equal_degree_factors(g: list, f: int, p: int, rng: random.Random) -> list:
+    """The monic degree-f factors of a squarefree monic g that has only such.
+
+    A random a splits g by gcd(g, b): b is the trace a + a^2 + ... +
+    a^(2^(f-1)) for p = 2, which is 0 or 1 modulo each factor, and
+    a^((p^f - 1)/2) - 1 for odd p, as a^((p^f - 1)/2) is 0, 1 or -1 there.
+    """
+    n = len(g) - 1
+    if n == f:
+        return [tuple(g)]
+    if n < f or n % f:
         raise InternalError("cyclotomic factors mod p have mixed degrees")
-    return min(candidates)
+    # residues mod g are length-n arrays; exact in int64 while n (p - 1)^2 < 2^63
+    dtype = np.int64 if n * (p - 1) ** 2 < 2**63 else object
+    low = np.array(g[:n], dtype=dtype)
+    fold = np.zeros((n - 1, n), dtype=dtype)  # row k: x^(n + k) mod g
+    row = -low % p
+    for k in range(n - 1):
+        fold[k] = row
+        row = (np.concatenate(([0], row[:-1])) - row[-1] * low) % p
+
+    def mul(a, b):
+        c = np.convolve(a, b) % p
+        return (c[:n] + c[n:] @ fold) % p
+
+    while True:
+        a = np.array([rng.randrange(p) for _ in range(n)], dtype=dtype)
+        if p == 2:
+            b = t = a
+            for _ in range(f - 1):
+                t = mul(t, t)
+                b = b ^ t
+        else:
+            b = np.zeros(n, dtype=dtype)
+            b[0] = 1
+            k = (p**f - 1) // 2
+            while k:
+                if k & 1:
+                    b = mul(b, a)
+                k >>= 1
+                if k:
+                    a = mul(a, a)
+            b[0] = (b[0] - 1) % p
+        h = _gcd(g, _trim(b.tolist()), p)
+        if 0 < len(h) - 1 < n:
+            return (_equal_degree_factors(h, f, p, rng)
+                    + _equal_degree_factors(_divmod(g, h, p)[0], f, p, rng))
+
+
+# Polynomials over F_p are ascending lists of residues with no trailing zero;
+# zero is the empty list.
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod(a: list, m: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of a by the monic m."""
+    r = list(a)
+    n = len(m) - 1
+    q = [0] * max(len(r) - n, 0)
+    for i in range(len(r) - 1 - n, -1, -1):
+        c = r[i + n]
+        if c:
+            q[i] = c
+            for j in range(n):
+                r[i + j] = (r[i + j] - c * m[j]) % p
+    return q, _trim(r[:n])
+
+
+def _gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd of a nonzero a and b."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]

@@ -10,13 +10,11 @@ lam[i, k] the image of omega_i(K_k), built by one matrix product per prime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .blockfield import block_field
 from .chartable import CharRef, CharTable, _nu, char_ref, character_table
-from .cyclotomic import Cyclo
 from .errors import InputError, InternalError
 from .groups import Group, SubgroupHandle
 from .perms import perm_order
@@ -24,7 +22,6 @@ from .perms import perm_order
 __all__ = [
     "Block",
     "HeightTag",
-    "central_character",
     "p_blocks",
     "block_of",
     "defect_group",
@@ -78,15 +75,6 @@ class Block:
 class HeightTag:
     char: CharRef
     height: int
-
-
-def central_character(table: CharTable, index: int) -> tuple:
-    """Exact omega values: omega(K) = |K| chi(g_K) / chi(1), per class."""
-    vec = omega_int_vectors(table)[index]
-    return tuple(
-        Cyclo(table.conductor, tuple(Fraction(int(c)) for c in vec[k]))
-        for k in range(table.r)
-    )
 
 
 def omega_int_vectors(table: CharTable) -> np.ndarray:

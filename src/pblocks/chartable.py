@@ -20,14 +20,12 @@ partial sums, r * (ell - 1)^2, would reach 2^63.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 import numpy as np
-from sympy import isprime, primitive_root, sqrt_mod
 
-from .cyclotomic import Cyclo, _power_reductions, euler_phi
+from .cyclotomic import _power_reductions, euler_phi
 from .errors import InputError, InternalError, ResourceError
 from .groups import ConjClass, Group
 from .modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
@@ -38,7 +36,6 @@ __all__ = [
     "character_table",
     "defect",
     "p_prime_degree_set",
-    "inner_product",
 ]
 
 
@@ -106,13 +103,6 @@ class CharTable:
             self._cache["power_map"] = self.group._class_of()[found].reshape(
                 self.r, self.conductor)
         return self._cache["power_map"]
-
-    def entry(self, i: int, k: int) -> Cyclo:
-        return Cyclo(self.conductor,
-                     tuple(Fraction(int(c)) for c in self.values[i, k]))
-
-    def row(self, i: int) -> tuple:
-        return tuple(self.entry(i, k) for k in range(self.r))
 
     def trivial_index(self) -> int:
         if "trivial" not in self._cache:
@@ -183,9 +173,61 @@ def _defect_of(table: CharTable, index: int, p: int) -> int:
 
 @lru_cache
 def _check_prime(p: int) -> None:
-    """Raise InputError unless p is a prime; cached, as it runs per character."""
-    if p < 2 or not isprime(p):
+    """Raise InputError unless p is a prime, ResourceError at or above
+    _MR_BOUND; cached, as it runs per character."""
+    if not _is_prime(p):
         raise InputError(f"{p} is not a prime")
+
+
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is a prime; exact, and a ResourceError at or above _MR_BOUND."""
+    if n < 2:
+        return False
+    if n >= _MR_BOUND:
+        raise ResourceError(f"primality of {n} is not decided at or above "
+                            f"the Miller-Rabin bound {_MR_BOUND}")
+    if n in _MR_BASES:
+        return True
+    if any(n % q == 0 for q in _MR_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primitive_root(ell: int) -> int:
+    """The least primitive root of the prime ell."""
+    factors, m, q = [], ell - 1, 2
+    while q * q <= m:
+        if m % q == 0:
+            factors.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        factors.append(m)
+    g = 1
+    while any(pow(g, (ell - 1) // q, ell) == 1 for q in factors):
+        g += 1
+    return g
 
 
 def _nu(n: int, p: int) -> int:
@@ -206,20 +248,6 @@ def p_prime_degree_set(table: CharTable, p: int) -> tuple[CharRef, ...]:
     )
 
 
-def inner_product(table: CharTable, f, g) -> Cyclo:
-    """<f, g> = |G|^-1 sum |K| f(K) conj(g(K)), exact."""
-    f = list(f)
-    g = list(g)
-    if len(f) != table.r or len(g) != table.r:
-        raise InputError("class function has wrong length")
-    total = Cyclo.zero()
-    for k, c in enumerate(table.classes):
-        fk = f[k] if isinstance(f[k], Cyclo) else Cyclo.from_rational(f[k])
-        gk = g[k] if isinstance(g[k], Cyclo) else Cyclo.from_rational(g[k])
-        total = total + fk * gk.conjugate() * c.size
-    return total / table.group.order
-
-
 # -- Dixon-Schneider construction ----------------------------------------------
 
 
@@ -238,7 +266,7 @@ def _dixon_table(G: Group) -> CharTable:
                          {"prime": 3, "primitive_root": 2, "root_power": 1})
 
     ell = _dixon_prime(order, e)
-    w = int(primitive_root(ell))
+    w = _primitive_root(ell)
     z = pow(w, (ell - 1) // e, ell)
 
     table = CharTable(G, classes, e, None, None,
@@ -267,7 +295,7 @@ def _dixon_prime(order: int, e: int) -> int:
     bound = 2 * isqrt(order)
     ell = e + 1
     while True:
-        if ell > bound and isprime(ell) and ell % e == 1:
+        if ell > bound and ell % e == 1 and _is_prime(ell):
             return ell
         ell += e if e > 1 else 1
 
@@ -335,7 +363,14 @@ def _common_eigenvectors(a: np.ndarray, ell: int) -> np.ndarray:
 
 
 def _recover_degrees(table: CharTable, omegas: np.ndarray, ell: int):
+    """Degrees from the orthogonality relation, which gives chi(1)^2 mod ell.
+
+    A degree d is at most sqrt|G| < ell / 2, so d is the only square root
+    of its square mod ell in 1..isqrt|G|.
+    """
     order = table.group.order
+    candidates = np.arange(1, isqrt(order) + 1)
+    squares = candidates * candidates % ell
     sizes = [c.size for c in table.classes]
     inv_sizes = np.array([inv_mod(s, ell) for s in sizes], dtype=np.int64)
     inv_map = [table.inverse_class(k) for k in range(table.r)]
@@ -347,12 +382,10 @@ def _recover_degrees(table: CharTable, omegas: np.ndarray, ell: int):
         if den == 0:
             raise InternalError("degree denominator vanished mod ell")
         dsq = (order * inv_mod(den, ell)) % ell
-        root = sqrt_mod(dsq, ell)
-        if root is None:
+        roots = candidates[squares == dsq]
+        if len(roots) != 1:
             raise InternalError("degree square has no square root mod ell")
-        deg = min(int(root), ell - int(root))
-        if deg <= 0 or deg * deg > order or (deg * deg) % ell != dsq:
-            raise InternalError("recovered degree fails sanity bounds")
+        deg = int(roots[0])
         degrees_mod.append(deg % ell)
         degrees.append(deg)
     return degrees_mod, degrees

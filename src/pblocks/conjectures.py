@@ -272,16 +272,23 @@ def verify_abelian_defect(G: Group, p: int) -> list[CheckReport]:
 # -- block-free counting -----------------------------------------------------------
 
 
-def verify_blockfree(G: Group, p: int, U: SubgroupHandle | None = None) -> CheckReport:
-    """Signed pair counts over all blocks at maximal defect, plus the count
-    of p'-degree characters against the Sylow normalizer."""
+def _blockfree_start(G: Group, p: int, U: SubgroupHandle | None) -> SubgroupHandle:
+    """The start term of a block-free check, trivial by default: a normal
+    p-subgroup smaller than a Sylow p-subgroup."""
     if U is None:
         U = G.trivial_subgroup()
     if not U.is_p_group(p) or not G.is_normal(U):
         raise InputError("start term must be a normal p-subgroup")
-    d = _nu(G.order, p)
     if U.order == G.order_p_part(p):
         raise InputError("start term must be smaller than a Sylow p-subgroup")
+    return U
+
+
+def verify_blockfree(G: Group, p: int, U: SubgroupHandle | None = None) -> CheckReport:
+    """Signed pair counts over all blocks at maximal defect, plus the count
+    of p'-degree characters against the Sylow normalizer."""
+    U = _blockfree_start(G, p, U)
+    d = _nu(G.order, p)
     S = pair_set(G, "all", U, d, p=p)
     left, right = S.counts
     P = G.sylow(p)
@@ -307,8 +314,7 @@ def defect_support_scan(G: Group, p: int, U: SubgroupHandle | None = None) -> Ch
     suppressed: defect-zero characters of the whole group do appear on the
     trivial chain, so the scan is a finding generator, not an assertion.
     """
-    if U is None:
-        U = G.trivial_subgroup()
+    U = _blockfree_start(G, p, U)
     gens = G.sylow(p).generators
     abelian = all(pmul(a, b) == pmul(b, a) for a in gens for b in gens)
     inputs = {"group": group_document(G), "p": p, "start": _subgroup_desc(U)}

@@ -464,13 +464,18 @@ class Group:
         return self._cache["center"]
 
     def _powers(self, p: int) -> np.ndarray:
-        """Index of x^p for every element index x; cached."""
+        """Index of x^p for every element index x, by square and multiply; cached."""
         key = ("powers", p)
         if key not in self._cache:
             arr = self._array()
-            power = arr.rows
-            for _ in range(p - 1):
-                power = np.take_along_axis(arr.rows, power, axis=1)
+            base = arr.rows
+            power = np.broadcast_to(np.arange(self.degree, dtype=base.dtype), base.shape)
+            while p:
+                if p & 1:
+                    power = np.take_along_axis(base, power, axis=1)
+                p >>= 1
+                if p:
+                    base = np.take_along_axis(base, base, axis=1)
             self._cache[key] = arr.index(power)
         return self._cache[key]
 

@@ -8,12 +8,17 @@ indices and ``Group.elements()`` the products of the chain's transversals.
 ``TupleField`` is F_p[x]/(q) with elements as residue tuples, the arithmetic
 ``BlockField`` used to reduce central characters one class at a time.
 ``perm_set`` and ``index_set`` translate between a group's element indices
-and its elements.
+and its elements.  ``sympy_canonical_factor`` is the least factor of a
+cyclotomic polynomial mod p as sympy's factorisation finds it, the way
+``BlockField`` chose its modulus before it split the polynomial itself.
 """
 
 from __future__ import annotations
 
+from sympy import GF, Poly, Symbol
+
 from pblocks.blockfield import BlockField
+from pblocks.cyclotomic import cyclotomic_poly
 from pblocks.errors import InternalError
 from pblocks.perms import identity, pmul
 
@@ -159,3 +164,18 @@ class TupleField:
             for j in range(self.f):
                 acc[j] += c * row[j]
         return tuple(v % self.p for v in acc)
+
+
+def sympy_canonical_factor(e1: int, p: int) -> tuple:
+    """Lexicographically smallest monic factor of Phi_e1 mod p, ascending."""
+    if e1 == 1:
+        return ((p - 1) % p, 1)  # x - 1
+    poly = Poly(list(reversed(cyclotomic_poly(e1))), Symbol("x"), domain=GF(p))
+    candidates = []
+    for fac, _mult in poly.factor_list()[1]:
+        asc = [int(c) % p for c in reversed(fac.all_coeffs())]
+        lead_inv = pow(asc[-1], -1, p)
+        candidates.append(tuple(c * lead_inv % p for c in asc))
+    if len({len(c) for c in candidates}) != 1:
+        raise InternalError("cyclotomic factors mod p have mixed degrees")
+    return min(candidates)

@@ -8,6 +8,7 @@ cyclotomic arithmetic and never touches the finite-field reduction.
 
 import pytest
 
+from cyclo_oracle import Cyclo, central_character, entry
 from kernel_oracles import TupleField, perm_set
 from pblocks import blocks
 from pblocks.blockfield import block_field
@@ -15,7 +16,6 @@ from pblocks.blocks import (
     _defect_class,
     brauer_correspondent,
     brauer_induce,
-    central_character,
     heights,
     irr0,
     irr_defect,
@@ -23,7 +23,6 @@ from pblocks.blocks import (
     p_blocks,
 )
 from pblocks.chartable import character_table
-from pblocks.cyclotomic import Cyclo
 from pblocks.errors import InputError, InternalError
 from pblocks.library import library_group
 from pblocks.perms import perm_order, pinv
@@ -54,7 +53,7 @@ def linking_blocks(table, p):
         for j in range(i + 1, r):
             total = Cyclo.zero()
             for k in reg:
-                total = total + (table.entry(i, k) * table.entry(j, invmap[k])
+                total = total + (entry(table, i, k) * entry(table, j, invmap[k])
                                  * table.classes[k].size)
             if not total.is_zero():
                 parent[find(i)] = find(j)

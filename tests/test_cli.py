@@ -1,6 +1,9 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -251,3 +254,36 @@ def test_each_element_set_is_tabled_once(monkeypatch, capsys, argv):
     assert run(argv) == 0
     capsys.readouterr()
     assert tabled and len(tabled) == len(set(tabled))
+
+
+@pytest.mark.parametrize("command", ["verify-blockfree", "defect-scan"])
+@pytest.mark.parametrize("start", [
+    ["--prime", "5"],  # 5 does not divide |S3|: the trivial start is Sylow
+    ["--prime", "3", "--start", "(0 1 2)"],
+])
+def test_blockfree_start_at_sylow_exits_2(capsys, command, start):
+    assert run([command, "--lib", "S3", *start]) == 2
+    assert capsys.readouterr().err == \
+        "error: start term must be smaller than a Sylow p-subgroup\n"
+
+
+def test_prime_above_int64_guard_exits_2(capsys):
+    # x^p on the element rows takes O(log p) gathers, so the run reaches the
+    # guard instead of spending p - 1 gathers on the p-subgroup lattice
+    assert run(["chains", "--lib", "S3", "--prime", "2305843009213693951"]) == 2
+    assert "at or above the int64 bound" in capsys.readouterr().err
+
+
+def test_prime_at_primality_bound_exits_2(capsys):
+    assert run(["blocks", "--lib", "S3", "--prime", str(chartable._MR_BOUND)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: primality of {chartable._MR_BOUND} is not decided at or above "
+        f"the Miller-Rabin bound {chartable._MR_BOUND}\n")
+
+
+def test_import_loads_no_sympy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, pblocks.cli; print(sorted(m for m in sys.modules if m.startswith('sympy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out == "[]\n"

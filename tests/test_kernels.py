@@ -9,7 +9,10 @@ reduction of central characters.  They are compared on every
 acceptance-corpus group and on a seeded relabelling of its points, together
 with the float64 product and lift routes of the table code against the same
 computations in exact Python integers, and the eigenspace split against the
-split that reduces every basis again and splits every space.
+split that reduces every basis again and splits every space.  The p-th
+powers of the elements are compared with p - 1 repeated gathers, and each
+table's splitting prime, its primitive root and the reduction moduli with
+sympy.
 """
 
 import random
@@ -17,9 +20,15 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from sympy import isprime, primefactors
+from sympy import isprime, primefactors, primitive_root
 
-from kernel_oracles import TupleField, closure, generating_subset, perm_set
+from kernel_oracles import (
+    TupleField,
+    closure,
+    generating_subset,
+    perm_set,
+    sympy_canonical_factor,
+)
 from pblocks import chartable
 from pblocks.blockfield import block_field
 from pblocks.blocks import brauer_correspondent, omega_int_vectors, p_blocks
@@ -85,6 +94,15 @@ def oracle_power_map(table):
             pm[k, t] = idx[acc]
             acc = pmul(acc, c.rep)
     return pm
+
+
+def oracle_powers(G, p):
+    """Index of x^p for every element x, by p - 1 gathers on the element rows."""
+    arr = G._array()
+    power = arr.rows
+    for _ in range(p - 1):
+        power = np.take_along_axis(arr.rows, power, axis=1)
+    return arr.index(power)
 
 
 def oracle_reduction(field, omega, src_conductor):
@@ -294,6 +312,27 @@ def test_generating_sets_match_tuple_oracle(group_of, case):
             handles += [h, G.normalizer(h)]
     for h in handles:
         assert list(h.generators) == generating_subset(G.degree, sorted(perm_set(G, h.elements)))
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_powers_match_repeated_gathers(group_of, case):
+    G = group_of(*case)
+    for p in (2, 3, 5, 7):
+        assert np.array_equal(G._powers(p), oracle_powers(G, p))
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_lift_prime_root_and_field_match_sympy(group_of, case):
+    # the splitting prime, its primitive root and every reduction modulus
+    # are embedded in the reports
+    G = group_of(*case)
+    table = character_table(G)
+    ell = table.lift_meta["prime"]
+    assert chartable._is_prime(ell) and isprime(ell)
+    assert table.lift_meta["primitive_root"] == primitive_root(ell)
+    for p in primefactors(G.order):
+        field = block_field(p, table.conductor)
+        assert field.modulus == sympy_canonical_factor(field.e1, p)
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)

@@ -2,9 +2,10 @@
 
 Renaming the points of a group by a seeded permutation gives an isomorphic
 permutation group, so every signed pair count, blockwise and block-free at
-every defect, and the shape of every chain-orbit listing must come out the
-same.  Block indices follow the table's row order, so blockwise results are
-compared as a multiset keyed by each block's defect and degrees.
+every defect, the shape of every chain-orbit listing and the verdict of
+every check must come out the same.  Block indices follow the table's row
+order, so blockwise results are compared as a multiset keyed by each
+block's defect and degrees.
 
 Rebuilding a group from a random generating set gives the same group with
 another stabilizer chain, so its degrees, block defects, signed pair counts
@@ -23,7 +24,14 @@ from test_kernels import relabelled
 from pblocks.blocks import p_blocks
 from pblocks.chains import pair_set, signed_pair_counts
 from pblocks.chartable import _nu, character_table
-from pblocks.conjectures import verify_blockfree, verify_max_defect
+from pblocks.conjectures import (
+    defect_support_scan,
+    pi_pairing_check,
+    verify_abelian_defect,
+    verify_am_count,
+    verify_blockfree,
+    verify_max_defect,
+)
 from pblocks.groups import Group
 from pblocks.library import library_group
 
@@ -65,6 +73,38 @@ def test_pair_sets_survive_relabelling(name, p, seed):
     if (name, p) not in _expected:
         _expected[name, p] = invariants(G, p)
     assert invariants(relabelled(G, seed), p) == _expected[name, p]
+
+
+def outcome(report) -> tuple:
+    return report.check, report.verdict, report.left, report.right
+
+
+def verdicts(G, p: int) -> tuple:
+    """Outcomes of the Alperin-McKay count and the pi-pairing of every block,
+    the abelian-defect checks and the defect scan."""
+    table = character_table(G)
+    blocks = p_blocks(table, p)
+    key = {B.index: (B.defect, sorted(table.degrees[i] for i in B.members))
+           for B in blocks}
+    # counts of a not-applicable check are None, so the multisets sort by repr
+    blockwise = sorted(((key[B.index], outcome(verify_am_count(G, B)),
+                         outcome(pi_pairing_check(G, B))) for B in blocks), key=repr)
+    abelian = sorted(((key[r.inputs["block"]], r.inputs.get("f"), outcome(r))
+                      for r in verify_abelian_defect(G, p)), key=repr)
+    return blockwise, abelian, outcome(defect_support_scan(G, p))
+
+
+_verdicts = {}
+
+
+@pytest.mark.parametrize("name,p", CASES)
+@settings(derandomize=True, deadline=None, max_examples=8, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_verdicts_survive_relabelling(name, p, seed):
+    G = library_group(name)
+    if (name, p) not in _verdicts:
+        _verdicts[name, p] = verdicts(G, p)
+    assert verdicts(relabelled(G, seed), p) == _verdicts[name, p]
 
 
 def regenerated(G, seed) -> Group:
