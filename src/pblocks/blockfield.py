@@ -48,6 +48,10 @@ class BlockField:
             e1 //= p
             a += 1
         self.e1 = e1
+        # the factoring and every reduction sum at most phi(e') products of
+        # residues below p in int64
+        _check_exact(euler_phi(e1) * (p - 1) ** 2,
+                     "central character reduction", 63, "int64")
         self.modulus = _canonical_factor(e1, p)
         self.f = len(self.modulus) - 1
         # zeta_conductor maps to x^t with t the inverse of p^a mod e1.
@@ -60,20 +64,13 @@ class BlockField:
     def _reduction(self, src_conductor: int) -> np.ndarray:
         """R with row i the image of zeta_src^i: shape [phi(src), f]; cached.
 
-        zeta_src = zeta_conductor^step maps to x^(t * step), and the powers
-        x^k mod (q, p) come by shift-and-fold: x * x^(k-1) shifts the row
-        up and folds the top coefficient back with q's lower coefficients.
+        zeta_src = zeta_conductor^step maps to x^(t * step).
         """
         if src_conductor not in self._reductions:
             if self.conductor % src_conductor:
                 raise InputError("source conductor must divide the field conductor")
             step = self.conductor // src_conductor
-            powers = np.zeros((self.e1, self.f), dtype=np.int64)
-            powers[0, 0] = 1
-            low = np.array(self.modulus[:-1], dtype=np.int64)
-            for k in range(1, self.e1):
-                powers[k, 1:] = powers[k - 1, :-1]
-                powers[k] = (powers[k] - powers[k - 1, -1] * low) % self.p
+            powers = _power_rows(self.modulus, self.e1, self.p)
             exps = self.t * step * np.arange(euler_phi(src_conductor)) % self.e1
             self._reductions[src_conductor] = powers[exps]
         return self._reductions[src_conductor]
@@ -127,28 +124,22 @@ def _equal_degree_factors(g: list, f: int, p: int, rng: random.Random) -> list:
         return [tuple(g)]
     if n < f or n % f:
         raise InternalError("cyclotomic factors mod p have mixed degrees")
-    # residues mod g are length-n arrays; exact in int64 while n (p - 1)^2 < 2^63
-    dtype = np.int64 if n * (p - 1) ** 2 < 2**63 else object
-    low = np.array(g[:n], dtype=dtype)
-    fold = np.zeros((n - 1, n), dtype=dtype)  # row k: x^(n + k) mod g
-    row = -low % p
-    for k in range(n - 1):
-        fold[k] = row
-        row = (np.concatenate(([0], row[:-1])) - row[-1] * low) % p
+    # residues mod g are length-n int64 arrays, exact as n <= phi(e')
+    fold = _power_rows(g, 2 * n - 1, p)[n:]  # row k: x^(n + k) mod g
 
     def mul(a, b):
         c = np.convolve(a, b) % p
         return (c[:n] + c[n:] @ fold) % p
 
     while True:
-        a = np.array([rng.randrange(p) for _ in range(n)], dtype=dtype)
+        a = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
         if p == 2:
             b = t = a
             for _ in range(f - 1):
                 t = mul(t, t)
                 b = b ^ t
         else:
-            b = np.zeros(n, dtype=dtype)
+            b = np.zeros(n, dtype=np.int64)
             b[0] = 1
             k = (p**f - 1) // 2
             while k:
@@ -162,6 +153,23 @@ def _equal_degree_factors(g: list, f: int, p: int, rng: random.Random) -> list:
         if 0 < len(h) - 1 < n:
             return (_equal_degree_factors(h, f, p, rng)
                     + _equal_degree_factors(_divmod(g, h, p)[0], f, p, rng))
+
+
+def _power_rows(g, count: int, p: int) -> np.ndarray:
+    """Rows x^0, ..., x^(count - 1) mod (g, p) for a monic g of degree n >= 1:
+    shape [count, n].
+
+    x * x^(k-1) shifts the row up and folds the top coefficient back with
+    g's lower coefficients.
+    """
+    n = len(g) - 1
+    low = np.array(g[:n], dtype=np.int64)
+    rows = np.zeros((count, n), dtype=np.int64)
+    rows[0, 0] = 1
+    for k in range(1, count):
+        rows[k, 1:] = rows[k - 1, :-1]
+        rows[k] = (rows[k] - rows[k - 1, -1] * low) % p
+    return rows
 
 
 # Polynomials over F_p are ascending lists of residues with no trailing zero;

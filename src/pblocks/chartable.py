@@ -25,7 +25,7 @@ from math import isqrt
 
 import numpy as np
 
-from .cyclotomic import _power_reductions, euler_phi
+from .cyclotomic import _power_reductions, _prime_factors, euler_phi
 from .errors import InputError, InternalError, ResourceError
 from .groups import ConjClass, Group
 from .modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
@@ -173,8 +173,8 @@ def _defect_of(table: CharTable, index: int, p: int) -> int:
 
 @lru_cache
 def _check_prime(p: int) -> None:
-    """Raise InputError unless p is a prime, ResourceError at or above
-    _MR_BOUND; cached, as it runs per character."""
+    """Raise InputError unless p is a prime, ResourceError where _is_prime
+    cannot decide; cached, as it runs per character."""
     if not _is_prime(p):
         raise InputError(f"{p} is not a prime")
 
@@ -186,16 +186,17 @@ _MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Whether n is a prime; exact, and a ResourceError at or above _MR_BOUND."""
+    """Whether n is a prime; exact, and a ResourceError for an n at or above
+    _MR_BOUND with no prime factor among the bases."""
     if n < 2:
         return False
-    if n >= _MR_BOUND:
-        raise ResourceError(f"primality of {n} is not decided at or above "
-                            f"the Miller-Rabin bound {_MR_BOUND}")
     if n in _MR_BASES:
         return True
     if any(n % q == 0 for q in _MR_BASES):
         return False
+    if n >= _MR_BOUND:
+        raise ResourceError(f"primality of {n} is not decided at or above "
+                            f"the Miller-Rabin bound {_MR_BOUND}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -215,15 +216,7 @@ def _is_prime(n: int) -> bool:
 
 def _primitive_root(ell: int) -> int:
     """The least primitive root of the prime ell."""
-    factors, m, q = [], ell - 1, 2
-    while q * q <= m:
-        if m % q == 0:
-            factors.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        factors.append(m)
+    factors = _prime_factors(ell - 1)
     g = 1
     while any(pow(g, (ell - 1) // q, ell) == 1 for q in factors):
         g += 1

@@ -14,19 +14,25 @@ from .errors import InputError, InternalError
 __all__ = ["cyclotomic_poly", "euler_phi"]
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
+    for q in _prime_factors(n):
+        out -= out // q
     return out
 
 
