@@ -24,7 +24,6 @@ __all__ = [
     "HeightTag",
     "p_blocks",
     "block_of",
-    "defect_group",
     "heights",
     "irr0",
     "irr_defect",
@@ -175,12 +174,6 @@ def block_of(table: CharTable, p: int, index: int) -> Block:
     raise InternalError("character belongs to no block")
 
 
-def defect_group(table: CharTable, block: Block) -> SubgroupHandle:
-    if block.table is not table:
-        raise InputError("block does not belong to this table")
-    return block.defect_group
-
-
 def heights(block: Block) -> tuple[HeightTag, ...]:
     """Height tags for all members: ht = d(B) - d(chi) >= 0."""
     out = []
@@ -215,7 +208,7 @@ def brauer_induce(b: Block, G: Group) -> Block | None:
     of no block of G (induction undefined).
     """
     H = b.group
-    if not H.element_set() <= G.element_set():
+    if H.degree != G.degree or not all(G.contains(h) for h in H.generators):
         raise InputError("can only induce from a subgroup")
     Gt = character_table(G)
     if Gt.conductor % b.table.conductor:
@@ -223,9 +216,10 @@ def brauer_induce(b: Block, G: Group) -> Block | None:
     field = block_field(b.p, Gt.conductor)
     lam_h = field.reduce_int_vector(omega_int_vectors(b.table)[b.members[0]],
                                     b.table.conductor)
-    g_class = G.class_index()
+    arr = G._array()
+    reps = np.array([hc.rep for hc in b.table.classes], dtype=arr.rows.dtype)
     acc = np.zeros((Gt.r, field.f), dtype=np.int64)
-    np.add.at(acc, [g_class[hc.rep] for hc in b.table.classes], lam_h)
+    np.add.at(acc, G._class_of()[arr.index(reps)], lam_h)
     acc %= b.p
     for B in p_blocks(Gt, b.p):
         if np.array_equal(B.lam, acc):

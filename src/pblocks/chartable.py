@@ -34,7 +34,6 @@ __all__ = [
     "CharTable",
     "CharRef",
     "character_table",
-    "defect",
     "p_prime_degree_set",
 ]
 
@@ -76,9 +75,6 @@ class CharTable:
         return f"CharTable(order={self.group.order}, degrees={self.degrees})"
 
     # -- lookups --------------------------------------------------------------
-
-    def class_index(self) -> dict:
-        return self.group.class_index()
 
     def inverse_class(self, k: int) -> int:
         # rep^(e-1) = rep^-1, e the exponent
@@ -152,14 +148,6 @@ def character_table(G: Group) -> CharTable:
     if "chartable" not in G._cache:
         G._cache["chartable"] = _dixon_table(G)
     return G._cache["chartable"]
-
-
-def defect(chi: CharRef | tuple, p: int | None = None) -> int:
-    """d(chi) at p: p^d * chi(1)_p = |G|_p."""
-    if isinstance(chi, CharRef):
-        return chi.defect
-    table, index = chi
-    return _defect_of(table, index, p)
 
 
 def char_ref(table: CharTable, index: int, p: int) -> CharRef:
@@ -509,6 +497,7 @@ def _validate_table(table: CharTable) -> None:
         expected[i, i] = one * G.order
     if not np.array_equal(row_orth, expected):
         raise InternalError("row orthogonality failed; table rejected")
+    del row_orth, expected  # the column products are the validation's peak
 
     col = np.swapaxes(table.values, 0, 1)
     col_conj = np.swapaxes(conj_values, 0, 1)

@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="built-in group, e.g. A5, S4, C2xA4")
     parser.add_argument("--prime", type=int, metavar="P")
     parser.add_argument("--ambient", metavar="FILE",
-                        help="overgroup (same degree) acting on the checks")
+                        help="normalising overgroup (same degree) for the equivariance "
+                             "check of verify-ctc in strict or permissive mode")
     blk = parser.add_mutually_exclusive_group()
     blk.add_argument("--block", type=int, metavar="I",
                      help="block index (canonical order, principal = 0)")
@@ -114,12 +115,24 @@ def _load_group(args, limits: Limits) -> Group:
 
 
 def _load_ambient(args, G: Group, limits: Limits) -> Group | None:
+    """The --ambient group, read and checked before any table is built."""
     if not args.ambient:
         return None
     A = _read_group_file(args.ambient, limits)
     if A.degree != G.degree:
         raise InputError("ambient group must act on the same points")
+    _refuse_unused_ambient(args)
     return A
+
+
+def _refuse_unused_ambient(args) -> None:
+    """Only verify-ctc in strict or permissive mode uses --ambient; every
+    other command refuses it rather than dropping it."""
+    if args.command == "verify-ctc" and args.mode != "blockfree":
+        return
+    command = args.command + (" --mode blockfree" if args.command == "verify-ctc" else "")
+    raise InputError(f"--ambient is not used by {command}; only verify-ctc in "
+                     "strict or permissive mode uses it")
 
 
 def _need_prime(args) -> int:
@@ -172,9 +185,12 @@ def _execute(args):
     command = args.command
 
     if command == "repair-demo":
+        if args.ambient:
+            _refuse_unused_ambient(args)
         return _repair_demo(args), 0
 
     G = _load_group(args, limits)
+    A = _load_ambient(args, G, limits)
     bundle = {
         "schema": SCHEMA_VERSION + "/report",
         "command": command,
@@ -189,7 +205,6 @@ def _execute(args):
     p = _need_prime(args)
     bundle["p"] = p
     bundle["environment"] = environment_document(G, p)
-    A = _load_ambient(args, G, limits)
 
     if command == "blocks":
         bundle["result"] = block_document(character_table(G), p)

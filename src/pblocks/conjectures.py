@@ -28,8 +28,8 @@ from .blocks import (
 from .chains import PairSet, pair_set, signed_pair_counts
 from .chartable import _nu, character_table, p_prime_degree_set
 from .errors import InputError, InternalError
-from .groups import Group, SubgroupHandle, _member_mask
-from .perms import Perm, conj, format_cycles, pinv, pmul
+from .groups import Group, SubgroupHandle, _member_mask, _orbit_labels
+from .perms import format_cycles
 from .reports import chain_orbit_document, group_document
 
 __all__ = [
@@ -240,9 +240,7 @@ def verify_abelian_defect(G: Group, p: int) -> list[CheckReport]:
     for B in p_blocks(table, p):
         inputs = {"group": group_document(G), "p": p, "block": B.index,
                   "defect": B.defect}
-        gens = B.defect_group.generators
-        abelian = all(pmul(a, b) == pmul(b, a) for a in gens for b in gens)
-        if not abelian:
+        if not B.defect_group.is_abelian():
             bad = [(B.table.degrees[t.char.index], t.height)
                    for t in heights(B) if t.height > 0]
             out.append(CheckReport(
@@ -315,10 +313,8 @@ def defect_support_scan(G: Group, p: int, U: SubgroupHandle | None = None) -> Ch
     trivial chain, so the scan is a finding generator, not an assertion.
     """
     U = _blockfree_start(G, p, U)
-    gens = G.sylow(p).generators
-    abelian = all(pmul(a, b) == pmul(b, a) for a in gens for b in gens)
     inputs = {"group": group_document(G), "p": p, "start": _subgroup_desc(U)}
-    if not abelian:
+    if not G.sylow(p).is_abelian():
         return CheckReport("defect-scan", inputs, None, None, "not-applicable",
                            witness={"reason": "Sylow p-subgroup is nonabelian"})
     d = _nu(G.order, p)
@@ -642,115 +638,110 @@ def pi_pairing_check(G: Group, B: Block) -> CheckReport:
 # -- ambient (equivariance) machinery --------------------------------------------------
 
 
-def _row_action(Gt, a: Perm) -> list[int]:
-    """Row permutation of G's table induced by conjugation with a."""
-    ai = pinv(a)
-    idx = Gt.class_index()
-    col_perm = [idx[conj(c.rep, ai)] for c in Gt.classes]
-    out = []
-    for i in range(Gt.r):
-        out.append(Gt.row_index_of_values(Gt.values[i][col_perm]))
-    return out
+def _conjugated_classes(G: Group, table, move: np.ndarray, H: Group) -> np.ndarray:
+    """The class of H that holds the image of each class representative of
+    ``table`` under ``move``, an index map of G."""
+    arr = G._array()
+    reps = arr.index(np.array([c.rep for c in table.classes], dtype=arr.rows.dtype))
+    return H._class_of()[H._array().index(arr.rows[move[reps]])]
 
 
-def block_stabilizer(A: Group, G: Group, B: Block) -> Group:
-    """A_B: the stabilizer in A of the block B, via orbit and Schreier
-    generators on the set of blocks."""
-    if not G.element_set() <= A.element_set():
+def _row_action(Gt, move: np.ndarray) -> list[int]:
+    """Row permutation of G's table induced by conjugation with a, given by
+    its index map ``move`` = G._conj_move(a)."""
+    col = _conjugated_classes(Gt.group, Gt, np.argsort(move), Gt.group)  # a x a^-1
+    return [Gt.row_index_of_values(Gt.values[i][col]) for i in range(Gt.r)]
+
+
+def block_stabilizer(A: Group, G: Group, B: Block) -> tuple[SubgroupHandle, list[int]]:
+    """A_B, the stabilizer in A of the block B, as a handle of A, and the A
+    indices of the Schreier generators that extend G to it.
+
+    G fixes every block, so A_B is G closed under the Schreier generators of
+    the orbit of B under A, and |A_B| |orbit| = |A| certifies it.
+    """
+    if A.degree != G.degree or not all(A.contains(g) for g in G.generators):
         raise InputError("G must be contained in the ambient group")
-    if not A.is_normal(A.handle(generators=G.generators)):
+    arr = A._array()
+    N = A.handle(elements=arr.index(G._array().rows).tolist())
+    if not A.is_normal(N):
         raise InputError("G must be normal in the ambient group")
-    Gt = B.table
+    actions = [(arr.perm(a), _row_action(B.table, G._conj_move(a))) for a in A.generators]
     start = frozenset(B.members)
-
-    def act(members: frozenset, a: Perm) -> frozenset:
-        ra = _row_action(Gt, a)
-        return frozenset(ra[i] for i in members)
-
-    transversal = {start: A.identity}
+    transversal = {start: np.arange(A.degree, dtype=arr.rows.dtype)}  # as rows
     queue = [start]
     schreier = []
-    while queue:
-        s = queue.pop(0)
-        u = transversal[s]
-        for g in A.generators:
-            t = act(s, g)
-            ug = pmul(u, g)
-            if t not in transversal:
+    for s in queue:  # grows while it is read
+        for ga, action in actions:
+            t = frozenset(action[i] for i in s)
+            ug = ga[transversal[s]]  # the row of u*g
+            if t in transversal:
+                schreier.append(np.argsort(transversal[t])[ug])  # u*g*t^-1
+            else:
                 transversal[t] = ug
                 queue.append(t)
-            else:
-                schreier.append(pmul(ug, pinv(transversal[t])))
-    stab = Group(A.degree, schreier, limits=A.limits)
+    found = arr.index(np.array(schreier, dtype=arr.rows.dtype).reshape(-1, A.degree))
+    # G is normal in A, so right multiplication by G maps each coset K*y of
+    # a K >= G to itself, and _extend needs no generators of G
+    inside, gens = A._extend(_member_mask(A.order, N.elements), [], found.tolist())
+    stab = A.handle(elements=np.flatnonzero(inside).tolist())
     if stab.order * len(transversal) != A.order:
         raise InternalError("block stabilizer has wrong order")
-    return stab
+    return stab, gens
 
 
 def ambient_orbit_sizes(G: Group, A: Group, B: Block, S: PairSet):
-    """Orbit-size multisets of the A_B action on the signed pair orbits."""
-    stab = block_stabilizer(A, G, B)
-    return (
-        _orbit_sizes_on_pairs(G, S, S.plus, stab),
-        _orbit_sizes_on_pairs(G, S, S.minus, stab),
-    )
+    """Orbit-size multisets of the A_B action on the signed pair orbits.
+    G fixes every pair orbit, so A_B acts through its generators modulo G."""
+    rows = A._array().rows
+    moves = [G._conj_rows(rows[x]) for x in block_stabilizer(A, G, B)[1]]
+    start = np.array(sorted(S.start.elements))
+    if any((np.sort(move[start]) != start).any() for move in moves):
+        raise InputError("the ambient block stabilizer must normalise the chain start")
+    return tuple(_orbit_sizes_on_pairs(G, S, pairs, moves) for pairs in (S.plus, S.minus))
 
 
-def _orbit_sizes_on_pairs(G: Group, S: PairSet, pairs, stab: Group):
-    index = {pr: n for n, pr in enumerate(pairs)}
-    n = len(pairs)
-    adj = [set() for _ in range(n)]
-    chain_transport: dict = {}
-    for a in stab.generators:
-        for pos, pr in enumerate(pairs):
-            target = _pair_image(G, S, pr, a, chain_transport)
-            if target not in index:
+def _orbit_sizes_on_pairs(G: Group, S: PairSet, pairs, moves) -> list[int]:
+    """Orbit sizes on ``pairs`` of the automorphisms with index maps
+    ``moves``; each image (sigma, theta)^a is identified against the stored
+    chain representatives and the rows of their stabilizers' tables."""
+    position = {pr: n for n, pr in enumerate(pairs)}
+    images = []
+    for move in moves:
+        chain_images: dict = {}
+        image = []
+        for ci, i in pairs:
+            if ci not in chain_images:
+                chain_images[ci] = _chain_image(G, S, ci, move)
+            j, col = chain_images[ci]
+            values = S.stabilizer_table(ci).values[i][col]
+            target = (j, S.stabilizer_table(j).row_index_of_values(values))
+            if target not in position:
                 raise InternalError("ambient action left the pair set")
-            adj[pos].add(index[target])
-            adj[index[target]].add(pos)
-    seen = [False] * n
-    sizes = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        comp = [i]
-        seen[i] = True
-        for j in comp:
-            for k in adj[j]:
-                if not seen[k]:
-                    seen[k] = True
-                    comp.append(k)
-        sizes.append(len(comp))
-    return sizes
+            image.append(position[target])
+        images.append(np.array(image, dtype=np.intp))
+    return np.unique(_orbit_labels(len(pairs), images), return_counts=True)[1].tolist()
 
 
-def _pair_image(G: Group, S: PairSet, pr: tuple, a: Perm, cache: dict):
-    """The (chain index, char index) of (sigma, theta)^a, identified against
-    the stored reps."""
-    ci, i = pr
-    if (ci, a) not in cache:
-        cache[ci, a] = _chain_image(G, S, ci, a)
-    j, m = cache[ci, a]
-    src_table = character_table(S.orbits[ci].stabilizer.as_group())
-    dst_table = character_table(S.orbits[j].stabilizer.as_group())
-    mi = pinv(m)
-    src_idx = src_table.class_index()
-    col = [src_idx[conj(c.rep, mi)] for c in dst_table.classes]
-    values = src_table.values[i][col]
-    return (j, dst_table.row_index_of_values(values))
-
-
-def _chain_image(G: Group, S: PairSet, ci: int, a: Perm):
-    """Find (orbit index j, m = a*g) with chain_ci^a conjugated onto rep_j."""
-    src = S.orbits[ci].chain
-    conj_gens = [[conj(x, a) for x in t.generators] for t in src.terms]
-    profile = tuple(t.order for t in src.terms)
+def _chain_image(G: Group, S: PairSet, ci: int, move: np.ndarray):
+    """(j, col) for chain_ci conjugated by the a with index map ``move``:
+    some m = a*g with g in G conjugates chain_ci onto the rep of orbit j,
+    and col[k] is the class of orbit ci's stabilizer that holds m x_k m^-1
+    for the representative x_k of class k of orbit j's stabilizer."""
+    arr = G._array()
+    src = S.orbits[ci]
+    # the generators of each term, conjugated by a
+    images = [arr.rows[move[arr.index(arr.perm(t.generators).reshape(-1, G.degree))]]
+              for t in src.chain.terms]
+    profile = [t.order for t in src.chain.terms]
     for j, o in enumerate(S.orbits):
-        if tuple(t.order for t in o.chain.terms) != profile:
+        if [t.order for t in o.chain.terms] != profile:
             continue
         mask = np.ones(G.order, dtype=bool)
-        for gens, t in zip(conj_gens, o.chain.terms):
+        for gens, t in zip(images, o.chain.terms):
             mask &= G._transporter(gens, _member_mask(G.order, t.elements))
         if mask.any():
-            return j, pmul(a, G.elements()[int(np.argmax(mask))])
+            m = G._conj_rows(arr.rows[np.argmax(mask)])[move]
+            dst = character_table(o.stabilizer.as_group())
+            return j, _conjugated_classes(G, dst, np.argsort(m), src.stabilizer.as_group())
     raise InternalError("conjugated chain matches no stored orbit")

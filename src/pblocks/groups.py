@@ -31,15 +31,7 @@ import numpy as np
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import InputError, InternalError, ResourceError
-from .perms import (
-    Perm,
-    format_cycles,
-    identity,
-    perm_order,
-    pinv,
-    pmul,
-    validate_perm,
-)
+from .perms import Perm, format_cycles, identity, perm_order, pinv, pmul, validate_perm
 
 __all__ = [
     "Group",
@@ -82,7 +74,6 @@ class ConjClass:
     rep: Perm
     size: int
     centralizer_order: int
-    elements: tuple
 
     def __repr__(self) -> str:
         return f"ConjClass({format_cycles(self.rep)}, size={self.size})"
@@ -282,18 +273,18 @@ class Group:
         return self._cache["array"]
 
     def _conj_move(self, g: Perm) -> np.ndarray:
-        """Conjugation by g as an index map, i -> index(g^-1 x_i g); cached."""
+        """Conjugation by g as an index map, i -> index(g^-1 x_i g); cached.
+        g may be any permutation of the same degree that normalises this
+        group; for any other, ``index`` raises InternalError."""
         key = ("move", g)
         if key not in self._cache:
-            arr = self._array()
-            ga = arr.perm(g)
-            self._cache[key] = arr.index(ga[arr.rows[:, np.argsort(ga)]]).astype(arr.idx)
+            self._cache[key] = self._conj_rows(self._array().perm(g))
         return self._cache[key]
 
-    def element_set(self) -> frozenset:
-        if "element_set" not in self._cache:
-            self._cache["element_set"] = frozenset(self.elements())
-        return self._cache["element_set"]
+    def _conj_rows(self, ga: np.ndarray) -> np.ndarray:
+        """:meth:`_conj_move` of a permutation given as a row, uncached."""
+        arr = self._array()
+        return arr.index(ga[arr.rows[:, np.argsort(ga)]]).astype(arr.idx)
 
     def exponent(self) -> int:
         if "exponent" not in self._cache:
@@ -324,17 +315,16 @@ class Group:
         members = np.argsort(label, kind="stable")
         reps, starts, sizes = np.unique(label[members], return_index=True,
                                         return_counts=True)
-        elems = self.elements()
+        rows = self._array().rows
         class_of = np.empty(self.order, dtype=np.intp)
         classes = []
         for c in np.lexsort((reps, sizes)).tolist():
             size = int(sizes[c])
             if self.order % size:
                 raise InternalError("class size does not divide group order")
-            orb = members[starts[c]:starts[c] + size]
-            class_of[orb] = len(classes)
-            orb = tuple(elems[i] for i in orb.tolist())
-            classes.append(ConjClass(orb[0], size, self.order // size, orb))
+            class_of[members[starts[c]:starts[c] + size]] = len(classes)
+            # the representative is the least index of its class
+            classes.append(ConjClass(tuple(rows[reps[c]].tolist()), size, self.order // size))
         self._cache["class_of"] = class_of
         self._cache["classes"] = tuple(classes)
         return self._cache["classes"]
@@ -343,13 +333,6 @@ class Group:
         """Class index of every element index."""
         self.conjugacy_classes()
         return self._cache["class_of"]
-
-    def class_index(self) -> dict:
-        """Map element -> index of its conjugacy class."""
-        if "class_index" not in self._cache:
-            self._cache["class_index"] = dict(
-                zip(self.elements(), self._class_of().tolist()))
-        return self._cache["class_index"]
 
     # -- subgroups ----------------------------------------------------------
 
@@ -691,8 +674,7 @@ class SubgroupHandle:
                                        size=self.order)
         if not np.array_equal(np.flatnonzero(inside), members):
             raise InternalError("element set is not the subgroup its generators span")
-        elems = ambient.elements()
-        self.generators = tuple(elems[i] for i in gens)
+        self.generators = tuple(map(tuple, ambient._array().rows[gens].tolist()))
         self._orbit = None
         self._canonical_key = None
 
@@ -735,6 +717,12 @@ class SubgroupHandle:
         while n % p == 0:
             n //= p
         return n == 1
+
+    def is_abelian(self) -> bool:
+        """Whether the generators commute, checked on their rows."""
+        rows = self.ambient._array().perm(self.generators).reshape(-1, self.ambient.degree)
+        products = rows[:, rows]  # [j, i] is the row of g_i * g_j
+        return bool((products == products.transpose(1, 0, 2)).all())
 
     def as_group(self) -> Group:
         return self.ambient.subgroup_group(self)

@@ -43,25 +43,6 @@ def pinv(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def ppow(p: Perm, k: int) -> Perm:
-    if k < 0:
-        return ppow(pinv(p), -k)
-    result = identity(len(p))
-    sq = p
-    while k:
-        if k & 1:
-            result = pmul(result, sq)
-        sq = pmul(sq, sq)
-        k >>= 1
-    return result
-
-
-def conj(x: Perm, g: Perm) -> Perm:
-    """Conjugate x^g = g^-1 x g."""
-    gi = pinv(g)
-    return pmul(pmul(gi, x), g)
-
-
 def perm_order(p: Perm) -> int:
     n = 1
     for c in cycle_lengths(p):

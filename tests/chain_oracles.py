@@ -18,9 +18,8 @@ from pblocks.chains import PChain, PairSet, pair_set
 from pblocks.chartable import character_table
 from pblocks.errors import InputError, InternalError
 from pblocks.groups import Group, SubgroupHandle
-from pblocks.perms import conj
 
-from kernel_oracles import generating_subset, index_set, perm_set
+from kernel_oracles import conj, generating_subset, index_set, perm_set
 
 
 # -- oracles ------------------------------------------------------------------------

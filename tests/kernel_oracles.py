@@ -8,19 +8,61 @@ indices and ``Group.elements()`` the products of the chain's transversals.
 ``TupleField`` is F_p[x]/(q) with elements as residue tuples, the arithmetic
 ``BlockField`` used to reduce central characters one class at a time.
 ``perm_set`` and ``index_set`` translate between a group's element indices
-and its elements.  ``sympy_canonical_factor`` is the least factor of a
+and its elements, and ``class_index`` maps every element to its class.
+``relabelled`` renames a group's points by a seeded permutation.
+``conj`` and ``ppow`` are the tuple conjugate and power that no program
+path needs any more.  ``sympy_canonical_factor`` is the least factor of a
 cyclotomic polynomial mod p as sympy's factorisation finds it, the way
 ``BlockField`` chose its modulus before it split the polynomial itself.
 """
 
 from __future__ import annotations
 
+import random
+
 from sympy import GF, Poly, Symbol
 
 from pblocks.blockfield import BlockField
 from pblocks.cyclotomic import cyclotomic_poly
 from pblocks.errors import InternalError
-from pblocks.perms import identity, pmul
+from pblocks.groups import Group
+from pblocks.perms import identity, pinv, pmul
+
+
+def conj(x, g):
+    """Conjugate x^g = g^-1 x g."""
+    return pmul(pmul(pinv(g), x), g)
+
+
+def ppow(p, k: int):
+    if k < 0:
+        return ppow(pinv(p), -k)
+    result = identity(len(p))
+    sq = p
+    while k:
+        if k & 1:
+            result = pmul(result, sq)
+        sq = pmul(sq, sq)
+        k >>= 1
+    return result
+
+
+def relabelled(G, seed):
+    """G with its points renamed by a seeded permutation sigma."""
+    sigma = list(range(G.degree))
+    random.Random(seed).shuffle(sigma)
+    gens = []
+    for g in G.generators:
+        h = [0] * G.degree
+        for i in range(G.degree):
+            h[sigma[i]] = sigma[g[i]]
+        gens.append(tuple(h))
+    return Group(G.degree, gens)
+
+
+def class_index(G) -> dict:
+    """Map every element of G to the index of its conjugacy class."""
+    return dict(zip(G.elements(), G._class_of().tolist()))
 
 
 def perm_set(G, indices) -> frozenset:

@@ -9,7 +9,7 @@ cyclotomic arithmetic and never touches the finite-field reduction.
 import pytest
 
 from cyclo_oracle import Cyclo, central_character, entry
-from kernel_oracles import TupleField, perm_set
+from kernel_oracles import TupleField, class_index, perm_set
 from pblocks import blocks
 from pblocks.blockfield import block_field
 from pblocks.blocks import (
@@ -38,7 +38,7 @@ CORPUS = [
 def linking_blocks(table, p):
     G = table.group
     reg = [k for k, c in enumerate(table.classes) if perm_order(c.rep) % p != 0]
-    idx = G.class_index()
+    idx = class_index(G)
     invmap = [idx[pinv(c.rep)] for c in table.classes]
     r = table.r
     parent = list(range(r))

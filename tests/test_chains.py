@@ -17,7 +17,7 @@ from chain_oracles import (
     second_term_blocks,
     second_term_partition,
 )
-from kernel_oracles import index_set, perm_set
+from kernel_oracles import conj, index_set, perm_set
 from pblocks.blocks import p_blocks
 from pblocks.chains import (
     _extensions,
@@ -33,7 +33,7 @@ from pblocks.chartable import character_table
 from pblocks.config import Limits
 from pblocks.errors import InputError, InternalError, ResourceError
 from pblocks.library import acceptance_corpus, library_group
-from pblocks.perms import conj, parse_cycles
+from pblocks.perms import parse_cycles
 
 
 def test_a5_chain_orbits(grp):

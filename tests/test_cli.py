@@ -139,6 +139,51 @@ def test_unreadable_group_file_exits_2(tmp_path, capsys, flag):
         assert capsys.readouterr().err == "error: " + message.format(path) + "\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["table"], ["blocks"], ["chains"], ["verify-am"], ["verify-abelian-defect"],
+    ["verify-blockfree"], ["defect-scan"], ["pi-pairing"], ["repair-demo"],
+    ["verify-ctc", "--mode", "blockfree"],
+])
+def test_unused_ambient_exits_2_before_any_table(tmp_path, capsys, monkeypatch, command):
+    a4 = tmp_path / "a4.grp"
+    a4.write_text("degree: 4\ngenerators: (0 1 2); (1 2 3)\n")
+    s4 = tmp_path / "s4.grp"
+    s4.write_text("degree: 4\ngenerators: (0 1); (0 1 2 3)\n")
+    monkeypatch.setattr(chartable, "_dixon_table", lambda G: pytest.fail("table built"))
+    argv = [*command, "--group", str(a4), "--prime", "3", "--ambient", str(s4)]
+    assert run(argv) == 2
+    name = "verify-ctc --mode blockfree" if command[0] == "verify-ctc" else command[0]
+    assert capsys.readouterr().err == (
+        f"error: --ambient is not used by {name}; only verify-ctc in strict or "
+        "permissive mode uses it\n")
+
+
+def test_bad_ambient_fails_before_any_table(tmp_path, capsys, monkeypatch):
+    a4 = tmp_path / "a4.grp"
+    a4.write_text("degree: 4\ngenerators: (0 1 2); (1 2 3)\n")
+    s3 = tmp_path / "s3.grp"
+    s3.write_text("degree: 3\ngenerators: (0 1); (0 1 2)\n")
+    monkeypatch.setattr(chartable, "_dixon_table", lambda G: pytest.fail("table built"))
+    assert run(["verify-ctc", "--group", str(a4), "--prime", "3",
+                "--ambient", str(s3)]) == 2
+    assert capsys.readouterr().err == "error: ambient group must act on the same points\n"
+
+
+def test_ambient_moving_the_start_exits_2(tmp_path, capsys):
+    # swapping the factors of S3 x S3 moves the start C3 x 1 to 1 x C3
+    s3s3 = tmp_path / "s3s3.grp"
+    s3s3.write_text("degree: 6\ngenerators: (0 1 2); (0 1); (3 4 5); (3 4)\n")
+    wreath = tmp_path / "wreath.grp"
+    wreath.write_text("degree: 6\ngenerators: (0 1 2); (0 1); (0 3)(1 4)(2 5)\n")
+    argv = ["verify-ctc", "--group", str(s3s3), "--prime", "3", "--mode", "permissive",
+            "--block", "0", "--defect", "2", "--ambient", str(wreath)]
+    assert run(argv + ["--start", "(0 1 2)"]) == 2
+    assert capsys.readouterr().err == \
+        "error: the ambient block stabilizer must normalise the chain start\n"
+    assert run(argv + ["--start", "(0 1 2); (3 4 5)"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_ceiling_below_one_exits_2(capsys, value):
     from pblocks.config import Limits
@@ -247,7 +292,7 @@ def test_each_element_set_is_tabled_once(monkeypatch, capsys, argv):
     build = chartable._dixon_table
 
     def counting(G):
-        tabled.append(G.element_set())
+        tabled.append(frozenset(G.elements()))
         return build(G)
 
     monkeypatch.setattr(chartable, "_dixon_table", counting)

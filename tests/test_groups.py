@@ -8,12 +8,12 @@ group for p-subgroups.  They never touch the stabilizer chain.
 import pytest
 from sympy import primefactors
 
-from kernel_oracles import closure, generating_subset, index_set, perm_set
+from kernel_oracles import closure, conj, generating_subset, index_set, perm_set
 from pblocks.config import Limits
 from pblocks.errors import InputError, InternalError, ResourceError
 from pblocks.groups import Group, group_from_generators
 from pblocks.library import acceptance_corpus, library_group, parse_group_file
-from pblocks.perms import conj, identity, parse_cycles, perm_order, pmul
+from pblocks.perms import identity, parse_cycles, perm_order, pmul
 
 
 def brute_order(degree, gens):
@@ -71,7 +71,7 @@ def test_chain_certificate(grp):
         assert G.base() == sorted(G.base())
         # non-members are rejected
         odd = parse_cycles("(0 1)", G.degree)
-        assert (odd in G) == (odd in G.element_set())
+        assert (odd in G) == (odd in G.elements())
 
 
 def brute_classes(G):

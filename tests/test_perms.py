@@ -3,8 +3,8 @@ import random
 import pytest
 
 from pblocks.errors import InputError
+from kernel_oracles import conj, ppow
 from pblocks.perms import (
-    conj,
     format_cycles,
     identity,
     parse_cycles,
@@ -12,7 +12,6 @@ from pblocks.perms import (
     perm_order,
     pinv,
     pmul,
-    ppow,
     validate_perm,
 )
 
