@@ -208,7 +208,9 @@ def brauer_induce(b: Block, G: Group) -> Block | None:
     of no block of G (induction undefined).
     """
     H = b.group
-    if H.degree != G.degree or not all(G.contains(h) for h in H.generators):
+    arr = G._array()
+    if H.degree != G.degree or not arr.lookup(
+            arr.perm(H.generators).reshape(-1, G.degree))[1].all():
         raise InputError("can only induce from a subgroup")
     Gt = character_table(G)
     if Gt.conductor % b.table.conductor:
@@ -216,7 +218,6 @@ def brauer_induce(b: Block, G: Group) -> Block | None:
     field = block_field(b.p, Gt.conductor)
     lam_h = field.reduce_int_vector(omega_int_vectors(b.table)[b.members[0]],
                                     b.table.conductor)
-    arr = G._array()
     reps = np.array([hc.rep for hc in b.table.classes], dtype=arr.rows.dtype)
     acc = np.zeros((Gt.r, field.f), dtype=np.int64)
     np.add.at(acc, G._class_of()[arr.index(reps)], lam_h)

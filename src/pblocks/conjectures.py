@@ -94,7 +94,7 @@ def _chain_witness(S: PairSet) -> dict:
     """Orbit listing plus per-chain pair counts; the reproducible core data."""
     formatted: dict = {}
     orbits = [
-        dict(chain_orbit_document(o, formatted), pairs_here=len(chars))
+        chain_orbit_document(o, formatted, pairs_here=len(chars))
         for o, chars in zip(S.orbits, S.chars)
     ]
     return {"chain_orbits": orbits}

@@ -109,11 +109,17 @@ class _ElementArray:
         self.idx = np.min_scalar_type(len(rows) - 1)
         self._keys = _lex_keys(rows)
 
-    def index(self, rows: np.ndarray) -> np.ndarray:
-        """Element index of every row; InternalError if a row is no element."""
+    def lookup(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(index, hit) of every row: ``hit`` marks the rows that are
+        elements, and ``index`` is meaningful only where it is set."""
         keys = _lex_keys(rows)
         found = np.minimum(self._keys.searchsorted(keys), len(self._keys) - 1)
-        if self._keys[found].tobytes() != keys.tobytes():
+        return found, self._keys[found] == keys
+
+    def index(self, rows: np.ndarray) -> np.ndarray:
+        """Element index of every row; InternalError if a row is no element."""
+        found, hit = self.lookup(rows)
+        if not hit.all():
             raise InternalError("permutation row is not an element of the group")
         return found
 

@@ -203,6 +203,13 @@ def test_brauer_induce_requires_subgroup(grp):
         brauer_induce(b, A5)
 
 
+def test_brauer_induce_refuses_a_group_of_the_same_degree_outside(grp):
+    # S5 acts on the points of A5 but is no subgroup of it
+    b = p_blocks(character_table(grp("S5")), 2)[0]
+    with pytest.raises(InputError, match="can only induce from a subgroup"):
+        brauer_induce(b, grp("A5"))
+
+
 def test_induction_transitivity(grp):
     # C2 <= V4 <= A5 through normalizers: (b^K)^G = b^G where defined
     A5 = grp("A5")

@@ -507,6 +507,8 @@ def test_row_lookup_rejects_non_elements():
         arr.index(odd)
     with pytest.raises(InternalError):
         G.normalizer_set(frozenset([0]), [(1, 0, 2, 3)])
+    found, hit = arr.lookup(np.concatenate([arr.rows[2:3], odd]))
+    assert hit.tolist() == [True, False] and found[0] == 2
 
 
 def test_wide_degrees_use_uint16():

@@ -1,11 +1,12 @@
 """Nothing is materialised that no report needs.
 
-With ``Group.elements`` refused and the tuple products ``pmul``/``pinv``
-refused everywhere but in Schreier-Sims, every command still runs on one
-corpus group per prime, and so does an ``--ambient`` job, each exiting as
-it does with the guards off.
+With ``Group.elements`` refused, the tuple products ``pmul``/``pinv``
+refused everywhere but in Schreier-Sims, and json's pure-Python encoder
+refused, every command still runs on one corpus group per prime, and so
+does an ``--ambient`` job, each exiting as it does with the guards off.
 """
 
+import json
 import sys
 
 import pytest
@@ -29,6 +30,10 @@ def _refused(*args):
     raise AssertionError("Group.elements() called")
 
 
+def _pure_python_json(*args, **kwargs):
+    raise AssertionError("a report reached json's pure-Python encoder")
+
+
 @pytest.fixture
 def guarded(monkeypatch):
     products = {attr: _only_in_schreier_sims(getattr(perms, attr)) for attr in ("pmul", "pinv")}
@@ -38,6 +43,7 @@ def guarded(monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, fn)
     monkeypatch.setattr(groups.Group, "elements", _refused)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", _pure_python_json)
 
 
 @pytest.mark.parametrize("name, p", [("S4", 2), ("A5", 3), ("F20", 5), ("F21", 7)])
@@ -65,3 +71,5 @@ def test_guards_catch_tuple_paths(guarded):
         G.elements()
     with pytest.raises(AssertionError):
         perms.pmul(G.generators[0], G.generators[0])
+    with pytest.raises(AssertionError):
+        json.dumps([1], indent=2)
