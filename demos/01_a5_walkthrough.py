@@ -58,4 +58,4 @@ b = brauer_correspondent(B)
 print(f"  correspondent lives in a group of order {b.group.order} "
       f"with height-zero degrees {[b.table.degrees[i] for i in irr0(b)]}")
 print(f"  all heights in the principal block: "
-      f"{[t.height for t in heights(B)]}")
+      f"{list(heights(B))}")

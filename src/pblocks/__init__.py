@@ -2,7 +2,7 @@
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import InputError, InternalError, PBlocksError, ResourceError
-from .groups import Group, SubgroupHandle, group_from_generators
+from .groups import Group, SubgroupHandle
 from .library import acceptance_corpus, library_group, parse_group_file
 
 __version__ = "0.1.0"
@@ -16,7 +16,6 @@ __all__ = [
     "ResourceError",
     "Group",
     "SubgroupHandle",
-    "group_from_generators",
     "library_group",
     "parse_group_file",
     "acceptance_corpus",

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chartable import _check_exact
-from .cyclotomic import cyclotomic_poly, euler_phi
+from .cyclotomic import _nu, cyclotomic_poly, euler_phi
 from .errors import InputError, InternalError
 
 __all__ = ["BlockField", "block_field"]
@@ -43,11 +43,8 @@ class BlockField:
             raise InputError("reduction prime must be at least 2")
         self.p = p
         self.conductor = conductor
-        a, e1 = 0, conductor
-        while e1 % p == 0:
-            e1 //= p
-            a += 1
-        self.e1 = e1
+        a = _nu(conductor, p)
+        e1 = self.e1 = conductor // p**a
         # the factoring and every reduction sum at most phi(e') products of
         # residues below p in int64
         _check_exact(euler_phi(e1) * (p - 1) ** 2,

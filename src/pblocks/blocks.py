@@ -5,6 +5,9 @@ characters agree after reduction modulo a fixed prime ideal over p; the
 reduction is the canonical one provided by :mod:`pblocks.blockfield`.  The
 reduced central characters of a table are one integer array [r, r, f],
 lam[i, k] the image of omega_i(K_k), built by one matrix product per prime.
+
+Character defects come from :func:`pblocks.chartable.defects`, and
+:func:`heights` gives one int per block member.
 """
 
 from __future__ import annotations
@@ -14,19 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockfield import block_field
-from .chartable import CharRef, CharTable, _nu, char_ref, character_table
+from .chartable import CharTable, character_table, defects
+from .cyclotomic import _nu
 from .errors import InputError, InternalError
 from .groups import Group, SubgroupHandle
 from .perms import perm_order
 
 __all__ = [
     "Block",
-    "HeightTag",
     "p_blocks",
     "block_of",
     "heights",
     "irr0",
-    "irr_defect",
     "brauer_induce",
     "brauer_correspondent",
     "is_central_defect",
@@ -66,15 +68,6 @@ class Block:
     def group(self) -> Group:
         return self.table.group
 
-    def char_refs(self) -> tuple[CharRef, ...]:
-        return tuple(char_ref(self.table, i, self.p) for i in self.members)
-
-
-@dataclass(frozen=True)
-class HeightTag:
-    char: CharRef
-    height: int
-
 
 def omega_int_vectors(table: CharTable) -> np.ndarray:
     """omega values of every row as integer coefficient vectors [r, r, phi];
@@ -107,11 +100,12 @@ def p_blocks(table: CharTable, p: int) -> tuple[Block, ...]:
         lam_of.setdefault(lams[i].tobytes(), []).append(i)
 
     trivial = table.trivial_index()
+    defect = defects(table, p)
     groups = sorted(lam_of.values(), key=lambda ms: (trivial not in ms, min(ms)))
     blocks = []
     for bi, members in enumerate(groups):
         members = tuple(sorted(members))
-        d = max(char_ref(table, i, p).defect for i in members)
+        d = max(defect[i] for i in members)
         dg = _defect_group(table, p, members, lams[members[0]], d)
         blocks.append(
             Block(
@@ -153,18 +147,12 @@ def _defect_class(table: CharTable, p: int, lam: np.ndarray) -> int:
     A defect class is a p-regular class with lam(K) != 0 whose size has
     maximal p-part; ties are broken by canonical class order.
     """
-    best_nu = -1
-    chosen = None
-    for k, c in enumerate(table.classes):
-        if not lam[k].any() or perm_order(c.rep) % p == 0:
-            continue
-        nu = _nu(c.size, p)
-        if nu > best_nu:
-            best_nu = nu
-            chosen = k
-    if chosen is None:
+    regular = [k for k, c in enumerate(table.classes)
+               if lam[k].any() and perm_order(c.rep) % p]
+    if not regular:
         raise InternalError("block has no p-regular class with nonzero central character")
-    return chosen
+    # max keeps the first of equal keys
+    return max(regular, key=lambda k: _nu(table.classes[k].size, p))
 
 
 def block_of(table: CharTable, p: int, index: int) -> Block:
@@ -174,26 +162,18 @@ def block_of(table: CharTable, p: int, index: int) -> Block:
     raise InternalError("character belongs to no block")
 
 
-def heights(block: Block) -> tuple[HeightTag, ...]:
-    """Height tags for all members: ht = d(B) - d(chi) >= 0."""
-    out = []
-    for ref in block.char_refs():
-        h = block.defect - ref.defect
-        if h < 0:
-            raise InternalError("negative height; block defect is wrong")
-        out.append(HeightTag(ref, h))
-    return tuple(out)
+def heights(block: Block) -> tuple[int, ...]:
+    """ht(chi) = d(B) - d(chi) >= 0 for every member, in member order."""
+    defect = defects(block.table, block.p)
+    out = tuple(block.defect - defect[i] for i in block.members)
+    if min(out) < 0:
+        raise InternalError("negative height; block defect is wrong")
+    return out
 
 
 def irr0(block: Block) -> tuple[int, ...]:
     """Members of height zero (equivalently of maximal defect in the block)."""
-    return tuple(t.char.index for t in heights(block) if t.height == 0)
-
-
-def irr_defect(block: Block, d: int) -> tuple[int, ...]:
-    """Members of defect exactly d."""
-    return tuple(i for i in block.members
-                 if char_ref(block.table, i, block.p).defect == d)
+    return tuple(i for i, h in zip(block.members, heights(block)) if h == 0)
 
 
 def is_central_defect(block: Block) -> bool:

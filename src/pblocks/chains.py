@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import Block, block_of, brauer_induce, p_blocks
-from .chartable import CharTable, _check_prime, _nu, character_table, char_ref
+from .chartable import CharTable, _check_prime, character_table, defects
+from .cyclotomic import _nu
 from .errors import InputError, InternalError, ResourceError
 from .groups import Group, SubgroupHandle, _lex_keys, _member_mask, _orbit_labels
 
@@ -209,10 +210,9 @@ def signed_pair_counts(G: Group, U: SubgroupHandle, p: int) -> tuple[tuple, int]
         """(same-sign histogram, opposite-sign histogram, orbits) below a chain."""
         state = (stab.elements, final)
         if state not in memo:
-            table = character_table(stab.as_group())
             same, other = [0] * (d + 1), [0] * (d + 1)
-            for i in range(table.r):
-                same[char_ref(table, i, p).defect] += 1
+            for f in defects(character_table(stab.as_group()), p):
+                same[f] += 1
             orbits = 1
             for t, n_in_stab in _extensions(G, stab, final, p):
                 c_same, c_other, c_orbits = count(n_in_stab, t)
@@ -315,8 +315,8 @@ def _stabilizer_rows(G: Group, stab: SubgroupHandle, p: int) -> tuple:
         table = character_table(stab.as_group())
         induced = {b.index: brauer_induce(b, G) for b in p_blocks(table, p)}
         G._cache[key] = tuple(
-            (i, char_ref(table, i, p).defect, induced[block_of(table, p, i).index])
-            for i in range(table.r)
+            (i, defect, induced[block_of(table, p, i).index])
+            for i, defect in enumerate(defects(table, p))
         )
     return G._cache[key]
 
@@ -332,12 +332,12 @@ def pair_set(G: Group, block, Z: SubgroupHandle, d: int, p: int | None = None) -
         p = block.p
         if block.table.group is not G:
             raise InputError("block does not belong to this group")
-    elif block == "all":
+    elif isinstance(block, str) and block == "all":
         if p is None:
             raise InputError("block-free mode needs an explicit prime")
         block = None
-    elif block is not None:
-        raise InputError("block must be a Block, 'all', or None")
+    else:
+        raise InputError("block must be a Block or 'all'")
     if d < 0:
         raise InputError("defect must be non-negative")
 

@@ -15,40 +15,29 @@ matrix products.  Each is preceded by an a-priori bound on its partial sums;
 at 2^53 the result could be inexact, so a ResourceError is raised instead.
 The eigenspace split works in int64 and raises the same way where its
 partial sums, r * (ell - 1)^2, would reach 2^63.
+
+Every character's defect at p lives in :func:`defects`, one cached tuple of
+ints per (table, p); the p-adic valuation is :func:`pblocks.cyclotomic._nu`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
 import numpy as np
 
-from .cyclotomic import _power_reductions, _prime_factors, euler_phi
+from .cyclotomic import _nu, _power_reductions, _prime_factors, euler_phi
 from .errors import InputError, InternalError, ResourceError
 from .groups import ConjClass, Group
 from .modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
 
 __all__ = [
     "CharTable",
-    "CharRef",
     "character_table",
+    "defects",
     "p_prime_degree_set",
 ]
-
-
-@dataclass(frozen=True)
-class CharRef:
-    """A row of a character table, with its defect at a stated prime."""
-
-    table: "CharTable"
-    index: int
-    p: int
-    defect: int
-
-    def __repr__(self) -> str:
-        return f"CharRef(deg={self.table.degrees[self.index]}, p={self.p}, d={self.defect})"
 
 
 class CharTable:
@@ -150,19 +139,21 @@ def character_table(G: Group) -> CharTable:
     return G._cache["chartable"]
 
 
-def char_ref(table: CharTable, index: int, p: int) -> CharRef:
-    return CharRef(table, index, p, _defect_of(table, index, p))
-
-
-def _defect_of(table: CharTable, index: int, p: int) -> int:
+def defects(table: CharTable, p: int) -> tuple[int, ...]:
+    """nu_p(|G|) - nu_p(chi(1)) for every row, in row order; cached on the
+    table.  A p that is not a prime raises on every call."""
     _check_prime(p)
-    return _nu(table.group.order, p) - _nu(table.degrees[index], p)
+    key = ("defects", p)
+    if key not in table._cache:
+        full = _nu(table.group.order, p)
+        table._cache[key] = tuple(full - _nu(d, p) for d in table.degrees)
+    return table._cache[key]
 
 
 @lru_cache
 def _check_prime(p: int) -> None:
     """Raise InputError unless p is a prime, ResourceError where _is_prime
-    cannot decide; cached, as it runs per character."""
+    cannot decide; cached, as it runs per table and prime."""
     if not _is_prime(p):
         raise InputError(f"{p} is not a prime")
 
@@ -211,22 +202,10 @@ def _primitive_root(ell: int) -> int:
     return g
 
 
-def _nu(n: int, p: int) -> int:
-    """The p-adic valuation of n."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def p_prime_degree_set(table: CharTable, p: int) -> tuple[CharRef, ...]:
-    """Rows whose degree is coprime to p; these have maximal defect."""
-    return tuple(
-        char_ref(table, i, p)
-        for i in range(table.r)
-        if table.degrees[i] % p != 0
-    )
+def p_prime_degree_set(table: CharTable, p: int) -> tuple[int, ...]:
+    """Rows whose degree is coprime to p, ascending; these have maximal defect."""
+    full = _nu(table.group.order, p)
+    return tuple(i for i, d in enumerate(defects(table, p)) if d == full)
 
 
 # -- Dixon-Schneider construction ----------------------------------------------
@@ -239,12 +218,6 @@ def _dixon_table(G: Group) -> CharTable:
         raise InternalError("identity class is not first in canonical order")
     e = G.exponent()
     order = G.order
-
-    if r == 1:
-        values = np.ones((1, 1, euler_phi(e)), dtype=np.int64)
-        values[0, 0] = _one_vector(e)
-        return CharTable(G, classes, e, values, [1],
-                         {"prime": 3, "primitive_root": 2, "root_power": 1})
 
     ell = _dixon_prime(order, e)
     w = _primitive_root(ell)
@@ -276,9 +249,9 @@ def _dixon_prime(order: int, e: int) -> int:
     bound = 2 * isqrt(order)
     ell = e + 1
     while True:
-        if ell > bound and ell % e == 1 and _is_prime(ell):
+        if ell > bound and ell % e == 1 % e and _is_prime(ell):
             return ell
-        ell += e if e > 1 else 1
+        ell += e
 
 
 def _common_eigenvectors(a: np.ndarray, ell: int) -> np.ndarray:
@@ -420,18 +393,9 @@ def _one_vector(e: int) -> np.ndarray:
     return v
 
 
-def conj_matrix(e: int) -> np.ndarray:
-    """phi x phi integer matrix of complex conjugation on the power basis."""
-    phi = euler_phi(e)
-    rows = _power_reductions(e)
-    out = np.zeros((phi, phi), dtype=np.int64)
-    for i in range(phi):
-        out[i] = np.array(rows[(e - i) % e][:phi], dtype=np.int64)
-    return out
-
-
 def galois_matrix(e: int, k: int) -> np.ndarray:
-    """Matrix of zeta -> zeta^k on the power basis (k coprime to e)."""
+    """Matrix of zeta -> zeta^k on the power basis (k coprime to e); k = -1
+    is complex conjugation."""
     phi = euler_phi(e)
     rows = _power_reductions(e)
     out = np.zeros((phi, phi), dtype=np.int64)
@@ -487,8 +451,8 @@ def _validate_table(table: CharTable) -> None:
         if G.order % d:
             raise InternalError("character degree does not divide the group order")
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
-    cm = conj_matrix(table.conductor)
-    conj_values = np.tensordot(table.values, cm, axes=([2], [0]))
+    conj_values = np.tensordot(table.values, galois_matrix(table.conductor, -1),
+                               axes=([2], [0]))
 
     row_orth = _pairwise_products(table.values, conj_values, sizes, table.conductor)
     expected = np.zeros_like(row_orth)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .blocks import p_blocks
 from .chains import pair_set
-from .chartable import _check_prime, _nu, character_table
+from .chartable import _check_prime, character_table
 from .config import Limits
 from .conjectures import (
     CheckReport,
@@ -26,6 +26,7 @@ from .conjectures import (
     verify_max_defect,
     verify_pair_count,
 )
+from .cyclotomic import _nu
 from .errors import InputError, InternalError, ResourceError
 from .groups import Group
 from .library import library_group, parse_group_file

@@ -26,7 +26,8 @@ from .blocks import (
     p_blocks,
 )
 from .chains import PairSet, pair_set, signed_pair_counts
-from .chartable import _nu, character_table, p_prime_degree_set
+from .chartable import character_table, p_prime_degree_set
+from .cyclotomic import _nu
 from .errors import InputError, InternalError
 from .groups import Group, SubgroupHandle, _member_mask, _orbit_labels
 from .perms import format_cycles
@@ -241,19 +242,19 @@ def verify_abelian_defect(G: Group, p: int) -> list[CheckReport]:
         inputs = {"group": group_document(G), "p": p, "block": B.index,
                   "defect": B.defect}
         if not B.defect_group.is_abelian():
-            bad = [(B.table.degrees[t.char.index], t.height)
-                   for t in heights(B) if t.height > 0]
+            bad = [(B.table.degrees[i], h)
+                   for i, h in zip(B.members, heights(B)) if h > 0]
             out.append(CheckReport(
                 "abelian-defect", inputs, None, None, "not-applicable",
                 witness={"reason": "defect group is nonabelian",
                          "positive_height_members": bad}))
             continue
-        tags = heights(B)
-        nonzero = [t for t in tags if t.height > 0]
+        hts = heights(B)
+        zero = hts.count(0)
         out.append(CheckReport(
-            "abelian-defect-heights", inputs, len(tags) - len(nonzero), len(tags),
-            "pass" if not nonzero else "fail",
-            witness={"heights": [t.height for t in tags]}))
+            "abelian-defect-heights", inputs, zero, len(hts),
+            "pass" if zero == len(hts) else "fail",
+            witness={"heights": list(hts)}))
         if is_central_defect(B):
             continue
         for f in range(m + 1, B.defect + 1):
@@ -445,7 +446,7 @@ def final_term_pairing(G: Group, B: Block) -> PairingWitness:
         def conjugate_in_stab(s: SubgroupHandle) -> bool:
             # some g of the stabilizer with target^g = s
             return s.order == target.order and G._transporter(
-                target.generators, _member_mask(G.order, s.elements))[in_stab].any()
+                target.generators, _member_mask(G.order, s.elements), in_stab).any()
 
         for s in dgs:
             if not conjugate_in_stab(s):

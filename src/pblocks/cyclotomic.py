@@ -3,6 +3,8 @@
 Character values are integer vectors over the power basis 1, z, ...,
 z^(phi(e)-1), reduced modulo the e-th cyclotomic polynomial; the rows of
 ``_power_reductions`` give every power of z in that basis.
+
+This leaf module also holds the one p-adic valuation, :func:`_nu`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,15 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _nu(n: int, p: int) -> int:
+    """The p-adic valuation of n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 @lru_cache(maxsize=None)

@@ -30,6 +30,7 @@ from math import gcd, prod
 import numpy as np
 
 from .config import DEFAULT_LIMITS, Limits
+from .cyclotomic import _nu
 from .errors import InputError, InternalError, ResourceError
 from .perms import Perm, format_cycles, identity, perm_order, pinv, pmul, validate_perm
 
@@ -37,7 +38,6 @@ __all__ = [
     "Group",
     "SubgroupHandle",
     "ConjClass",
-    "group_from_generators",
 ]
 
 
@@ -302,12 +302,7 @@ class Group:
         return self._cache["exponent"]
 
     def order_p_part(self, p: int) -> int:
-        n = self.order
-        q = 1
-        while n % p == 0:
-            n //= p
-            q *= p
-        return q
+        return p ** _nu(self.order, p)
 
     # -- conjugacy classes -------------------------------------------------
 
@@ -403,16 +398,17 @@ class Group:
     def full_subgroup(self) -> "SubgroupHandle":
         return self.handle(elements=range(self.order))
 
-    def _transporter(self, gens, inside: np.ndarray) -> np.ndarray:
-        """Mask of the g with h^g in the set marked by ``inside`` for every
-        permutation h of ``gens``.  For gens generating H and ``inside``
-        marking K this is the transporter {g : H^g <= K}.  A generator
-        outside this group is an InternalError."""
+    def _transporter(self, gens, inside: np.ndarray, among=slice(None)) -> np.ndarray:
+        """Mask over the element indices ``among`` (default all) of the g with
+        h^g in the set marked by ``inside`` for every permutation h of ``gens``:
+        the transporter {g : H^g <= K} for gens generating H and ``inside``
+        marking K.  A generator outside this group is an InternalError."""
         arr = self._array()
-        mask = np.ones(self.order, dtype=bool)
+        rows, inv = arr.rows[among], arr.inv[among]
+        mask = np.ones(len(rows), dtype=bool)
         for h in gens:
             # row g of the gather is g^-1 h g
-            images = np.take_along_axis(arr.rows, arr.perm(h)[arr.inv], axis=1)
+            images = np.take_along_axis(rows, arr.perm(h)[inv], axis=1)
             mask &= inside[arr.index(images)]
         return mask
 
@@ -583,7 +579,7 @@ class Group:
         handles = []
         for orbit in orbits:
             h = self.handle(elements=orbit[0].tolist())
-            h._orbit = orbit
+            self._cache["sub_orbit", h.elements] = orbit
             handles.append(h)
         lattice = []
         for _, level in groupby(orbits, key=lambda orbit: orbit.shape[1]):
@@ -611,7 +607,6 @@ def _subgroups_of_p_group(G: Group, elements: frozenset, p: int, ceiling: int) -
     """
     arr = G._array()
     members = np.array(sorted(elements), dtype=arr.idx)
-    rows, inv = arr.rows[members], arr.inv[members]
     power = G._powers(p)[members]  # the index of x^p, for every x of P
     trivial = np.zeros(1, dtype=arr.idx)
     found = [trivial]
@@ -623,10 +618,7 @@ def _subgroups_of_p_group(G: Group, elements: frozenset, p: int, ceiling: int) -
             inside = np.zeros(G.order, dtype=bool)
             inside[q] = True
             extends = inside[power] & ~inside[members]
-            for h in gens:
-                # row j of the gather is x_j^-1 h x_j
-                images = np.take_along_axis(rows, arr.rows[h][inv], axis=1)
-                extends &= inside[arr.index(images)]
+            extends &= G._transporter(arr.rows[gens], inside, members)
             q_rows = arr.rows[q]
             taken = np.zeros(G.order, dtype=bool)
             for x in members[extends].tolist():
@@ -663,7 +655,7 @@ class SubgroupHandle:
     is invariant under ambient conjugacy.
     """
 
-    __slots__ = ("ambient", "elements", "order", "generators", "_orbit", "_canonical_key")
+    __slots__ = ("ambient", "elements", "order", "generators", "_canonical_key")
 
     def __init__(self, ambient: Group, elements: frozenset):
         if not elements:
@@ -681,7 +673,6 @@ class SubgroupHandle:
         if not np.array_equal(np.flatnonzero(inside), members):
             raise InternalError("element set is not the subgroup its generators span")
         self.generators = tuple(map(tuple, ambient._array().rows[gens].tolist()))
-        self._orbit = None
         self._canonical_key = None
 
     def __repr__(self) -> str:
@@ -696,9 +687,7 @@ class SubgroupHandle:
         return hash(self.elements)
 
     def _conjugates(self) -> np.ndarray:
-        if self._orbit is None:
-            self._orbit = self.ambient.subgroup_orbit(self.elements)
-        return self._orbit
+        return self.ambient.subgroup_orbit(self.elements)
 
     @property
     def canonical_key(self) -> tuple:
@@ -719,10 +708,7 @@ class SubgroupHandle:
         return self.ambient.normalizer(self)
 
     def is_p_group(self, p: int) -> bool:
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
+        return p ** _nu(self.order, p) == self.order
 
     def is_abelian(self) -> bool:
         """Whether the generators commute, checked on their rows."""
@@ -742,8 +728,3 @@ class SubgroupHandle:
             return sub
         members = sorted(self.elements)
         return self.ambient.handle(elements=[members[i] for i in sub.elements])
-
-
-def group_from_generators(degree: int, gens, limits: Limits = DEFAULT_LIMITS) -> Group:
-    """Public constructor mirroring the group-definition file contents."""
-    return Group(degree, gens, limits=limits)

@@ -109,12 +109,15 @@ def table_document(table: CharTable) -> dict:
         ],
         "degrees": list(table.degrees),
         "values": table.values.tolist(),
-        "lift": {
-            "prime": table.lift_meta["prime"],
-            "primitive_root": table.lift_meta["primitive_root"],
-            "unit_root_power": table.lift_meta["root_power"],
-        },
+        "lift": _lift_document(table),
     }
+
+
+def _lift_document(table: CharTable) -> dict:
+    """The splitting prime, its primitive root and the lifting root of unity."""
+    meta = table.lift_meta
+    return {"prime": meta["prime"], "primitive_root": meta["primitive_root"],
+            "unit_root_power": meta["root_power"]}
 
 
 def table_from_document(doc: dict) -> dict:
@@ -159,7 +162,7 @@ def _one_block(b: Block) -> dict:
             format_cycles(g) for g in b.defect_group.generators
         ],
         "principal": b.is_principal,
-        "heights": [t.height for t in heights(b)],
+        "heights": list(heights(b)),
     }
 
 
@@ -222,11 +225,7 @@ def environment_document(G: Group, p: int | None) -> dict:
         }
     }
     table = character_table(G)
-    env["table_lift"] = {
-        "prime": table.lift_meta["prime"],
-        "primitive_root": table.lift_meta["primitive_root"],
-        "unit_root_power": table.lift_meta["root_power"],
-    }
+    env["table_lift"] = _lift_document(table)
     if p is not None:
         env["reduction_field"] = block_field(p, table.conductor).describe()
     return env

@@ -14,16 +14,21 @@ and its elements, and ``class_index`` maps every element to its class.
 path needs any more.  ``sympy_canonical_factor`` is the least factor of a
 cyclotomic polynomial mod p as sympy's factorisation finds it, the way
 ``BlockField`` chose its modulus before it split the polynomial itself.
+``conj_matrix`` is complex conjugation on the power basis as the table
+validation built it before it took ``galois_matrix(e, -1)``, and
+``nu_by_division`` is the divide loop that each module once ran for the
+p-adic valuation.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 from sympy import GF, Poly, Symbol
 
 from pblocks.blockfield import BlockField
-from pblocks.cyclotomic import cyclotomic_poly
+from pblocks.cyclotomic import _power_reductions, cyclotomic_poly, euler_phi
 from pblocks.errors import InternalError
 from pblocks.groups import Group
 from pblocks.perms import identity, pinv, pmul
@@ -32,6 +37,25 @@ from pblocks.perms import identity, pinv, pmul
 def conj(x, g):
     """Conjugate x^g = g^-1 x g."""
     return pmul(pmul(pinv(g), x), g)
+
+
+def conj_matrix(e: int) -> np.ndarray:
+    """phi x phi integer matrix of complex conjugation on the power basis."""
+    phi = euler_phi(e)
+    rows = _power_reductions(e)
+    out = np.zeros((phi, phi), dtype=np.int64)
+    for i in range(phi):
+        out[i] = np.array(rows[(e - i) % e][:phi], dtype=np.int64)
+    return out
+
+
+def nu_by_division(n: int, p: int) -> int:
+    """The p-adic valuation of n, by repeated division."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def ppow(p, k: int):

@@ -21,7 +21,7 @@ from pblocks.blocks import (
     p_blocks,
 )
 from pblocks.chains import pair_set
-from pblocks.chartable import _validate_table, character_table
+from pblocks.chartable import _validate_table, character_table, defects
 from pblocks.cli import run
 from pblocks.conjectures import (
     final_term_pairing,
@@ -84,7 +84,7 @@ def test_criterion_2_block_axioms(corpus):
             assert sum(1 for b in blocks if b.is_principal) == 1
             core = G.p_core(p)
             for b in blocks:
-                assert b.defect == max(r.defect for r in b.char_refs()), name
+                assert b.defect == max(defects(table, p)[i] for i in b.members), name
                 assert b.defect_group.order == p**b.defect, name
                 assert any(core.elements <= s
                            for s in b.defect_group.class_orbit), name

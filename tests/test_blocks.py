@@ -6,6 +6,8 @@ connected components of the linking graph.  This path uses only exact
 cyclotomic arithmetic and never touches the finite-field reduction.
 """
 
+import dataclasses
+
 import pytest
 
 from cyclo_oracle import Cyclo, central_character, entry
@@ -18,11 +20,10 @@ from pblocks.blocks import (
     brauer_induce,
     heights,
     irr0,
-    irr_defect,
     is_central_defect,
     p_blocks,
 )
-from pblocks.chartable import character_table
+from pblocks.chartable import character_table, defects
 from pblocks.errors import InputError, InternalError
 from pblocks.library import library_group
 from pblocks.perms import perm_order, pinv
@@ -125,14 +126,14 @@ def test_block_axioms(grp, name, p):
     G = table.group
     core = G.p_core(p)
     for b in p_blocks(table, p):
-        assert b.defect == max(r.defect for r in b.char_refs())
+        assert b.defect == max(defects(table, p)[i] for i in b.members)
         assert b.defect_group.order == p**b.defect
         # O_p(G) is contained in the defect group up to conjugacy; here the
         # containment is literal because O_p lies in every p-subgroup of
         # maximal class intersection, so check against some conjugate
         assert any(core.elements <= s for s in b.defect_group.class_orbit)
-        for t in heights(b):
-            assert t.height >= 0
+        assert heights(b) == tuple(b.defect - defects(table, p)[i] for i in b.members)
+        assert all(h >= 0 for h in heights(b))
 
 
 def test_defect_group_examples(grp):
@@ -149,14 +150,21 @@ def test_defect_group_examples(grp):
 def test_heights_examples(grp):
     t4 = character_table(grp("S4"))
     b = p_blocks(t4, 2)[0]
-    by_degree = sorted((t4.degrees[t.char.index], t.height) for t in heights(b))
+    by_degree = sorted((t4.degrees[i], h) for i, h in zip(b.members, heights(b)))
     assert by_degree == [(1, 0), (1, 0), (2, 1), (3, 0), (3, 0)]
     assert len(irr0(b)) == 4
-    assert irr_defect(b, 3) == irr0(b)
-    assert irr_defect(b, 2) == tuple(i for i in b.members if t4.degrees[i] == 2)
+    assert tuple(i for i in b.members if defects(t4, 2)[i] == 3) == irr0(b)
+    assert tuple(i for i in b.members if defects(t4, 2)[i] == 2) == \
+        tuple(i for i in b.members if t4.degrees[i] == 2)
     # defect zero block: single member of height zero
     b1 = p_blocks(character_table(grp("A5")), 2)[1]
-    assert [t.height for t in heights(b1)] == [0]
+    assert heights(b1) == (0,)
+
+
+def test_negative_height_is_an_internal_error(grp):
+    b = p_blocks(character_table(grp("S4")), 2)[0]
+    with pytest.raises(InternalError, match="negative height"):
+        heights(dataclasses.replace(b, defect=b.defect - 1))
 
 
 def test_abelian_defect_forces_height_zero(grp):
@@ -169,7 +177,7 @@ def test_abelian_defect_forces_height_zero(grp):
             abelian = all(pmul(x, y) == pmul(y, x)
                           for x in dgroup.generators for y in dgroup.generators)
             if abelian:
-                assert all(t.height == 0 for t in heights(b))
+                assert all(h == 0 for h in heights(b))
 
 
 def test_brauer_induce_identity_and_principal(grp):

@@ -182,6 +182,14 @@ def test_pair_set_requires_prime_in_all_mode(grp):
         pair_set(A5, "all", A5.trivial_subgroup(), 2)
 
 
+@pytest.mark.parametrize("p", [None, 2])
+@pytest.mark.parametrize("block", [None, "ALL", 0])
+def test_pair_set_takes_only_a_block_or_all(grp, block, p):
+    A5 = grp("A5")
+    with pytest.raises(InputError, match="block must be a Block or 'all'"):
+        pair_set(A5, block, A5.trivial_subgroup(), 2, p=p)
+
+
 def test_degenerate_sylow_start_pair_set(grp):
     # start at a normal Sylow subgroup: single chain, minus side empty
     Q8 = grp("Q8")

@@ -10,8 +10,8 @@ import pytest
 
 from cyclo_oracle import Cyclo, entry, inner_product, row
 from pblocks.chartable import (
-    char_ref,
     character_table,
+    defects,
     galois_row_permutation,
     p_prime_degree_set,
 )
@@ -129,38 +129,65 @@ def test_canonical_row_order_deterministic(grp):
 def test_defect_examples(grp, name, p, expected):
     table = character_table(grp(name))
     if name == "A5":
-        assert char_ref(table, 0, 2).defect == 2  # trivial: log_2 |A5|_2
+        assert defects(table, 2)[0] == 2  # trivial: log_2 |A5|_2
         deg4 = table.degrees.index(4)
-        assert char_ref(table, deg4, 2).defect == 0
+        assert defects(table, 2)[deg4] == 0
     if name == "S4":
         deg2 = table.degrees.index(2)
-        assert char_ref(table, deg2, 2).defect == 2
+        assert defects(table, 2)[deg2] == 2
     if name == "C12":
-        assert char_ref(table, 0, 3).defect == 1
+        assert defects(table, 3)[0] == 1
 
 
 def test_trivial_character_defect_is_full(grp):
     for name, p in [("S4", 2), ("A5", 2), ("A5", 5), ("F21", 7)]:
         table = character_table(grp(name))
         i = table.trivial_index()
-        assert char_ref(table, i, p).defect == _nu(table.group.order, p)
+        assert defects(table, p)[i] == _nu(table.group.order, p)
 
 
 def test_defect_needs_a_prime(grp):
     table = character_table(grp("S4"))
     for p in (4, 1, 4):  # the prime check is cached; a repeat still raises
         with pytest.raises(InputError):
-            char_ref(table, 0, p)
-    assert char_ref(table, 0, 3).defect == 1
+            defects(table, p)
+    assert defects(table, 3)[0] == 1
+    for p in (4, 6, 4):  # refused on every call, also after a prime was cached
+        with pytest.raises(InputError):
+            defects(table, p)
+        with pytest.raises(InputError):
+            p_prime_degree_set(table, p)
+
+
+@pytest.mark.parametrize("name,p", [("S4", 2), ("A5", 5), ("SL23", 3), ("C12", 2)])
+def test_defects_are_one_cached_tuple_of_ints(grp, name, p):
+    table = character_table(grp(name))
+    d = defects(table, p)
+    assert type(d) is tuple and len(d) == table.r
+    assert all(type(f) is int for f in d)
+    assert defects(table, p) is d
+    full = _nu(table.group.order, p)
+    assert list(d) == [full - _nu(deg, p) for deg in table.degrees]
+
+
+@pytest.mark.parametrize("name", ["C1", "S1", "A2"])
+def test_trivial_group_table(grp, name):
+    """The order-1 table goes through the general construction and keeps
+    the record it was written down with: prime 3, root 2, power 1."""
+    doc = table_document(character_table(grp(name)))
+    assert doc["conductor"] == 1
+    assert doc["degrees"] == [1]
+    assert doc["values"] == [[[1]]]
+    assert doc["lift"] == {"prime": 3, "primitive_root": 2, "unit_root_power": 1}
 
 
 def test_p_prime_degree_sets(grp):
     t5 = character_table(grp("A5"))
     odd = p_prime_degree_set(t5, 2)
-    assert sorted(t5.degrees[r.index] for r in odd) == [1, 3, 3, 5]
-    assert all(r.defect == 2 for r in odd)
+    assert sorted(t5.degrees[i] for i in odd) == [1, 3, 3, 5]
+    assert all(defects(t5, 2)[i] == 2 for i in odd)
     t4 = character_table(grp("S4"))
-    assert sorted(t4.degrees[r.index] for r in p_prime_degree_set(t4, 2)) == [1, 1, 3, 3]
+    assert sorted(t4.degrees[i] for i in p_prime_degree_set(t4, 2)) == [1, 1, 3, 3]
     # abelian p-group: every character has p'-degree
     t8 = character_table(grp("C2xC2xC2"))
     assert len(p_prime_degree_set(t8, 2)) == 8

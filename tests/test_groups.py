@@ -11,7 +11,7 @@ from sympy import primefactors
 from kernel_oracles import closure, conj, generating_subset, index_set, perm_set
 from pblocks.config import Limits
 from pblocks.errors import InputError, InternalError, ResourceError
-from pblocks.groups import Group, group_from_generators
+from pblocks.groups import Group
 from pblocks.library import acceptance_corpus, library_group, parse_group_file
 from pblocks.perms import identity, parse_cycles, perm_order, pmul
 
@@ -43,14 +43,14 @@ def brute_order(degree, gens):
 )
 def test_order_against_brute_closure(degree, cycles, expected):
     gens = [parse_cycles(c, degree) for c in cycles]
-    G = group_from_generators(degree, gens)
+    G = Group(degree, gens)
     assert G.order == expected
     assert brute_order(degree, gens) == expected
 
 
 def test_malformed_generator_rejected():
     with pytest.raises(InputError):
-        group_from_generators(3, [(0, 0, 1)])
+        Group(3, [(0, 0, 1)])
 
 
 def test_order_ceiling():

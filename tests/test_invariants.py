@@ -6,7 +6,7 @@ from chain_oracles import chain_conjugate_into
 from cyclo_oracle import Cyclo, _reduce_exponent_map
 from pblocks.blocks import p_blocks
 from pblocks.chains import pair_set
-from pblocks.chartable import char_ref, character_table
+from pblocks.chartable import character_table, defects
 from pblocks.cyclotomic import euler_phi
 from pblocks.groups import Group
 
@@ -26,7 +26,7 @@ def test_defect_bounds_and_maximality(grp, name, p):
     table = character_table(grp(name))
     full = _nu(table.group.order, p)
     for i in range(table.r):
-        d = char_ref(table, i, p).defect
+        d = defects(table, p)[i]
         assert 0 <= d <= full
         assert (d == full) == (table.degrees[i] % p != 0)
 

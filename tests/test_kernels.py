@@ -12,7 +12,8 @@ computations in exact Python integers, and the eigenspace split against the
 split that reduces every basis again and splits every space.  The p-th
 powers of the elements are compared with p - 1 repeated gathers, and each
 table's splitting prime, its primitive root and the reduction moduli with
-sympy.
+sympy.  Complex conjugation as ``galois_matrix(e, -1)`` and the one p-adic
+valuation ``_nu`` are compared with the routines they replaced.
 """
 
 from math import isqrt
@@ -26,7 +27,9 @@ from kernel_oracles import (
     class_index,
     closure,
     conj,
+    conj_matrix,
     generating_subset,
+    nu_by_division,
     perm_set,
     relabelled,
     sympy_canonical_factor,
@@ -41,11 +44,11 @@ from pblocks.chartable import (
     _lift_values,
     _pairwise_products,
     character_table,
-    conj_matrix,
+    galois_matrix,
 )
-from pblocks.cyclotomic import _power_reductions, euler_phi
+from pblocks.cyclotomic import _nu, _power_reductions, euler_phi
 from pblocks.errors import InternalError, ResourceError
-from pblocks.groups import Group, _subgroups_of_p_group
+from pblocks.groups import Group, _member_mask, _subgroups_of_p_group
 from pblocks.library import acceptance_corpus, library_group
 from pblocks.modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
 from pblocks.perms import pinv, pmul
@@ -366,6 +369,12 @@ def test_centralizers_and_normalizers_match_oracles(group_of, case):
         for h in G.p_subgroup_classes(p):
             assert perm_set(G, G.normalizer_set(h.elements, h.generators)) == \
                 oracle_normalizer(G, perm_set(G, h.elements), h.generators)
+            # restricted to some of the elements, the transporter is the
+            # whole-group mask at those elements
+            inside = _member_mask(G.order, h.elements)
+            among = np.arange(G.order - 1, -1, -3)
+            assert np.array_equal(G._transporter(h.generators, inside, among),
+                                  G._transporter(h.generators, inside)[among])
 
 
 @pytest.mark.parametrize("case", CASES + [("S6", None)], ids=_case_id)
@@ -403,8 +412,6 @@ def test_float_routes_match_exact_integers(group_of, case):
     assert np.array_equal(_pairwise_products(table.values, conj_values, sizes, e),
                           exact_pairwise_products(table.values, conj_values, sizes, e))
     ell, z = table.lift_meta["prime"], table.lift_meta["root_power"]
-    if table.r == 1:
-        return  # the trivial table is written down, not lifted
     zpow = np.array([pow(z, c, ell) for c in range(table.phi)], dtype=np.int64)
     values_mod = (table.values @ zpow) % ell  # chi(g) mod ell, as z evaluates zeta
     lifted = _lift_values(table, values_mod, table.degrees, ell, z)
@@ -419,8 +426,6 @@ SPLIT_CASES = CASES + [("C4xC2xC2xC2", None), ("C3xC3xC3xC2", None)]
 @pytest.mark.parametrize("case", SPLIT_CASES, ids=_case_id)
 def test_eigenspace_split_matches_oracle(group_of, case):
     table = character_table(group_of(*case))
-    if table.r == 1:
-        return  # the trivial table is written down, not split
     a, ell = table.cmc(), table.lift_meta["prime"]
     out = _common_eigenvectors(a, ell)
     assert out.dtype == np.int64
@@ -519,3 +524,14 @@ def test_wide_degrees_use_uint16():
     assert [c.size for c in G.conjugacy_classes()] == [1] * n
     assert np.array_equal(arr.index(arr.inv), np.array(
         [G.elements().index(pinv(x)) for x in G.elements()]))
+
+
+def test_conjugation_is_the_galois_matrix_at_minus_one():
+    for e in range(1, 121):
+        assert np.array_equal(galois_matrix(e, -1), conj_matrix(e)), e
+
+
+def test_nu_matches_the_divide_loop():
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 2001):
+            assert _nu(n, p) == nu_by_division(n, p), (n, p)

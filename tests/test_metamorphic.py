@@ -23,7 +23,7 @@ from test_kernels import relabelled
 
 from pblocks.blocks import p_blocks
 from pblocks.chains import pair_set, signed_pair_counts
-from pblocks.chartable import _nu, character_table
+from pblocks.chartable import character_table
 from pblocks.conjectures import (
     defect_support_scan,
     pi_pairing_check,
@@ -32,6 +32,7 @@ from pblocks.conjectures import (
     verify_blockfree,
     verify_max_defect,
 )
+from pblocks.cyclotomic import _nu
 from pblocks.groups import Group
 from pblocks.library import library_group
 
