@@ -11,6 +11,8 @@ G_sigma-classes of p-subgroups of G_sigma strictly containing the final
 term.  Distinct nodes of the search tree are never conjugate, so the tree
 is an irredundant transversal by construction.  The p-subgroups of every
 stabilizer are read from G's p-subgroup lattice, in G's element indices.
+A chain is located among the stored orbits by walking this tree down from
+the start chain, one :func:`_child_orbit` lookup per term.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ __all__ = [
     "enumerate_chain_orbits",
     "signed_pair_counts",
     "pair_set",
-    "delete_first_term",
-    "append_final_term",
 ]
 
 
@@ -81,6 +81,7 @@ class ChainOrbit:
 
 
 def _check_start(G: Group, Z: SubgroupHandle, p: int) -> None:
+    _check_prime(p)
     if not Z.is_p_group(p):
         raise InputError("chain start must be a p-group")
     if not G.is_normal(Z):
@@ -185,6 +186,26 @@ def enumerate_chain_orbits(G: Group, Z: SubgroupHandle, p: int) -> tuple[ChainOr
     return tuple(orbits)
 
 
+def _child_orbit(G: Group, orbits, ci: int, inside: np.ndarray) -> tuple[int, int]:
+    """(j, g) for the child j of orbit ``ci`` whose final term is conjugate
+    to the subgroup K marked by ``inside``, and the index g of an element of
+    ci's stabilizer with final_j^g = K.
+
+    K must be a p-subgroup of ci's stabilizer above ci's final term.  The
+    children of ci are the stabilizer classes of such subgroups, so exactly
+    one matches; in the canonical order every child follows its parent.
+    """
+    among = sorted(orbits[ci].stabilizer.elements)
+    order = np.count_nonzero(inside)
+    for j in range(ci + 1, len(orbits)):
+        final = orbits[j].chain.final
+        if orbits[j].parent == ci and final.order == order:
+            mask = G._transporter(final.generators, inside, among)
+            if mask.any():
+                return j, among[int(np.argmax(mask))]
+    raise InternalError("subgroup is conjugate to no child of the chain orbit")
+
+
 def signed_pair_counts(G: Group, U: SubgroupHandle, p: int) -> tuple[tuple, int]:
     """Block-free signed pair counts at every defect, without listing chains.
 
@@ -200,7 +221,6 @@ def signed_pair_counts(G: Group, U: SubgroupHandle, p: int) -> tuple[tuple, int]
     soon as a subtree exceeds it, so this fails exactly where enumeration
     does.
     """
-    _check_prime(p)
     _check_start(G, U, p)
     d = _nu(G.order, p)
     limit = G.limits.max_chain_orbits
@@ -227,27 +247,6 @@ def signed_pair_counts(G: Group, U: SubgroupHandle, p: int) -> tuple[tuple, int]
 
     plus, minus, orbits = count(G.full_subgroup(), U.elements)
     return tuple(zip(plus, minus)), orbits
-
-
-# -- chain surgery ----------------------------------------------------------------
-
-
-def delete_first_term(chain: PChain) -> PChain:
-    """Drop the start term; the result starts at the old second term."""
-    if chain.length < 1:
-        raise InputError("cannot delete the only term of a chain")
-    return PChain(chain.terms[1:])
-
-
-def append_final_term(chain: PChain, D: SubgroupHandle) -> PChain:
-    """Extend by a new final term; every old term must be normal in it."""
-    final = chain.final
-    if not final.elements < D.elements:
-        raise InputError("new final term must strictly contain the old one")
-    for t in chain.terms:
-        if not D.elements <= t.normalizer().elements:
-            raise InputError("new final term does not normalize every chain term")
-    return PChain(chain.terms + (D,))
 
 
 # -- signed pair sets ---------------------------------------------------------------

@@ -481,9 +481,3 @@ def _validate_table(table: CharTable) -> None:
         if not np.array_equal(table.values[i, 0], one * table.degrees[i]):
             raise InternalError("identity column disagrees with the degrees")
 
-
-def galois_row_permutation(table: CharTable, k: int) -> list[int]:
-    """Row permutation induced by zeta -> zeta^k, or raise if rows move out."""
-    gm = galois_matrix(table.conductor, k)
-    mapped = np.tensordot(table.values, gm, axes=([2], [0]))
-    return [table.row_index_of_values(mapped[i]) for i in range(table.r)]

@@ -25,7 +25,7 @@ from .blocks import (
     is_central_defect,
     p_blocks,
 )
-from .chains import PairSet, pair_set, signed_pair_counts
+from .chains import PairSet, _child_orbit, pair_set, signed_pair_counts
 from .chartable import character_table, p_prime_degree_set
 from .cyclotomic import _nu
 from .errors import InputError, InternalError
@@ -435,30 +435,16 @@ def final_term_pairing(G: Group, B: Block) -> PairingWitness:
             return orb.parent
         stab = orb.stabilizer
         table = character_table(stab.as_group())
-        dgs = [stab.lift(block_of(table, p, i).defect_group) for i in S.chars[ci]]
-        target = min(dgs, key=lambda h: sorted(h.elements))
-        if target.order != p**B.defect:
-            raise InternalError("eligible stabilizer block has wrong defect")
-        if not orb.chain.final.elements < target.elements:
-            raise InternalError("append target does not contain the final term")
-        in_stab = list(stab.elements)
-
-        def conjugate_in_stab(s: SubgroupHandle) -> bool:
-            # some g of the stabilizer with target^g = s
-            return s.order == target.order and G._transporter(
-                target.generators, _member_mask(G.order, s.elements), in_stab).any()
-
-        for s in dgs:
-            if not conjugate_in_stab(s):
-                raise InternalError("eligible defect groups are not conjugate")
-        for j, o in enumerate(S.orbits):
-            if o.parent != ci:
-                continue
-            if o.chain.final.order != target.order:
-                continue
-            if conjugate_in_stab(o.chain.final):
-                return j
-        raise InternalError("no enumerated extension matches the append target")
+        children = set()
+        for dg in {stab.lift(block_of(table, p, i).defect_group).elements for i in S.chars[ci]}:
+            if len(dg) != p**B.defect:
+                raise InternalError("eligible stabilizer block has wrong defect")
+            if not orb.chain.final.elements < dg:
+                raise InternalError("append target does not contain the final term")
+            children.add(_child_orbit(G, S.orbits, ci, _member_mask(G.order, dg))[0])
+        if len(children) != 1:
+            raise InternalError("eligible defect groups are not conjugate")
+        return children.pop()
 
     mapping = {}
     for ci in sorted(plus_chains):
@@ -728,21 +714,15 @@ def _chain_image(G: Group, S: PairSet, ci: int, move: np.ndarray):
     """(j, col) for chain_ci conjugated by the a with index map ``move``:
     some m = a*g with g in G conjugates chain_ci onto the rep of orbit j,
     and col[k] is the class of orbit ci's stabilizer that holds m x_k m^-1
-    for the representative x_k of class k of orbit j's stabilizer."""
+    for the representative x_k of class k of orbit j's stabilizer.
+
+    m is found down the chain tree from the start term, which a fixes: the
+    image of each next term lies in orbit j's stabilizer, and the element g
+    of it that carries a child's final term there turns m into m*g^-1."""
     arr = G._array()
-    src = S.orbits[ci]
-    # the generators of each term, conjugated by a
-    images = [arr.rows[move[arr.index(arr.perm(t.generators).reshape(-1, G.degree))]]
-              for t in src.chain.terms]
-    profile = [t.order for t in src.chain.terms]
-    for j, o in enumerate(S.orbits):
-        if [t.order for t in o.chain.terms] != profile:
-            continue
-        mask = np.ones(G.order, dtype=bool)
-        for gens, t in zip(images, o.chain.terms):
-            mask &= G._transporter(gens, _member_mask(G.order, t.elements))
-        if mask.any():
-            m = G._conj_rows(arr.rows[np.argmax(mask)])[move]
-            dst = character_table(o.stabilizer.as_group())
-            return j, _conjugated_classes(G, dst, np.argsort(m), src.stabilizer.as_group())
-    raise InternalError("conjugated chain matches no stored orbit")
+    j, m = 0, move
+    for t in S.orbits[ci].chain.terms[1:]:
+        j, g = _child_orbit(G, S.orbits, j, _member_mask(G.order, m[list(t.elements)]))
+        m = G._conj_rows(arr.inv[g])[m]
+    dst = character_table(S.orbits[j].stabilizer.as_group())
+    return j, _conjugated_classes(G, dst, np.argsort(m), S.orbits[ci].stabilizer.as_group())

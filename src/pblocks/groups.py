@@ -239,14 +239,8 @@ class Group:
             return False
         return _sift(p, self._levels) == self.identity
 
-    def __contains__(self, p) -> bool:
-        return self.contains(tuple(p))
-
     def base(self) -> list[int]:
         return [lvl.point for lvl in self._levels]
-
-    def transversal_sizes(self) -> list[int]:
-        return [len(lvl.transversal) for lvl in self._levels]
 
     def elements(self) -> tuple:
         """All elements, sorted; cached."""

@@ -38,7 +38,6 @@ from .perms import Perm, parse_perm_list
 
 __all__ = [
     "library_group",
-    "library_names",
     "acceptance_corpus",
     "direct_product",
     "semidirect_cyclic",
@@ -194,17 +193,6 @@ def library_group(name: str, limits: Limits = DEFAULT_LIMITS) -> Group:
     if len(factors) == 1:
         return factors[0]
     return direct_product(*factors, limits=limits)
-
-
-def library_names() -> list[str]:
-    """Documented atoms of the catalogue (products are formed with 'x')."""
-    return (
-        [f"C{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)]
-        + [f"D{n}" for n in range(3, 13)]
-        + [f"S{n}" for n in range(2, 8)]
-        + [f"A{n}" for n in range(3, 8)]
-        + ["Q8", "SL23", "F20", "F21", "Dic3"]
-    )
 
 
 def acceptance_corpus() -> list[str]:

@@ -11,15 +11,11 @@ import numpy as np
 
 from .errors import InternalError
 
-__all__ = ["matmul", "rref", "nullspace", "charpoly", "poly_roots", "inv_mod"]
+__all__ = ["rref", "nullspace", "charpoly", "poly_roots", "inv_mod"]
 
 
 def inv_mod(a: int, ell: int) -> int:
     return pow(int(a) % ell, ell - 2, ell)
-
-
-def matmul(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
-    return (a.astype(np.int64) @ b.astype(np.int64)) % ell
 
 
 def rref(mat: np.ndarray, ell: int):

@@ -19,7 +19,6 @@ from .blockfield import block_field
 from .blocks import Block, heights, p_blocks
 from .chains import PairSet, _stabilizer_rows
 from .chartable import CharTable, character_table
-from .errors import InputError
 from .groups import Group
 from .perms import format_cycles
 
@@ -118,25 +117,6 @@ def _lift_document(table: CharTable) -> dict:
     meta = table.lift_meta
     return {"prime": meta["prime"], "primitive_root": meta["primitive_root"],
             "unit_root_power": meta["root_power"]}
-
-
-def table_from_document(doc: dict) -> dict:
-    """Parse a table document back into plain exact data (round-trip safe)."""
-    if doc.get("schema") != SCHEMA_VERSION + "/table":
-        raise InputError("not a table document")
-    return {
-        "conductor": int(doc["conductor"]),
-        "degrees": [int(d) for d in doc["degrees"]],
-        "values": [
-            [[int(x) for x in cell] for cell in row] for row in doc["values"]
-        ],
-        "classes": [
-            (c["rep"], int(c["size"]), int(c["centralizer_order"]))
-            for c in doc["classes"]
-        ],
-        "group": doc["group"],
-        "lift": doc["lift"],
-    }
 
 
 def block_document(table: CharTable, p: int) -> dict:

@@ -121,9 +121,27 @@ def fuse_under_group(H: Group, candidate_sets) -> list:
 # -- chain surgery and second-term transport ---------------------------------------
 
 
+def delete_first_term(chain: PChain) -> PChain:
+    """Drop the start term; the result starts at the old second term."""
+    if chain.length < 1:
+        raise InputError("cannot delete the only term of a chain")
+    return PChain(chain.terms[1:])
+
+
 def prepend_first_term(chain: PChain, U: SubgroupHandle) -> PChain:
     """Inverse of delete_first_term."""
     return PChain((U,) + chain.terms)
+
+
+def append_final_term(chain: PChain, D: SubgroupHandle) -> PChain:
+    """Extend by a new final term; every old term must be normal in it."""
+    final = chain.final
+    if not final.elements < D.elements:
+        raise InputError("new final term must strictly contain the old one")
+    for t in chain.terms:
+        if not D.elements <= t.normalizer().elements:
+            raise InputError("new final term does not normalize every chain term")
+    return PChain(chain.terms + (D,))
 
 
 def intermediate_subgroup_classes(G: Group, U: SubgroupHandle, D: SubgroupHandle,

@@ -4,11 +4,15 @@ The oracle enumerates every normal p-chain of the group (not orbits) and
 checks that orbit sizes account for all of them, sign by sign.
 """
 
+import signal
+
 import pytest
 
 from chain_oracles import (
     all_subgroup_chains_brute,
+    append_final_term,
     candidate_extensions,
+    delete_first_term,
     fuse_under_group,
     intermediate_subgroup_classes,
     local_extensions,
@@ -22,9 +26,7 @@ from pblocks.blocks import p_blocks
 from pblocks.chains import (
     _extensions,
     _stabilizer_rows,
-    append_final_term,
     chain_orbits_cached,
-    delete_first_term,
     enumerate_chain_orbits,
     pair_set,
     signed_pair_counts,
@@ -188,6 +190,29 @@ def test_pair_set_takes_only_a_block_or_all(grp, block, p):
     A5 = grp("A5")
     with pytest.raises(InputError, match="block must be a Block or 'all'"):
         pair_set(A5, block, A5.trivial_subgroup(), 2, p=p)
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("a chain entry point did not return")
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_chain_entry_points_refuse_a_non_prime(grp, p):
+    # unchecked, p = 1 divides by 1 forever and p = 4 fails in the p-group closure
+    S4 = grp("S4")
+    Z = S4.trivial_subgroup()
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(10)
+    try:
+        with pytest.raises(InputError, match="not a prime"):
+            enumerate_chain_orbits(S4, Z, p)
+        with pytest.raises(InputError, match="not a prime"):
+            pair_set(S4, "all", Z, 0, p=p)
+        with pytest.raises(InputError, match="not a prime"):
+            signed_pair_counts(S4, Z, p)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_degenerate_sylow_start_pair_set(grp):

@@ -6,18 +6,40 @@ orthogonality with Cyclo arithmetic over Q(zeta_e) from scratch.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cyclo_oracle import Cyclo, entry, inner_product, row
-from pblocks.chartable import (
-    character_table,
-    defects,
-    galois_row_permutation,
-    p_prime_degree_set,
-)
+from pblocks.chartable import character_table, defects, galois_matrix, p_prime_degree_set
 from pblocks.errors import InputError
 from pblocks.perms import parse_cycles
-from pblocks.reports import canonical_json, table_document, table_from_document
+from pblocks.reports import SCHEMA_VERSION, canonical_json, table_document
+
+
+def galois_row_permutation(table, k: int) -> list[int]:
+    """Row permutation induced by zeta -> zeta^k, or raise if rows move out."""
+    gm = galois_matrix(table.conductor, k)
+    mapped = np.tensordot(table.values, gm, axes=([2], [0]))
+    return [table.row_index_of_values(mapped[i]) for i in range(table.r)]
+
+
+def table_from_document(doc: dict) -> dict:
+    """Parse a table document back into plain exact data (round-trip safe)."""
+    if doc.get("schema") != SCHEMA_VERSION + "/table":
+        raise InputError("not a table document")
+    return {
+        "conductor": int(doc["conductor"]),
+        "degrees": [int(d) for d in doc["degrees"]],
+        "values": [
+            [[int(x) for x in cell] for cell in row] for row in doc["values"]
+        ],
+        "classes": [
+            (c["rep"], int(c["size"]), int(c["centralizer_order"]))
+            for c in doc["classes"]
+        ],
+        "group": doc["group"],
+        "lift": doc["lift"],
+    }
 
 
 @pytest.mark.parametrize(

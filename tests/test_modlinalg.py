@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 
-from pblocks.modlinalg import charpoly, inv_mod, matmul, nullspace, poly_roots, rref
+from pblocks.modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
 
 
 def det_mod(mat, ell):
@@ -72,4 +72,4 @@ def test_rref_and_nullspace():
         ns = nullspace(m, ell)
         assert ns.shape[0] == cols - len(pivots)
         if ns.shape[0]:
-            assert not np.any(matmul(m, ns.T, ell))
+            assert not np.any((m @ ns.T) % ell)
