@@ -104,8 +104,12 @@ def _extensions(G: Group, stab: SubgroupHandle, final: frozenset, p: int) -> lis
     ``final`` < s <= H.  They are fused under H's generators by their index
     maps, and each class is represented by its least member.  H is the
     stabilizer of a chain with final term ``final``, so it normalizes
-    ``final`` and each H-class lies above it wholly or not at all.
+    ``final`` and each H-class lies above it wholly or not at all.  The
+    result is cached on G.
     """
+    key = ("extensions", p, stab.elements, final)
+    if key in G._cache:
+        return G._cache[key]
     inside, below = _member_mask(G.order, stab.elements), _member_mask(G.order, final)
     moves = [G._conj_move(g) for g in stab.generators]
     out = []
@@ -128,6 +132,7 @@ def _extensions(G: Group, stab: SubgroupHandle, final: frozenset, p: int) -> lis
             t = G.handle(elements=cand[i].tolist())
             n_in_stab = G.normalizer(t).elements & stab.elements
             out.append((t.elements, G.handle(elements=n_in_stab)))
+    G._cache[key] = out
     return out
 
 
@@ -140,19 +145,13 @@ def enumerate_chain_orbits(G: Group, Z: SubgroupHandle, p: int) -> tuple[ChainOr
     _check_start(G, Z, p)
 
     nodes = []  # (terms, stabilizer handle, parent node index)
-    # (stabilizer, final term) -> _extensions; kept for this call only, as a
-    # memo on G would hold every state for the group's lifetime
-    extensions = {}
 
     def visit(terms: tuple, stab: SubgroupHandle, parent: int | None):
         my_index = len(nodes)
         nodes.append((terms, stab, parent))
         if len(nodes) > G.limits.max_chain_orbits:
             raise _orbit_ceiling(G, len(nodes))
-        state = (stab.elements, terms[-1].elements)
-        if state not in extensions:
-            extensions[state] = _extensions(G, stab, terms[-1].elements, p)
-        for t, n_in_stab in extensions[state]:
+        for t, n_in_stab in _extensions(G, stab, terms[-1].elements, p):
             visit(terms + (G.handle(elements=t),), n_in_stab, my_index)
 
     visit((Z,), G.full_subgroup(), None)

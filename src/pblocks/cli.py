@@ -204,6 +204,11 @@ def _execute(args):
         return bundle, 0
 
     p = _need_prime(args)
+    max_defect = command == "verify-ctc" and args.mode != "blockfree" and (
+        args.max_defect or args.defect is None)
+    if max_defect and args.start.strip().lower() != "op":
+        raise InputError("--start is not used by verify-ctc at maximal defect, which "
+                         "starts at O_p(G); only --defect D or --mode blockfree uses it")
     bundle["p"] = p
     bundle["environment"] = environment_document(G, p)
 
@@ -228,16 +233,14 @@ def _execute(args):
     table = character_table(G)
 
     if command == "verify-ctc":
-        Z = _start_handle(args, G, p)
         if args.mode == "blockfree":
-            U = _start_handle(args, G, p, blockfree=True)
-            reports.append(verify_blockfree(G, p, U))
-        elif args.max_defect or args.defect is None:
-            reports.extend(verify_max_defect(G, p, A=A))
+            reports.append(verify_blockfree(G, p, _start_handle(args, G, p, blockfree=True)))
+        elif max_defect:
+            reports.extend(verify_max_defect(G, p, A=A, blocks=_selected_blocks(args, table, p)))
         else:
-            for B in _selected_blocks(args, table, p):
-                reports.append(
-                    verify_pair_count(G, B, Z, args.defect, A=A, mode=args.mode))
+            Z = _start_handle(args, G, p)
+            reports.extend(verify_pair_count(G, B, Z, args.defect, A=A, mode=args.mode)
+                           for B in _selected_blocks(args, table, p))
     elif command == "verify-am":
         for B in _selected_blocks(args, table, p):
             reports.append(verify_am_count(G, B))

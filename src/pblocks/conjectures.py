@@ -197,8 +197,10 @@ def verify_am_count(G: Group, B: Block) -> CheckReport:
                        "pass" if left == right else "fail", witness=witness)
 
 
-def verify_max_defect(G: Group, p: int, A: Group | None = None) -> list[CheckReport]:
-    """Run the pair count at d = d(B) for every p-block, start O_p(G).
+def verify_max_defect(G: Group, p: int, A: Group | None = None,
+                      blocks=None) -> list[CheckReport]:
+    """Run the pair count at d = d(B) for every p-block, or for each of
+    ``blocks``, start O_p(G).
 
     Strict hypotheses where they hold; otherwise the general normal-start
     form, which applies when d(B) exceeds log_p |O_p(G)|.  Blocks with
@@ -209,7 +211,7 @@ def verify_max_defect(G: Group, p: int, A: Group | None = None) -> list[CheckRep
     central_core = core.elements <= G.center().elements
     m = _nu(core.order, p)
     out = []
-    for B in p_blocks(table, p):
+    for B in p_blocks(table, p) if blocks is None else blocks:
         if is_central_defect(B):
             out.append(CheckReport(
                 "max-defect", {"group": group_document(G), "p": p, "block": B.index},
@@ -647,10 +649,11 @@ def block_stabilizer(A: Group, G: Group, B: Block) -> tuple[SubgroupHandle, list
     G fixes every block, so A_B is G closed under the Schreier generators of
     the orbit of B under A, and |A_B| |orbit| = |A| certifies it.
     """
-    if A.degree != G.degree or not all(A.contains(g) for g in G.generators):
-        raise InputError("G must be contained in the ambient group")
     arr = A._array()
-    N = A.handle(elements=arr.index(G._array().rows).tolist())
+    found, hit = arr.lookup(G._array().rows) if A.degree == G.degree else (None, [False])
+    if not np.all(hit):
+        raise InputError("G must be contained in the ambient group")
+    N = A.handle(elements=found.tolist())
     if not A.is_normal(N):
         raise InputError("G must be normal in the ambient group")
     actions = [(arr.perm(a), _row_action(B.table, G._conj_move(a))) for a in A.generators]

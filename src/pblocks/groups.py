@@ -1,28 +1,29 @@
 """Exact permutation group arithmetic.
 
-A :class:`Group` is defined by generators on a fixed degree and carries a
-deterministic stabilizer-chain certificate (Schreier-Sims with base points in
-ascending point order).  The group order is the product of the transversal
-sizes of the chain; membership is tested by sifting.
+A :class:`Group` is its sorted elements, held as the rows of one small-int
+array, :class:`_ElementArray`, and certified by their count, by their
+distinctness and by their closure under each generator.  An input group,
+defined by generators on a fixed degree, is built once: a deterministic
+Schreier-Sims run (base points in ascending point order) gives its order as
+the product of the transversal sizes, and its elements as the products of
+the transversals.  The stabilizer chain is not kept.  A subgroup group is
+cut from its parent's certified rows, and membership is one row lookup.
 
-The elements are the products of the chain's transversals, sorted and held
-as the rows of one small-int array, :class:`_ElementArray`.  They are
-certified by their count, by their distinctness and by their closure under
-each generator.  Everything else runs on the element indices 0..|G|-1:
-conjugacy classes, centralizers, normalizers and transporters, Sylow
-subgroups, the p-subgroup lattice and the class-multiplication tensor in
-:mod:`pblocks.chartable`.  A :class:`SubgroupHandle` is the frozenset of its
-element indices, spanned by one coset-by-coset closure over index arrays.
-Tuples are only what comes in (the generators, and the stabilizer chain
-built from them) and what goes out (generating sets, class
-representatives, :meth:`Group.elements`).
+Everything else runs on the element indices 0..|G|-1: conjugacy classes,
+centralizers, normalizers and transporters, Sylow subgroups, the p-subgroup
+lattice and the class-multiplication tensor in :mod:`pblocks.chartable`.  A
+:class:`SubgroupHandle` is the frozenset of its element indices, spanned by
+one coset-by-coset closure over index arrays.  Tuples are only what comes in
+(the generators, and the stabilizer chain built from them) and what goes
+out (generating sets, class representatives, :meth:`Group.elements`).
 
-Groups are desk scale: the chain is cheap, but most derived data enumerates
-all elements, so orders are capped by :class:`~pblocks.config.Limits`.
+Groups are desk scale: the chain is cheap, but every group holds all its
+elements, so orders are capped by :class:`~pblocks.config.Limits`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import groupby
 from math import gcd, prod
@@ -79,13 +80,8 @@ class ConjClass:
         return f"ConjClass({format_cycles(self.rep)}, size={self.size})"
 
 
-class _ChainLevel:
-    __slots__ = ("point", "gens", "transversal")
-
-    def __init__(self, point, gens, transversal):
-        self.point = point
-        self.gens = gens
-        self.transversal = transversal
+# one level of a stabilizer chain: base point, generators, {image: coset rep}
+_ChainLevel = namedtuple("_ChainLevel", "point gens transversal")
 
 
 class _ElementArray:
@@ -201,28 +197,46 @@ def _build_chain(degree: int, gens: list) -> list[_ChainLevel]:
 
 
 class Group:
-    """Permutation group with a stabilizer-chain certificate.
+    """Permutation group certified by its element array (:meth:`_adopt`).
 
-    Instances are immutable after construction; derived data (elements,
-    classes, Sylow subgroups, ...) is computed on demand and cached.
+    Instances are immutable after construction; derived data (classes,
+    Sylow subgroups, ...) is computed on demand and cached.
     """
 
     def __init__(self, degree: int, generators, limits: Limits = DEFAULT_LIMITS):
         if degree < 1:
             raise InputError("degree must be positive")
         gens = [validate_perm(g, degree) for g in generators]
-        self.degree = degree
-        self.generators = tuple(dict.fromkeys(g for g in gens if g != identity(degree)))
-        self.limits = limits
-        self._levels = _build_chain(degree, list(self.generators))
-        self.order = prod(len(lvl.transversal) for lvl in self._levels)
-        if self.order > limits.max_order:
+        gens = tuple(dict.fromkeys(g for g in gens if g != identity(degree)))
+        levels = _build_chain(degree, list(gens))
+        order = prod(len(lvl.transversal) for lvl in levels)
+        if order > limits.max_order:
             raise ResourceError(
-                f"group order {self.order} exceeds the ceiling max_order = "
+                f"group order {order} exceeds the ceiling max_order = "
                 f"{limits.max_order} (--max-order)")
-        for g in self.generators:
-            if not self.contains(g):
-                raise InternalError("generator fails membership against its own chain")
+        # every element is one product u_k ... u_1 of a coset representative
+        # u_i from each chain level
+        dtype = np.uint8 if degree <= 256 else np.uint16
+        rows = np.arange(degree, dtype=dtype)[None, :]
+        for lvl in reversed(levels):
+            trans = np.array(list(lvl.transversal.values()), dtype=dtype)
+            rows = trans[:, rows].reshape(-1, degree)  # row h*u for each h, u
+        self._adopt(degree, gens, limits, order, rows)
+
+    def _adopt(self, degree: int, generators: tuple, limits: Limits, order: int,
+               rows: np.ndarray) -> None:
+        """Make this the group of ``order`` elements given by candidate
+        ``rows``, once they are certified: there are ``order`` distinct rows,
+        and right multiplication by each generator maps them into themselves,
+        which ``index`` checks."""
+        first = np.unique(_lex_keys(rows), return_index=True)[1]
+        if len(first) != order:
+            raise InternalError("element rows disagree with the group order")
+        arr = _ElementArray(rows[first])
+        for g in generators:
+            arr.index(arr.perm(g)[arr.rows])
+        self.degree, self.generators, self.limits, self.order = degree, generators, limits, order
+        self._elements = arr
         self._cache: dict = {}
 
     # -- basic structure ---------------------------------------------------
@@ -235,12 +249,10 @@ class Group:
         return identity(self.degree)
 
     def contains(self, p: Perm) -> bool:
-        if len(p) != self.degree:
+        if len(p) != self.degree or not all(0 <= x < self.degree for x in p):
             return False
-        return _sift(p, self._levels) == self.identity
-
-    def base(self) -> list[int]:
-        return [lvl.point for lvl in self._levels]
+        arr = self._array()
+        return bool(arr.lookup(arr.perm(p)[None, :])[1][0])
 
     def elements(self) -> tuple:
         """All elements, sorted; cached."""
@@ -249,28 +261,8 @@ class Group:
         return self._cache["elements"]
 
     def _array(self) -> _ElementArray:
-        """The sorted elements as rows; cached.
-
-        Every element is one product u_k ... u_1 of a coset representative
-        u_i from each chain level.  The products are certified: there are
-        as many distinct ones as the chain order, and right multiplication
-        by each generator maps them into themselves, which ``index`` checks.
-        """
-        if "array" not in self._cache:
-            # __init__ checked the order against the ceiling
-            dtype = np.uint8 if self.degree <= 256 else np.uint16
-            rows = np.arange(self.degree, dtype=dtype)[None, :]
-            for lvl in reversed(self._levels):
-                trans = np.array(list(lvl.transversal.values()), dtype=dtype)
-                rows = trans[:, rows].reshape(-1, self.degree)  # row h*u for each h, u
-            first = np.unique(_lex_keys(rows), return_index=True)[1]
-            if len(first) != self.order:
-                raise InternalError("transversal products disagree with the chain order")
-            arr = _ElementArray(rows[first])
-            for g in self.generators:
-                arr.index(arr.perm(g)[arr.rows])
-            self._cache["array"] = arr
-        return self._cache["array"]
+        """The sorted elements as rows."""
+        return self._elements
 
     def _conj_move(self, g: Perm) -> np.ndarray:
         """Conjugation by g as an index map, i -> index(g^-1 x_i g); cached.
@@ -338,13 +330,11 @@ class Group:
             if generators is None:
                 raise InputError("need elements or generators")
             gens = [validate_perm(g, self.degree) for g in generators]
-            for g in gens:
-                if not self.contains(g):
-                    raise InputError("generator lies outside the ambient group")
             arr = self._array()
-            rows = np.array(gens, dtype=arr.rows.dtype).reshape(-1, self.degree)
-            inside, _ = self._extend(_member_mask(self.order, [0]), [],
-                                     arr.index(rows).tolist())
+            found, hit = arr.lookup(arr.perm(gens).reshape(-1, self.degree))
+            if not hit.all():
+                raise InputError("generator lies outside the ambient group")
+            inside, _ = self._extend(_member_mask(self.order, [0]), [], found.tolist())
             elements = np.flatnonzero(inside).tolist()
         elements = frozenset(elements)
         key = ("handle", elements)
@@ -522,8 +512,9 @@ class Group:
     def subgroup_group(self, handle: "SubgroupHandle") -> "Group":
         """The subgroup as a Group in its own right (same degree); cached.
 
-        Its element index i is the i-th smallest element index of the
-        handle, so :meth:`SubgroupHandle.lift` maps its handles back by a
+        Its rows are cut from this group's rows at the handle's element
+        indices, so its element index i is the i-th smallest index of the
+        handle, and :meth:`SubgroupHandle.lift` maps its handles back by a
         gather.  The whole group is its own subgroup group, so its table,
         classes and p-subgroup lattice are built once, whatever subgroup
         role it plays.
@@ -532,11 +523,9 @@ class Group:
             return self
         key = ("sub_group", handle.elements)
         if key not in self._cache:
-            g = Group(self.degree, handle.generators, limits=self.limits)
-            if g.order != handle.order:
-                raise InternalError("subgroup group has wrong order")
-            # the handle checked that its generators span exactly its elements
-            g._cache["array"] = _ElementArray(self._array().rows[sorted(handle.elements)])
+            g = Group.__new__(Group)
+            g._adopt(self.degree, handle.generators, self.limits, handle.order,
+                     self._array().rows[sorted(handle.elements)])
             self._cache[key] = g
         return self._cache[key]
 

@@ -45,57 +45,51 @@ __all__ = [
 ]
 
 
-def cyclic(n: int, limits: Limits = DEFAULT_LIMITS) -> Group:
+def cyclic(n: int) -> tuple:
     if n < 1:
         raise InputError("cyclic group order must be positive")
-    if n == 1:
-        return Group(1, [], limits=limits)
-    return Group(n, [tuple(range(1, n)) + (0,)], limits=limits)
+    return n, [tuple(range(1, n)) + (0,)]  # the identity when n = 1
 
 
-def dihedral(n: int, limits: Limits = DEFAULT_LIMITS) -> Group:
+def dihedral(n: int) -> tuple:
     """Symmetries of the regular n-gon: order 2n on n points."""
     if n < 3:
         raise InputError("dihedral group needs n >= 3 vertices")
     rot = tuple(range(1, n)) + (0,)
     ref = tuple((n - i) % n for i in range(n))
-    return Group(n, [rot, ref], limits=limits)
+    return n, [rot, ref]
 
 
-def symmetric(n: int, limits: Limits = DEFAULT_LIMITS) -> Group:
+def symmetric(n: int) -> tuple:
     if n < 1 or n > 7:
         raise InputError("symmetric groups are provided for degree 1..7")
     if n == 1:
-        return Group(1, [], limits=limits)
-    gens = [(1, 0) + tuple(range(2, n))]
-    if n > 2:
-        gens.append(tuple(range(1, n)) + (0,))
-    return Group(n, gens, limits=limits)
+        return 1, []
+    # a transposition and an n-cycle; Group keeps one of them when n = 2
+    return n, [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
 
 
-def alternating(n: int, limits: Limits = DEFAULT_LIMITS) -> Group:
+def alternating(n: int) -> tuple:
     if n < 1 or n > 7:
         raise InputError("alternating groups are provided for degree 1..7")
     if n <= 2:
-        return Group(max(n, 1), [], limits=limits)
+        return n, []
     three = (1, 2, 0) + tuple(range(3, n))
-    if n == 3:
-        return Group(3, [three], limits=limits)
-    if n % 2 == 1:
+    if n % 2 == 1:  # the n-cycle, which is ``three`` when n = 3
         big = tuple(range(1, n)) + (0,)
     else:
         big = (0,) + tuple(range(2, n)) + (1,)
-    return Group(n, [three, big], limits=limits)
+    return n, [three, big]
 
 
-def quaternion(limits: Limits = DEFAULT_LIMITS) -> Group:
+def quaternion() -> tuple:
     """Q8 in its regular action; points are 1,-1,i,-i,j,-j,k,-k."""
     gen_i = (2, 3, 1, 0, 6, 7, 5, 4)
     gen_j = (4, 5, 7, 6, 1, 0, 2, 3)
-    return Group(8, [gen_i, gen_j], limits=limits)
+    return 8, [gen_i, gen_j]
 
 
-def sl23(limits: Limits = DEFAULT_LIMITS) -> Group:
+def sl23() -> tuple:
     """SL(2,3) on the 8 nonzero vectors of F_3^2."""
     vecs = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
     index = {v: i for i, v in enumerate(vecs)}
@@ -108,15 +102,11 @@ def sl23(limits: Limits = DEFAULT_LIMITS) -> Group:
 
     s = act(((0, 2), (1, 0)))
     t = act(((1, 1), (0, 1)))
-    return Group(8, [s, t], limits=limits)
+    return 8, [s, t]
 
 
-def semidirect_cyclic(m: int, n: int, k: int, limits: Limits = DEFAULT_LIMITS) -> Group:
-    """C_m : C_n where the C_n generator acts on C_m by x -> k*x.
-
-    Acts faithfully on m + n points: the natural m-cycle plus an n-cycle on
-    fresh points that carries the multiplication action.
-    """
+def _semidirect(m: int, n: int, k: int) -> tuple:
+    """(degree, generators) of :func:`semidirect_cyclic`."""
     if m < 2 or n < 2:
         raise InputError("semidirect factors must have order >= 2")
     if pow(k, n, m) != 1 or gcd(k, m) != 1:
@@ -125,35 +115,50 @@ def semidirect_cyclic(m: int, n: int, k: int, limits: Limits = DEFAULT_LIMITS) -
     a = tuple((i + 1) % m for i in range(m)) + tuple(range(m, degree))
     b_head = tuple((k * i) % m for i in range(m))
     b_tail = tuple(m + ((i - m + 1) % n) for i in range(m, degree))
-    g = Group(degree, [a, b_head + b_tail], limits=limits)
+    return degree, [a, b_head + b_tail]
+
+
+def semidirect_cyclic(m: int, n: int, k: int, limits: Limits = DEFAULT_LIMITS) -> Group:
+    """C_m : C_n where the C_n generator acts on C_m by x -> k*x.
+
+    Acts faithfully on m + n points: the natural m-cycle plus an n-cycle on
+    fresh points that carries the multiplication action.
+    """
+    g = Group(*_semidirect(m, n, k), limits=limits)
     if g.order != m * n:
         raise InputError("semidirect construction did not close at order m*n")
     return g
 
 
-def frobenius20(limits: Limits = DEFAULT_LIMITS) -> Group:
-    return Group(5, [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)], limits=limits)
+def frobenius20() -> tuple:
+    return 5, [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)]
 
 
-def frobenius21(limits: Limits = DEFAULT_LIMITS) -> Group:
+def frobenius21() -> tuple:
     mul2 = tuple((2 * i) % 7 for i in range(7))
-    return Group(7, [tuple(range(1, 7)) + (0,), mul2], limits=limits)
+    return 7, [tuple(range(1, 7)) + (0,), mul2]
+
+
+def _product(factors) -> tuple:
+    """(degree, generators) of the direct product of factors given as
+    (degree, generators), acting on the disjoint union of their points."""
+    degree = sum(d for d, _ in factors)
+    gens = []
+    offset = 0
+    for d, factor_gens in factors:
+        before = tuple(range(offset))
+        after = tuple(range(offset + d, degree))
+        for p in factor_gens:
+            gens.append(before + tuple(x + offset for x in p) + after)
+        offset += d
+    return degree, gens
 
 
 def direct_product(*groups: Group, limits: Limits = DEFAULT_LIMITS) -> Group:
     """Direct product acting on the disjoint union of the factors' points."""
     if not groups:
         raise InputError("direct product needs at least one factor")
-    degree = sum(g.degree for g in groups)
-    gens = []
-    offset = 0
-    for g in groups:
-        before = tuple(range(offset))
-        after = tuple(range(offset + g.degree, degree))
-        for p in g.generators:
-            gens.append(before + tuple(x + offset for x in p) + after)
-        offset += g.degree
-    return Group(degree, gens, limits=limits)
+    return Group(*_product([(g.degree, g.generators) for g in groups]), limits=limits)
 
 
 _ATOM_RE = re.compile(r"^(C|D|S|A)(\d+)$", re.IGNORECASE)
@@ -163,25 +168,26 @@ _FIXED = {
     "SL23": sl23,
     "F20": frobenius20,
     "F21": frobenius21,
-    "DIC3": lambda limits=DEFAULT_LIMITS: semidirect_cyclic(3, 4, 2, limits=limits),
+    "DIC3": lambda: _semidirect(3, 4, 2),
 }
 
 
-def _atom(name: str, limits: Limits) -> Group:
+def _atom(name: str) -> tuple:
+    """(degree, generators) of a catalogue name without ``x``."""
     upper = name.upper()
     if upper in _FIXED:
-        return _FIXED[upper](limits=limits)
+        return _FIXED[upper]()
     m = _ATOM_RE.match(name)
     if not m:
         raise InputError(f"unknown library group {name!r}")
     kind, n = m.group(1).upper(), int(m.group(2))
     if kind == "C":
-        return cyclic(n, limits=limits)
+        return cyclic(n)
     if kind == "D":
-        return dihedral(n, limits=limits)
+        return dihedral(n)
     if kind == "S":
-        return symmetric(n, limits=limits)
-    return alternating(n, limits=limits)
+        return symmetric(n)
+    return alternating(n)
 
 
 def library_group(name: str, limits: Limits = DEFAULT_LIMITS) -> Group:
@@ -189,10 +195,7 @@ def library_group(name: str, limits: Limits = DEFAULT_LIMITS) -> Group:
     parts = [p for p in re.split(r"x", name.strip()) if p]
     if not parts:
         raise InputError(f"unknown library group {name!r}")
-    factors = [_atom(p.strip(), limits) for p in parts]
-    if len(factors) == 1:
-        return factors[0]
-    return direct_product(*factors, limits=limits)
+    return Group(*_product([_atom(p.strip()) for p in parts]), limits=limits)
 
 
 def acceptance_corpus() -> list[str]:

@@ -344,6 +344,24 @@ def test_chain_orbit_cache(grp):
     assert a is b
 
 
+@pytest.mark.parametrize("name", ["A5", "S3xS3", "A5xC2"])
+def test_enumeration_reuses_the_counting_extensions(monkeypatch, name):
+    # one extension memo per (G, p): listing the chains after counting them,
+    # as defect-scan does for a flagged defect, fuses no class again
+    from pblocks import chains
+
+    G = library_group(name)
+    U = G.trivial_subgroup()
+    fused = []
+    labels = chains._orbit_labels
+    monkeypatch.setattr(chains, "_orbit_labels", lambda *a: fused.append(1) or labels(*a))
+    counts, orbits = signed_pair_counts(G, U, 2)
+    assert fused
+    before = len(fused)
+    assert len(enumerate_chain_orbits(G, U, 2)) == orbits
+    assert len(fused) == before
+
+
 def _primes(n):
     return [q for q in range(2, n + 1)
             if n % q == 0 and all(q % r for r in range(2, q))]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pblocks import chartable
+from pblocks import chartable, groups
 from pblocks.cli import run
 
 
@@ -299,6 +299,63 @@ def test_each_element_set_is_tabled_once(monkeypatch, capsys, argv):
     assert run(argv) == 0
     capsys.readouterr()
     assert tabled and len(tabled) == len(set(tabled))
+
+
+@pytest.mark.parametrize("argv,runs", [
+    (["verify-am", "--lib", "S5xS4", "--prime", "5", "--all-blocks"], 1),
+    (["pi-pairing", "--lib", "C2xD4", "--prime", "2", "--all-blocks"], 1),
+    (["verify-ctc", "--lib", "S4", "--prime", "2", "--max-defect"], 1),
+    (["verify-ctc", "--group", "a4.grp", "--prime", "2", "--ambient", "s4.grp"], 2),
+])
+def test_one_schreier_sims_run_per_input_group(tmp_path, monkeypatch, capsys, argv, runs):
+    # library products, chain stabilisers, N_G(D) and centralisers are not
+    # rebuilt: only the input groups (G, and A with --ambient) run Schreier-Sims
+    files = {"a4.grp": "degree: 4\ngenerators: (0 1 2); (1 2 3)\n",
+             "s4.grp": "degree: 4\ngenerators: (0 1); (0 1 2 3)\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    calls = []
+    build = groups._build_chain
+
+    def counting(degree, gens):
+        calls.append(degree)
+        return build(degree, gens)
+
+    monkeypatch.setattr(groups, "_build_chain", counting)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == runs
+
+
+def results_by_block(capsys, argv):
+    code, out = capture(capsys, argv)
+    assert code == 0
+    return [(r["inputs"]["block"], r["verdict"]) for r in json.loads(out)["results"]]
+
+
+def test_max_defect_honours_the_block_selection(capsys):
+    base = ["verify-ctc", "--lib", "S4", "--prime", "3"]
+    every = results_by_block(capsys, base)
+    assert [b for b, _ in every] == [0, 1, 2]
+    assert results_by_block(capsys, base + ["--max-defect"]) == every
+    assert results_by_block(capsys, base + ["--all-blocks"]) == every
+    for i in range(3):
+        assert results_by_block(capsys, base + ["--block", str(i)]) == [every[i]]
+        assert results_by_block(capsys, base + ["--block", str(i), "--max-defect"]) \
+            == [every[i]]
+    assert run(base + ["--block", "3"]) == 2
+    assert capsys.readouterr().err == "error: block index 3 out of range\n"
+
+
+@pytest.mark.parametrize("start", ["trivial", "(0 1 2)"])
+@pytest.mark.parametrize("defect", [[], ["--max-defect"]])
+def test_max_defect_refuses_start_before_any_table(capsys, monkeypatch, start, defect):
+    monkeypatch.setattr(chartable, "_dixon_table", lambda G: pytest.fail("table built"))
+    assert run(["verify-ctc", "--lib", "S4", "--prime", "3", *defect, "--start", start]) == 2
+    assert capsys.readouterr().err == (
+        "error: --start is not used by verify-ctc at maximal defect, which starts "
+        "at O_p(G); only --defect D or --mode blockfree uses it\n")
 
 
 @pytest.mark.parametrize("command", ["verify-blockfree", "defect-scan"])

@@ -5,15 +5,19 @@ for classes and normalizers, and level-by-level extension over the whole
 group for p-subgroups.  They never touch the stabilizer chain.
 """
 
+from math import prod
+
+import numpy as np
 import pytest
 from sympy import primefactors
 
-from kernel_oracles import closure, conj, generating_subset, index_set, perm_set
+from kernel_oracles import closure, conj, generating_subset, index_set, perm_set, relabelled
+from pblocks.cli import run
 from pblocks.config import Limits
 from pblocks.errors import InputError, InternalError, ResourceError
-from pblocks.groups import Group
-from pblocks.library import acceptance_corpus, library_group, parse_group_file
-from pblocks.perms import identity, parse_cycles, perm_order, pmul
+from pblocks.groups import Group, _build_chain
+from pblocks.library import acceptance_corpus, direct_product, library_group, parse_group_file
+from pblocks.perms import format_cycles, identity, parse_cycles, perm_order, pmul
 
 
 def brute_order(degree, gens):
@@ -61,17 +65,22 @@ def test_order_ceiling():
 def test_chain_certificate(grp):
     for name in ["A5", "S4", "Q8", "SL23", "D6", "C12"]:
         G = grp(name)
-        sizes = [len(lvl.transversal) for lvl in G._levels]
-        prod = 1
-        for s in sizes:
-            prod *= s
-        assert prod == G.order
+        levels = _build_chain(G.degree, list(G.generators))
+        assert prod(len(lvl.transversal) for lvl in levels) == G.order
         for g in G.generators:
             assert G.contains(g)
-        assert G.base() == sorted(G.base())
+        base = [lvl.point for lvl in levels]
+        assert base == sorted(base)
         # non-members are rejected
         odd = parse_cycles("(0 1)", G.degree)
         assert G.contains(odd) == (odd in G.elements())
+
+
+def test_contains_refuses_non_permutations(grp):
+    G = grp("S3")
+    for p in [(0, 0, 1), (0, 1, 5), (0, 1, 300), (0, 1, -1), (0, 1), (0, 1, 2, 3)]:
+        assert not G.contains(p)
+    assert all(G.contains(g) for g in G.elements())
 
 
 def brute_classes(G):
@@ -252,6 +261,14 @@ def test_library_names(grp):
         library_group("S9")
 
 
+def test_library_product_keeps_the_factor_generators(grp):
+    # a product name builds one group, with the generators, in order, of the
+    # product of its factors built one by one
+    for name in ["C2xA4", "C3xS3", "C2xD4", "C1xS3xC2", "Dic3xQ8", "F20xSL23"]:
+        factors = [library_group(part) for part in name.split("x")]
+        assert grp(name).generators == direct_product(*factors).generators
+
+
 def test_dic3_is_dicyclic(grp):
     G = grp("Dic3")
     # nonabelian of order 12 with cyclic Sylow 2-subgroup
@@ -296,3 +313,53 @@ def test_full_subgroup_is_the_group(grp):
     assert G.normalizer(G.trivial_subgroup()).as_group() is G
     assert G.handle(elements=G.centralizer_set(G.identity)).as_group() is G
     assert G.sylow(2).as_group() is not G
+
+
+def test_cut_rows_are_certified(grp):
+    # a subgroup group is the parent's rows at the handle's elements; the
+    # certificate refuses a missing row and a generator outside the subgroup
+    G = grp("S4")
+    H = G.sylow(2)
+    rows = G._array().rows[sorted(H.elements)]
+    outside = next(g for g in G.elements() if not H.as_group().contains(g))
+    for gens, cut, message in [
+        (H.generators, rows[:-1], "element rows disagree with the group order"),
+        ((outside,) + H.generators[1:], rows, "permutation row is not an element"),
+    ]:
+        with pytest.raises(InternalError, match=message):
+            Group.__new__(Group)._adopt(G.degree, gens, G.limits, H.order, cut)
+
+
+def group_file(tmp_path, G, name: str) -> str:
+    path = tmp_path / f"{name}.grp"
+    gens = "; ".join(format_cycles(g) for g in G.generators)
+    path.write_text(f"degree: {G.degree}\ngenerators: {gens}\n")
+    return str(path)
+
+
+def test_subgroup_groups_match_schreier_sims(tmp_path, monkeypatch, capsys):
+    # every subgroup group that the corpus runs cut from their parents, plain
+    # and relabelled, is the group that Schreier-Sims builds from its generators
+    made = {}
+    cut = Group.subgroup_group
+
+    def recording(self, handle):
+        H = cut(self, handle)
+        if H is not self:
+            made[id(H)] = H
+        return H
+
+    monkeypatch.setattr(Group, "subgroup_group", recording)
+    for name in acceptance_corpus():
+        G = library_group(name)
+        for source in (["--lib", name], ["--group", group_file(tmp_path, relabelled(G, 7), name)]):
+            for p in primefactors(G.order):
+                for command in (["verify-am", "--all-blocks"], ["pi-pairing"],
+                                ["verify-blockfree"]):
+                    assert run([*command, *source, "--prime", str(p)]) == 0
+    capsys.readouterr()
+    assert len(made) > 250
+    for H in made.values():
+        K = Group(H.degree, H.generators)
+        assert K.order == H.order
+        assert np.array_equal(K._array().rows, H._array().rows)
