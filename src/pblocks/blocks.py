@@ -20,7 +20,7 @@ from .blockfield import block_field
 from .chartable import CharTable, character_table, defects
 from .cyclotomic import _nu
 from .errors import InputError, InternalError
-from .groups import Group, SubgroupHandle
+from .groups import Group, SubgroupHandle, _cached
 from .perms import perm_order
 
 __all__ = [
@@ -69,6 +69,7 @@ class Block:
         return self.table.group
 
 
+@_cached
 def omega_int_vectors(table: CharTable) -> np.ndarray:
     """omega values of every row as integer coefficient vectors [r, r, phi];
     cached on the table.
@@ -76,21 +77,17 @@ def omega_int_vectors(table: CharTable) -> np.ndarray:
     Central character values are algebraic integers; if the division by the
     degree is not exact the table is corrupt.
     """
-    if "omega" not in table._cache:
-        sizes = np.array([c.size for c in table.classes], dtype=np.int64)
-        degs = np.array(table.degrees, dtype=np.int64)[:, None, None]
-        scaled = table.values * sizes[:, None]
-        if np.any(scaled % degs):
-            raise InternalError("central character is not an algebraic integer")
-        table._cache["omega"] = scaled // degs
-    return table._cache["omega"]
+    sizes = np.array([c.size for c in table.classes], dtype=np.int64)
+    degs = np.array(table.degrees, dtype=np.int64)[:, None, None]
+    scaled = table.values * sizes[:, None]
+    if np.any(scaled % degs):
+        raise InternalError("central character is not an algebraic integer")
+    return scaled // degs
 
 
+@_cached
 def p_blocks(table: CharTable, p: int) -> tuple[Block, ...]:
     """The p-block partition, principal block first; cached on the table."""
-    key = ("blocks", p)
-    if key in table._cache:
-        return table._cache[key]
     lams = block_field(p, table.conductor).reduce_int_vector(
         omega_int_vectors(table), table.conductor)
     if (lams[:, 0, 0] != 1).any() or lams[:, 0, 1:].any():
@@ -123,8 +120,7 @@ def p_blocks(table: CharTable, p: int) -> tuple[Block, ...]:
         raise InternalError("block partition does not cover the table")
     if sum(1 for b in blocks if b.is_principal) != 1:
         raise InternalError("principal block is not unique")
-    table._cache[key] = tuple(blocks)
-    return table._cache[key]
+    return tuple(blocks)
 
 
 def _defect_group(table: CharTable, p: int, members, lam: np.ndarray,

@@ -25,7 +25,7 @@ from .blocks import Block, block_of, brauer_induce, p_blocks
 from .chartable import CharTable, _check_prime, character_table, defects
 from .cyclotomic import _nu
 from .errors import InputError, InternalError, ResourceError
-from .groups import Group, SubgroupHandle, _lex_keys, _member_mask, _orbit_labels
+from .groups import Group, SubgroupHandle, _cached, _lex_keys, _member_mask, _orbit_labels
 
 __all__ = [
     "PChain",
@@ -95,6 +95,7 @@ def _orbit_ceiling(G: Group, reached: int) -> ResourceError:
     )
 
 
+@_cached
 def _extensions(G: Group, stab: SubgroupHandle, final: frozenset, p: int) -> list:
     """(t, N_H(t)) for the representative t of each H-class of p-subgroups
     of H = ``stab`` above ``final``, by order and then sorted elements.
@@ -107,9 +108,6 @@ def _extensions(G: Group, stab: SubgroupHandle, final: frozenset, p: int) -> lis
     ``final`` and each H-class lies above it wholly or not at all.  The
     result is cached on G.
     """
-    key = ("extensions", p, stab.elements, final)
-    if key in G._cache:
-        return G._cache[key]
     inside, below = _member_mask(G.order, stab.elements), _member_mask(G.order, final)
     moves = [G._conj_move(g) for g in stab.generators]
     out = []
@@ -132,7 +130,6 @@ def _extensions(G: Group, stab: SubgroupHandle, final: frozenset, p: int) -> lis
             t = G.handle(elements=cand[i].tolist())
             n_in_stab = G.normalizer(t).elements & stab.elements
             out.append((t.elements, G.handle(elements=n_in_stab)))
-    G._cache[key] = out
     return out
 
 
@@ -223,7 +220,7 @@ def signed_pair_counts(G: Group, U: SubgroupHandle, p: int) -> tuple[tuple, int]
     _check_start(G, U, p)
     d = _nu(G.order, p)
     limit = G.limits.max_chain_orbits
-    memo = G._cache.setdefault(("signed_counts", p), {})
+    memo = {}
 
     def count(stab: SubgroupHandle, final: frozenset) -> tuple:
         """(same-sign histogram, opposite-sign histogram, orbits) below a chain."""
@@ -298,25 +295,21 @@ class PairSet:
         return character_table(self.orbits[chain_index].stabilizer.as_group())
 
 
+@_cached
 def chain_orbits_cached(G: Group, Z: SubgroupHandle, p: int) -> tuple[ChainOrbit, ...]:
-    key = ("chains", Z.elements, p)
-    if key not in G._cache:
-        G._cache[key] = enumerate_chain_orbits(G, Z, p)
-    return G._cache[key]
+    return enumerate_chain_orbits(G, Z, p)
 
 
+@_cached
 def _stabilizer_rows(G: Group, stab: SubgroupHandle, p: int) -> tuple:
     """(char index, defect, induced block of G or None) for each character
     of the stabilizer, in index order; cached on G."""
-    key = ("stab_rows", stab.elements, p)
-    if key not in G._cache:
-        table = character_table(stab.as_group())
-        induced = {b.index: brauer_induce(b, G) for b in p_blocks(table, p)}
-        G._cache[key] = tuple(
-            (i, defect, induced[block_of(table, p, i).index])
-            for i, defect in enumerate(defects(table, p))
-        )
-    return G._cache[key]
+    table = character_table(stab.as_group())
+    induced = {b.index: brauer_induce(b, G) for b in p_blocks(table, p)}
+    return tuple(
+        (i, defect, induced[block_of(table, p, i).index])
+        for i, defect in enumerate(defects(table, p))
+    )
 
 
 def pair_set(G: Group, block, Z: SubgroupHandle, d: int, p: int | None = None) -> PairSet:

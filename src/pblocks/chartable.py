@@ -18,6 +18,7 @@ partial sums, r * (ell - 1)^2, would reach 2^63.
 
 Every character's defect at p lives in :func:`defects`, one cached tuple of
 ints per (table, p); the p-adic valuation is :func:`pblocks.cyclotomic._nu`.
+The class-multiplication tensor is computed once per table and not kept.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .cyclotomic import _nu, _power_reductions, _prime_factors, euler_phi
 from .errors import InputError, InternalError, ResourceError
-from .groups import ConjClass, Group
+from .groups import ConjClass, Group, _cached
 from .modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
 
 __all__ = [
@@ -58,7 +59,6 @@ class CharTable:
         self.degrees = degrees
         self.lift_meta = lift_meta  # dict: prime, primitive_root, root_power
         self.r = len(classes)
-        self._cache: dict = {}
 
     def __repr__(self) -> str:
         return f"CharTable(order={self.group.order}, degrees={self.degrees})"
@@ -69,85 +69,77 @@ class CharTable:
         # rep^(e-1) = rep^-1, e the exponent
         return int(self.power_map()[k, self.conductor - 1])
 
+    @_cached
     def power_map(self) -> np.ndarray:
         """power_map[k, t] = class index of rep_k ** t, 0 <= t < conductor.
 
         One gather per power step takes every class representative's power
         to the next one on the element array; one lookup finds them all.
         """
-        if "power_map" not in self._cache:
-            arr = self.group._array()
-            n = self.group.degree
-            reps = np.array([c.rep for c in self.classes], dtype=arr.rows.dtype)
-            powers = np.empty((self.r, self.conductor, n), dtype=reps.dtype)
-            powers[:, 0] = np.arange(n)
-            k = np.arange(self.r)[:, None]
-            for t in range(1, self.conductor):
-                powers[:, t] = reps[k, powers[:, t - 1]]  # rep^(t-1) * rep
-            found = arr.index(powers.reshape(-1, n))
-            self._cache["power_map"] = self.group._class_of()[found].reshape(
-                self.r, self.conductor)
-        return self._cache["power_map"]
+        arr = self.group._array()
+        n = self.group.degree
+        reps = np.array([c.rep for c in self.classes], dtype=arr.rows.dtype)
+        powers = np.empty((self.r, self.conductor, n), dtype=reps.dtype)
+        powers[:, 0] = np.arange(n)
+        k = np.arange(self.r)[:, None]
+        for t in range(1, self.conductor):
+            powers[:, t] = reps[k, powers[:, t - 1]]  # rep^(t-1) * rep
+        found = arr.index(powers.reshape(-1, n))
+        return self.group._class_of()[found].reshape(self.r, self.conductor)
 
+    @_cached
     def trivial_index(self) -> int:
-        if "trivial" not in self._cache:
-            one = _one_vector(self.conductor)
-            for i in range(self.r):
-                if self.degrees[i] == 1 and all(
-                    np.array_equal(self.values[i, k], one) for k in range(self.r)
-                ):
-                    self._cache["trivial"] = i
-                    break
-            else:
-                raise InternalError("table has no trivial character")
-        return self._cache["trivial"]
+        one = _one_vector(self.conductor)
+        for i in range(self.r):
+            if self.degrees[i] == 1 and all(
+                np.array_equal(self.values[i, k], one) for k in range(self.r)
+            ):
+                return i
+        raise InternalError("table has no trivial character")
 
     def row_index_of_values(self, vec: np.ndarray) -> int:
         """Find the row equal to the given [r, phi] value matrix."""
-        if "row_lookup" not in self._cache:
-            self._cache["row_lookup"] = {
-                self.values[i].tobytes(): i for i in range(self.r)
-            }
         key = np.ascontiguousarray(vec.astype(np.int64)).tobytes()
         try:
-            return self._cache["row_lookup"][key]
+            return self._row_lookup()[key]
         except KeyError:
             raise InternalError("value matrix matches no table row") from None
+
+    @_cached
+    def _row_lookup(self) -> dict:
+        """Row index by the bytes of its value matrix."""
+        return {self.values[i].tobytes(): i for i in range(self.r)}
 
     # -- class-multiplication coefficients -------------------------------------
 
     def cmc(self) -> np.ndarray:
         """Tensor a[i, j, k]: K_i K_j = sum_k a[i,j,k] K_k as class sums."""
-        if "cmc" not in self._cache:
-            arr = self.group._array()
-            cls = self.group._class_of()
-            r = self.r
-            a = np.zeros((r, r, r), dtype=np.int32)
-            for k, ck in enumerate(self.classes):
-                # row x of the gather is x^-1 z
-                quotients = arr.index(arr.perm(ck.rep)[arr.inv])
-                a[:, :, k] = np.bincount(cls * r + cls[quotients],
-                                         minlength=r * r).reshape(r, r)
-            self._cache["cmc"] = a
-        return self._cache["cmc"]
+        arr = self.group._array()
+        cls = self.group._class_of()
+        r = self.r
+        a = np.zeros((r, r, r), dtype=np.int32)
+        for k, ck in enumerate(self.classes):
+            # row x of the gather is x^-1 z
+            quotients = arr.index(arr.perm(ck.rep)[arr.inv])
+            a[:, :, k] = np.bincount(cls * r + cls[quotients],
+                                     minlength=r * r).reshape(r, r)
+        return a
 
 
+@_cached
 def character_table(G: Group) -> CharTable:
     """The character table of G, cached on the group."""
-    if "chartable" not in G._cache:
-        G._cache["chartable"] = _dixon_table(G)
-    return G._cache["chartable"]
+    return _dixon_table(G)
 
 
+@_cached
 def defects(table: CharTable, p: int) -> tuple[int, ...]:
     """nu_p(|G|) - nu_p(chi(1)) for every row, in row order; cached on the
-    table.  A p that is not a prime raises on every call."""
+    table.  A p that is not a prime raises on every call, as a call that
+    raises is not cached."""
     _check_prime(p)
-    key = ("defects", p)
-    if key not in table._cache:
-        full = _nu(table.group.order, p)
-        table._cache[key] = tuple(full - _nu(d, p) for d in table.degrees)
-    return table._cache[key]
+    full = _nu(table.group.order, p)
+    return tuple(full - _nu(d, p) for d in table.degrees)
 
 
 @lru_cache

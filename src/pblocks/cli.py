@@ -209,6 +209,12 @@ def _execute(args):
     if max_defect and args.start.strip().lower() != "op":
         raise InputError("--start is not used by verify-ctc at maximal defect, which "
                          "starts at O_p(G); only --defect D or --mode blockfree uses it")
+    if max_defect and args.mode == "permissive":
+        raise InputError("--mode permissive is not used by verify-ctc at maximal defect, which "
+                         "picks strict or permissive per block; only --defect D uses it")
+    if command == "chains" and args.all_blocks:
+        raise InputError("--all-blocks is not used by chains, which reports one block: "
+                         "--block I, or the principal block with --defect D alone")
     bundle["p"] = p
     bundle["environment"] = environment_document(G, p)
 

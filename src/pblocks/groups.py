@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import wraps
 from itertools import groupby
-from math import gcd, prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -40,6 +41,27 @@ __all__ = [
     "SubgroupHandle",
     "ConjClass",
 ]
+
+
+def _cached(fn):
+    """Memoise ``fn(owner, *args)`` in the dict ``owner._cache``, made on
+    first use, under the key ``(fn's name, *args)``.  Positional arguments
+    only; a call that raises stores nothing."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def cached(owner, *args):
+        key = (name, *args)
+        try:
+            return owner._cache[key]
+        except AttributeError:
+            owner._cache = {}
+        except KeyError:
+            pass
+        value = owner._cache[key] = fn(owner, *args)
+        return value
+
+    return cached
 
 
 def _lex_keys(rows: np.ndarray) -> np.ndarray:
@@ -200,7 +222,7 @@ class Group:
     """Permutation group certified by its element array (:meth:`_adopt`).
 
     Instances are immutable after construction; derived data (classes,
-    Sylow subgroups, ...) is computed on demand and cached.
+    Sylow subgroups, ...) is computed on demand and kept by :func:`_cached`.
     """
 
     def __init__(self, degree: int, generators, limits: Limits = DEFAULT_LIMITS):
@@ -254,24 +276,21 @@ class Group:
         arr = self._array()
         return bool(arr.lookup(arr.perm(p)[None, :])[1][0])
 
+    @_cached
     def elements(self) -> tuple:
-        """All elements, sorted; cached."""
-        if "elements" not in self._cache:
-            self._cache["elements"] = tuple(map(tuple, self._array().rows.tolist()))
-        return self._cache["elements"]
+        """All elements, sorted."""
+        return tuple(map(tuple, self._array().rows.tolist()))
 
     def _array(self) -> _ElementArray:
         """The sorted elements as rows."""
         return self._elements
 
+    @_cached
     def _conj_move(self, g: Perm) -> np.ndarray:
-        """Conjugation by g as an index map, i -> index(g^-1 x_i g); cached.
+        """Conjugation by g as an index map, i -> index(g^-1 x_i g).
         g may be any permutation of the same degree that normalises this
         group; for any other, ``index`` raises InternalError."""
-        key = ("move", g)
-        if key not in self._cache:
-            self._cache[key] = self._conj_rows(self._array().perm(g))
-        return self._cache[key]
+        return self._conj_rows(self._array().perm(g))
 
     def _conj_rows(self, ga: np.ndarray) -> np.ndarray:
         """:meth:`_conj_move` of a permutation given as a row, uncached."""
@@ -279,13 +298,7 @@ class Group:
         return arr.index(ga[arr.rows[:, np.argsort(ga)]]).astype(arr.idx)
 
     def exponent(self) -> int:
-        if "exponent" not in self._cache:
-            e = 1
-            for c in self.conjugacy_classes():
-                o = perm_order(c.rep)
-                e = e * o // gcd(e, o)
-            self._cache["exponent"] = e
-        return self._cache["exponent"]
+        return lcm(*(perm_order(c.rep) for c in self.conjugacy_classes()))
 
     def order_p_part(self, p: int) -> int:
         return p ** _nu(self.order, p)
@@ -294,8 +307,15 @@ class Group:
 
     def conjugacy_classes(self) -> tuple[ConjClass, ...]:
         """Classes in canonical order: by size, then by minimal representative."""
-        if "classes" in self._cache:
-            return self._cache["classes"]
+        return self._classes()[0]
+
+    def _class_of(self) -> np.ndarray:
+        """Class index of every element index."""
+        return self._classes()[1]
+
+    @_cached
+    def _classes(self) -> tuple[tuple[ConjClass, ...], np.ndarray]:
+        """(:meth:`conjugacy_classes`, :meth:`_class_of`)."""
         # Conjugation by each generator permutes the element indices; every
         # element's label falls to the least index in its class.
         label = _orbit_labels(self.order, [self._conj_move(g) for g in self.generators])
@@ -312,14 +332,7 @@ class Group:
             class_of[members[starts[c]:starts[c] + size]] = len(classes)
             # the representative is the least index of its class
             classes.append(ConjClass(tuple(rows[reps[c]].tolist()), size, self.order // size))
-        self._cache["class_of"] = class_of
-        self._cache["classes"] = tuple(classes)
-        return self._cache["classes"]
-
-    def _class_of(self) -> np.ndarray:
-        """Class index of every element index."""
-        self.conjugacy_classes()
-        return self._cache["class_of"]
+        return tuple(classes), class_of
 
     # -- subgroups ----------------------------------------------------------
 
@@ -402,17 +415,15 @@ class Group:
         mask = self._transporter(sub_gens, _member_mask(self.order, sub_elements))
         return frozenset(np.flatnonzero(mask).tolist())
 
+    @_cached
     def normalizer(self, handle: "SubgroupHandle") -> "SubgroupHandle":
         """N_G(H) for a handle H of this group."""
         if handle.ambient is not self:
             raise InputError("subgroup handle belongs to another group")
-        key = ("normalizer", handle.elements)
-        if key not in self._cache:
-            n = self.handle(elements=self.normalizer_set(handle.elements, handle.generators))
-            if not handle.elements <= n.elements:
-                raise InternalError("normalizer does not contain the subgroup")
-            self._cache[key] = n
-        return self._cache[key]
+        n = self.handle(elements=self.normalizer_set(handle.elements, handle.generators))
+        if not handle.elements <= n.elements:
+            raise InternalError("normalizer does not contain the subgroup")
+        return n
 
     def _commutes_with(self, x: Perm) -> np.ndarray:
         """Mask of the elements g with gx = xg."""
@@ -424,39 +435,33 @@ class Group:
         """Element indices of C_G(x)."""
         return frozenset(np.flatnonzero(self._commutes_with(x)).tolist())
 
+    @_cached
     def center(self) -> "SubgroupHandle":
-        if "center" not in self._cache:
-            mask = np.ones(self.order, dtype=bool)
-            for h in self.generators:
-                mask &= self._commutes_with(h)
-            self._cache["center"] = self.handle(elements=np.flatnonzero(mask).tolist())
-        return self._cache["center"]
+        mask = np.ones(self.order, dtype=bool)
+        for h in self.generators:
+            mask &= self._commutes_with(h)
+        return self.handle(elements=np.flatnonzero(mask).tolist())
 
+    @_cached
     def _powers(self, p: int) -> np.ndarray:
-        """Index of x^p for every element index x, by square and multiply; cached."""
-        key = ("powers", p)
-        if key not in self._cache:
-            arr = self._array()
-            base = arr.rows
-            power = np.broadcast_to(np.arange(self.degree, dtype=base.dtype), base.shape)
-            while p:
-                if p & 1:
-                    power = np.take_along_axis(base, power, axis=1)
-                p >>= 1
-                if p:
-                    base = np.take_along_axis(base, base, axis=1)
-            self._cache[key] = arr.index(power)
-        return self._cache[key]
+        """Index of x^p for every element index x, by square and multiply."""
+        arr = self._array()
+        base = arr.rows
+        power = np.broadcast_to(np.arange(self.degree, dtype=base.dtype), base.shape)
+        while p:
+            if p & 1:
+                power = np.take_along_axis(base, power, axis=1)
+            p >>= 1
+            if p:
+                base = np.take_along_axis(base, base, axis=1)
+        return arr.index(power)
 
+    @_cached
     def sylow(self, p: int) -> "SubgroupHandle":
         """A Sylow p-subgroup, grown deterministically inside normalizers."""
-        key = ("sylow", p)
-        if key in self._cache:
-            return self._cache[key]
         target = self.order_p_part(p)
         if target == self.order:  # a p-group is its own Sylow subgroup
-            self._cache[key] = self.full_subgroup()
-            return self._cache[key]
+            return self.full_subgroup()
         arr = self._array()
         inside = _member_mask(self.order, [0])
         gens: list[int] = []
@@ -473,28 +478,21 @@ class Group:
             if not size < grown <= target:
                 raise InternalError("Sylow step did not grow to a larger p-subgroup")
             size = grown
-        h = self.handle(elements=np.flatnonzero(inside).tolist())
-        self._cache[key] = h
-        return h
+        return self.handle(elements=np.flatnonzero(inside).tolist())
 
+    @_cached
     def p_core(self, p: int) -> "SubgroupHandle":
         """O_p(G): the intersection of all Sylow p-subgroups."""
-        key = ("p_core", p)
-        if key not in self._cache:
-            orbit = self.subgroup_orbit(self.sylow(p).elements)
-            core = np.bincount(orbit.ravel(), minlength=self.order) == len(orbit)
-            self._cache[key] = self.handle(elements=np.flatnonzero(core).tolist())
-        return self._cache[key]
+        orbit = self.subgroup_orbit(self.sylow(p).elements)
+        core = np.bincount(orbit.ravel(), minlength=self.order) == len(orbit)
+        return self.handle(elements=np.flatnonzero(core).tolist())
 
+    @_cached
     def subgroup_orbit(self, elements: frozenset) -> np.ndarray:
         """G-orbit of a subgroup under conjugation, given by its element
         indices: one row of sorted indices per conjugate, rows in
-        lexicographic order; cached."""
-        key = ("sub_orbit", elements)
-        if key not in self._cache:
-            sub = np.array(sorted(elements), dtype=self._array().idx)
-            self._cache[key] = self._index_orbit(sub)
-        return self._cache[key]
+        lexicographic order."""
+        return self._index_orbit(np.array(sorted(elements), dtype=self._array().idx))
 
     def _index_orbit(self, sub: np.ndarray) -> np.ndarray:
         """G-orbit of a subgroup given by its sorted element indices: one
@@ -509,8 +507,9 @@ class Group:
             orbit = rows[first]
         return orbit
 
+    @_cached
     def subgroup_group(self, handle: "SubgroupHandle") -> "Group":
-        """The subgroup as a Group in its own right (same degree); cached.
+        """The subgroup as a Group in its own right (same degree).
 
         Its rows are cut from this group's rows at the handle's element
         indices, so its element index i is the i-th smallest index of the
@@ -521,30 +520,25 @@ class Group:
         """
         if handle.order == self.order:
             return self
-        key = ("sub_group", handle.elements)
-        if key not in self._cache:
-            g = Group.__new__(Group)
-            g._adopt(self.degree, handle.generators, self.limits, handle.order,
-                     self._array().rows[sorted(handle.elements)])
-            self._cache[key] = g
-        return self._cache[key]
+        g = Group.__new__(Group)
+        g._adopt(self.degree, handle.generators, self.limits, handle.order,
+                 self._array().rows[sorted(handle.elements)])
+        return g
 
     def is_normal(self, handle: "SubgroupHandle") -> bool:
         return self.normalizer(handle).order == self.order
 
     # -- p-subgroup enumeration ---------------------------------------------
 
+    @_cached
     def p_subgroup_classes(self, p: int) -> tuple["SubgroupHandle", ...]:
         """One handle per G-class of p-subgroups, sorted by order then key.
 
         Strategy: every p-subgroup lies in a Sylow p-subgroup, so enumerate
         all subgroups of one Sylow subgroup bottom-up and fuse the result
-        under G-conjugacy.  The members of the classes, in element indices,
-        are kept as the lattice that :meth:`_p_lattice` returns.
+        under G-conjugacy.  Each class orbit is kept as the
+        :meth:`subgroup_orbit` of its handle.
         """
-        key = ("p_classes", p)
-        if key in self._cache:
-            return self._cache[key]
         limit = self.limits.max_p_subgroup_classes
         remaining = {s.tobytes(): s for s in
                      _subgroups_of_p_group(self, self.sylow(p).elements, p, limit)}
@@ -562,21 +556,19 @@ class Group:
         handles = []
         for orbit in orbits:
             h = self.handle(elements=orbit[0].tolist())
-            self._cache["sub_orbit", h.elements] = orbit
+            self._cache["subgroup_orbit", h.elements] = orbit
             handles.append(h)
-        lattice = []
-        for _, level in groupby(orbits, key=lambda orbit: orbit.shape[1]):
-            rows = np.concatenate(list(level))
-            lattice.append(rows[np.argsort(_lex_keys(rows), kind="stable")])
-        self._cache["p_lattice", p] = tuple(lattice)
-        self._cache[key] = tuple(handles)
-        return self._cache[key]
+        return tuple(handles)
 
+    @_cached
     def _p_lattice(self, p: int) -> tuple:
         """Every p-subgroup as the sorted array of its element indices: one
         array per order, ascending, with its rows in lexicographic order."""
-        self.p_subgroup_classes(p)
-        return self._cache["p_lattice", p]
+        lattice = []
+        for _, level in groupby(self.p_subgroup_classes(p), key=lambda h: h.order):
+            rows = np.concatenate([self.subgroup_orbit(h.elements) for h in level])
+            lattice.append(rows[np.argsort(_lex_keys(rows), kind="stable")])
+        return tuple(lattice)
 
 
 def _subgroups_of_p_group(G: Group, elements: frozenset, p: int, ceiling: int) -> list:

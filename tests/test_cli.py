@@ -389,3 +389,25 @@ def test_import_loads_no_sympy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
     assert out == "[]\n"
+
+
+@pytest.mark.parametrize("defect", [[], ["--max-defect"]])
+def test_max_defect_refuses_permissive_before_any_table(capsys, monkeypatch, defect):
+    # at maximal defect each block runs strict or permissive by itself, so a
+    # requested permissive mode would be reported but not used
+    monkeypatch.setattr(chartable, "_dixon_table", lambda G: pytest.fail("table built"))
+    assert run(["verify-ctc", "--lib", "S4", "--prime", "2", *defect,
+                "--mode", "permissive"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --mode permissive is not used by verify-ctc at maximal defect, which "
+        "picks strict or permissive per block; only --defect D uses it\n")
+
+
+@pytest.mark.parametrize("defect", [[], ["--defect", "0"]])
+def test_chains_refuses_all_blocks_before_any_table(capsys, monkeypatch, defect):
+    # chains reports one block, so --all-blocks would be dropped
+    monkeypatch.setattr(chartable, "_dixon_table", lambda G: pytest.fail("table built"))
+    assert run(["chains", "--lib", "A5", "--prime", "2", "--all-blocks", *defect]) == 2
+    assert capsys.readouterr().err == (
+        "error: --all-blocks is not used by chains, which reports one block: "
+        "--block I, or the principal block with --defect D alone\n")

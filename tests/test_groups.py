@@ -12,10 +12,13 @@ import pytest
 from sympy import primefactors
 
 from kernel_oracles import closure, conj, generating_subset, index_set, perm_set, relabelled
+from pblocks.blocks import p_blocks
+from pblocks.chains import _extensions, chain_orbits_cached, signed_pair_counts
+from pblocks.chartable import character_table, defects
 from pblocks.cli import run
 from pblocks.config import Limits
 from pblocks.errors import InputError, InternalError, ResourceError
-from pblocks.groups import Group, _build_chain
+from pblocks.groups import Group, SubgroupHandle, _build_chain
 from pblocks.library import acceptance_corpus, direct_product, library_group, parse_group_file
 from pblocks.perms import format_cycles, identity, parse_cycles, perm_order, pmul
 
@@ -363,3 +366,45 @@ def test_subgroup_groups_match_schreier_sims(tmp_path, monkeypatch, capsys):
         K = Group(H.degree, H.generators)
         assert K.order == H.order
         assert np.array_equal(K._array().rows, H._array().rows)
+
+
+def _handle(G, elements):
+    """A handle equal to G's own handle of ``elements``, but not the same object."""
+    return SubgroupHandle(G, frozenset(elements))
+
+
+CACHED_FACTS = {
+    "character_table": lambda G, p: character_table(G.sylow(p).as_group()),
+    "p_blocks": lambda G, p: p_blocks(character_table(G), p),
+    "defects": lambda G, p: defects(character_table(G), p),
+    "sylow": lambda G, p: G.sylow(p),
+    "normalizer": lambda G, p: G.normalizer(_handle(G, G.sylow(p).elements)),
+    "p_subgroup_classes": lambda G, p: G.p_subgroup_classes(p),
+    "_extensions": lambda G, p: _extensions(G, _handle(G, range(G.order)),
+                                            frozenset({0}), p),
+    "chain_orbits_cached": lambda G, p: chain_orbits_cached(G, _handle(G, [0]), p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_FACTS))
+def test_cached_fact_is_one_object_per_argument(name):
+    # equal arguments return the very object of the first call; another prime
+    # (or the subgroup that it picks) is another entry
+    fact = CACHED_FACTS[name]
+    G = library_group("S4")
+    first = fact(G, 2)
+    assert fact(G, 2) is first
+    other = fact(G, 3)
+    assert other is not first
+    assert fact(G, 3) is other
+
+
+def test_single_use_facts_are_not_kept():
+    # cmc() and exponent() run once per table, and the counting memo once per
+    # call: none of them stays in a cache
+    G = library_group("S4")
+    table = character_table(G)
+    signed_pair_counts(G, G.trivial_subgroup(), 2)
+    names = {key[0] for key in G._cache} | {key[0] for key in table._cache}
+    assert "character_table" in names
+    assert not names & {"cmc", "exponent", "signed_pair_counts", "signed_counts"}
