@@ -7,6 +7,7 @@ check failed, 2 = input or resource problem, 3 = internal error (a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -41,53 +42,61 @@ from .reports import (
     table_document,
 )
 
-COMMANDS = (
-    "table",
-    "blocks",
-    "chains",
-    "verify-ctc",
-    "verify-am",
-    "verify-abelian-defect",
-    "verify-blockfree",
-    "defect-scan",
-    "pi-pairing",
-    "repair-demo",
-)
+_OPTIONS = {
+    "--group": dict(metavar="FILE", help="group-definition file"),
+    "--lib": dict(metavar="NAME", help="built-in group, e.g. A5, S4, C2xA4"),
+    "--max-order": dict(type=int, default=None, metavar="N"),
+    "--prime": dict(type=int, metavar="P"),
+    "--block": dict(type=int, metavar="I", help="block index (canonical order, principal = 0)"),
+    "--all-blocks": dict(action="store_true"),
+    "--start": dict(metavar="Z-SPEC", default="op",
+                    help="chain start: 'op' (O_p(G)), 'trivial', or generators in cycle notation"),
+    "--defect": dict(type=int, metavar="D"),
+    "--max-defect": dict(action="store_true"),
+    "--mode": dict(choices=("strict", "permissive"), default="strict"),
+    "--ambient": dict(metavar="FILE",
+                      help="normalising overgroup (same degree) for the equivariance check"),
+    "--seed": dict(type=int, default=0, help="randomized demo seed"),
+    "--trials": dict(type=int, default=100, help="trial count"),
+    "--format": dict(choices=("json", "text"), default="json"),
+}
+_EXCLUSIVE = (("--group", "--lib"), ("--block", "--all-blocks"), ("--defect", "--max-defect"))
+_GROUP = ("--group", "--lib", "--max-order")
+
+# The options each command reads, besides --format; the parser refuses any other.
+COMMANDS = {
+    "table": _GROUP,
+    "blocks": _GROUP + ("--prime",),
+    "chains": _GROUP + ("--prime", "--block", "--start", "--defect"),
+    "verify-ctc": _GROUP + ("--prime", "--block", "--all-blocks", "--start", "--defect",
+                            "--max-defect", "--mode", "--ambient"),
+    "verify-am": _GROUP + ("--prime", "--block", "--all-blocks"),
+    "verify-abelian-defect": _GROUP + ("--prime",),
+    "verify-blockfree": _GROUP + ("--prime", "--start"),
+    "defect-scan": _GROUP + ("--prime", "--start"),
+    "pi-pairing": _GROUP + ("--prime", "--block", "--all-blocks"),
+    "repair-demo": ("--seed", "--trials"),
+}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, built on first use and kept: a build costs
+    about thirty parses."""
     parser = argparse.ArgumentParser(
         prog="pblocks",
         description="Exact block-theory and p-chain counting checks for "
         "small permutation groups.",
     )
-    parser.add_argument("command", choices=COMMANDS)
-    src = parser.add_mutually_exclusive_group()
-    src.add_argument("--group", metavar="FILE", help="group-definition file")
-    src.add_argument("--lib", metavar="NAME",
-                     help="built-in group, e.g. A5, S4, C2xA4")
-    parser.add_argument("--prime", type=int, metavar="P")
-    parser.add_argument("--ambient", metavar="FILE",
-                        help="normalising overgroup (same degree) for the equivariance "
-                             "check of verify-ctc in strict or permissive mode")
-    blk = parser.add_mutually_exclusive_group()
-    blk.add_argument("--block", type=int, metavar="I",
-                     help="block index (canonical order, principal = 0)")
-    blk.add_argument("--all-blocks", action="store_true")
-    parser.add_argument("--start", metavar="Z-SPEC", default="op",
-                        help="chain start: 'op' (O_p(G)), 'trivial', or "
-                             "generators in cycle notation")
-    dfc = parser.add_mutually_exclusive_group()
-    dfc.add_argument("--defect", type=int, metavar="D")
-    dfc.add_argument("--max-defect", action="store_true")
-    parser.add_argument("--mode", choices=("strict", "permissive", "blockfree"),
-                        default="strict")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--max-order", type=int, default=None, metavar="N")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="randomized demo seed (repair-demo)")
-    parser.add_argument("--trials", type=int, default=100,
-                        help="trial count (repair-demo)")
+    parser.set_defaults(mode="strict")  # what check reports record without --mode
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command, options in COMMANDS.items():
+        sub = subparsers.add_parser(command)
+        exclusive = {pair: sub.add_mutually_exclusive_group()
+                     for pair in _EXCLUSIVE if set(pair) <= set(options)}
+        for option in options + ("--format",):
+            home = next((g for pair, g in exclusive.items() if option in pair), sub)
+            home.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -122,18 +131,7 @@ def _load_ambient(args, G: Group, limits: Limits) -> Group | None:
     A = _read_group_file(args.ambient, limits)
     if A.degree != G.degree:
         raise InputError("ambient group must act on the same points")
-    _refuse_unused_ambient(args)
     return A
-
-
-def _refuse_unused_ambient(args) -> None:
-    """Only verify-ctc in strict or permissive mode uses --ambient; every
-    other command refuses it rather than dropping it."""
-    if args.command == "verify-ctc" and args.mode != "blockfree":
-        return
-    command = args.command + (" --mode blockfree" if args.command == "verify-ctc" else "")
-    raise InputError(f"--ambient is not used by {command}; only verify-ctc in "
-                     "strict or permissive mode uses it")
 
 
 def _need_prime(args) -> int:
@@ -151,6 +149,9 @@ def _start_handle(args, G: Group, p: int, blockfree: bool = False):
     if spec == "op":
         return G.p_core(p)
     gens = parse_perm_list(args.start, G.degree)
+    if not gens:
+        raise InputError(f"--start {args.start!r} names no permutation; "
+                         "the trivial start is --start trivial")
     return G.handle(generators=gens)
 
 
@@ -164,9 +165,13 @@ def _selected_blocks(args, table, p):
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args, extra = build_parser().parse_known_args(argv)
+    except SystemExit as exc:  # --help, or a value argparse refuses
+        return exc.code
+    try:
+        if extra:
+            raise InputError(f"{args.command} does not take {' '.join(extra)}")
         bundle, exit_code = _execute(args)
     except (InputError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -182,16 +187,13 @@ def run(argv=None) -> int:
 
 
 def _execute(args):
-    limits = _limits(args)
     command = args.command
-
     if command == "repair-demo":
-        if args.ambient:
-            _refuse_unused_ambient(args)
         return _repair_demo(args), 0
 
+    limits = _limits(args)
     G = _load_group(args, limits)
-    A = _load_ambient(args, G, limits)
+    A = _load_ambient(args, G, limits) if command == "verify-ctc" else None
     bundle = {
         "schema": SCHEMA_VERSION + "/report",
         "command": command,
@@ -204,17 +206,10 @@ def _execute(args):
         return bundle, 0
 
     p = _need_prime(args)
-    max_defect = command == "verify-ctc" and args.mode != "blockfree" and (
-        args.max_defect or args.defect is None)
-    if max_defect and args.start.strip().lower() != "op":
-        raise InputError("--start is not used by verify-ctc at maximal defect, which "
-                         "starts at O_p(G); only --defect D or --mode blockfree uses it")
-    if max_defect and args.mode == "permissive":
-        raise InputError("--mode permissive is not used by verify-ctc at maximal defect, which "
-                         "picks strict or permissive per block; only --defect D uses it")
-    if command == "chains" and args.all_blocks:
-        raise InputError("--all-blocks is not used by chains, which reports one block: "
-                         "--block I, or the principal block with --defect D alone")
+    if command == "verify-ctc" and args.defect is None and (
+            args.start.strip().lower() != "op" or args.mode != "strict"):
+        raise InputError("verify-ctc takes --start and --mode only with --defect D: at "
+                         "maximal defect it starts at O_p(G) and picks the mode per block")
     bundle["p"] = p
     bundle["environment"] = environment_document(G, p)
 
@@ -239,9 +234,7 @@ def _execute(args):
     table = character_table(G)
 
     if command == "verify-ctc":
-        if args.mode == "blockfree":
-            reports.append(verify_blockfree(G, p, _start_handle(args, G, p, blockfree=True)))
-        elif max_defect:
+        if args.defect is None:
             reports.extend(verify_max_defect(G, p, A=A, blocks=_selected_blocks(args, table, p)))
         else:
             Z = _start_handle(args, G, p)
@@ -271,8 +264,10 @@ def _execute(args):
 
 def _repair_demo(args) -> dict:
     """Randomized demonstration of the repair loop, with one traced sample."""
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     rng = random.Random(args.seed)
-    trials = max(1, args.trials)
+    trials = args.trials
     traced = None
     for trial in range(trials):
         n = rng.randrange(2, 16)

@@ -135,7 +135,7 @@ def test_unreadable_group_file_exits_2(tmp_path, capsys, flag):
     for path, message in cases:
         source = ["--group", str(path)] if flag == "--group" else \
             ["--group", str(s4), "--ambient", str(path)]
-        assert run(["blocks", *source, "--prime", "2"]) == 2
+        assert run(["verify-ctc", *source, "--prime", "2"]) == 2
         assert capsys.readouterr().err == "error: " + message.format(path) + "\n"
 
 
@@ -150,12 +150,15 @@ def test_unused_ambient_exits_2_before_any_table(tmp_path, capsys, monkeypatch, 
     s4 = tmp_path / "s4.grp"
     s4.write_text("degree: 4\ngenerators: (0 1); (0 1 2 3)\n")
     monkeypatch.setattr(chartable, "_dixon_table", lambda G: pytest.fail("table built"))
-    argv = [*command, "--group", str(a4), "--prime", "3", "--ambient", str(s4)]
-    assert run(argv) == 2
-    name = "verify-ctc --mode blockfree" if command[0] == "verify-ctc" else command[0]
-    assert capsys.readouterr().err == (
-        f"error: --ambient is not used by {name}; only verify-ctc in strict or "
-        "permissive mode uses it\n")
+    source = [] if command[0] == "repair-demo" else ["--group", str(a4)]
+    prime = [] if command[0] in ("table", "repair-demo") else ["--prime", "3"]
+    assert run([*command, *source, *prime, "--ambient", str(s4)]) == 2
+    err = capsys.readouterr().err
+    if command[0] == "verify-ctc":  # verify-ctc takes --ambient, but has no blockfree mode
+        assert err.splitlines()[-1].startswith(
+            "pblocks verify-ctc: error: argument --mode: invalid choice: 'blockfree'")
+    else:
+        assert err == f"error: {command[0]} does not take --ambient {s4}\n"
 
 
 def test_bad_ambient_fails_before_any_table(tmp_path, capsys, monkeypatch):
@@ -225,10 +228,10 @@ def test_canonical_metadata_embedded(capsys):
 
 
 def test_blockfree_mode_flag(capsys):
-    code, out = capture(
-        capsys,
-        ["verify-ctc", "--lib", "S3", "--prime", "3", "--mode", "blockfree"],
-    )
+    # the block-free check is verify-blockfree, not a mode of verify-ctc
+    assert run(["verify-ctc", "--lib", "S3", "--prime", "3", "--mode", "blockfree"]) == 2
+    assert "invalid choice: 'blockfree'" in capsys.readouterr().err
+    code, out = capture(capsys, ["verify-blockfree", "--lib", "S3", "--prime", "3"])
     assert code == 0
     doc = json.loads(out)
     assert doc["results"][0]["check"] == "blockfree-count"
@@ -348,14 +351,17 @@ def test_max_defect_honours_the_block_selection(capsys):
     assert capsys.readouterr().err == "error: block index 3 out of range\n"
 
 
+MAX_DEFECT_REFUSAL = (
+    "error: verify-ctc takes --start and --mode only with --defect D: at maximal "
+    "defect it starts at O_p(G) and picks the mode per block\n")
+
+
 @pytest.mark.parametrize("start", ["trivial", "(0 1 2)"])
 @pytest.mark.parametrize("defect", [[], ["--max-defect"]])
 def test_max_defect_refuses_start_before_any_table(capsys, monkeypatch, start, defect):
     monkeypatch.setattr(chartable, "_dixon_table", lambda G: pytest.fail("table built"))
     assert run(["verify-ctc", "--lib", "S4", "--prime", "3", *defect, "--start", start]) == 2
-    assert capsys.readouterr().err == (
-        "error: --start is not used by verify-ctc at maximal defect, which starts "
-        "at O_p(G); only --defect D or --mode blockfree uses it\n")
+    assert capsys.readouterr().err == MAX_DEFECT_REFUSAL
 
 
 @pytest.mark.parametrize("command", ["verify-blockfree", "defect-scan"])
@@ -398,9 +404,7 @@ def test_max_defect_refuses_permissive_before_any_table(capsys, monkeypatch, def
     monkeypatch.setattr(chartable, "_dixon_table", lambda G: pytest.fail("table built"))
     assert run(["verify-ctc", "--lib", "S4", "--prime", "2", *defect,
                 "--mode", "permissive"]) == 2
-    assert capsys.readouterr().err == (
-        "error: --mode permissive is not used by verify-ctc at maximal defect, which "
-        "picks strict or permissive per block; only --defect D uses it\n")
+    assert capsys.readouterr().err == MAX_DEFECT_REFUSAL
 
 
 @pytest.mark.parametrize("defect", [[], ["--defect", "0"]])
@@ -408,6 +412,68 @@ def test_chains_refuses_all_blocks_before_any_table(capsys, monkeypatch, defect)
     # chains reports one block, so --all-blocks would be dropped
     monkeypatch.setattr(chartable, "_dixon_table", lambda G: pytest.fail("table built"))
     assert run(["chains", "--lib", "A5", "--prime", "2", "--all-blocks", *defect]) == 2
-    assert capsys.readouterr().err == (
-        "error: --all-blocks is not used by chains, which reports one block: "
-        "--block I, or the principal block with --defect D alone\n")
+    assert capsys.readouterr().err == "error: chains does not take --all-blocks\n"
+
+
+# Which command takes which option, written out here as a second source
+# beside the parser in cli.py.
+GROUP = ("--group", "--lib", "--max-order", "--format")
+TAKES = {
+    "table": GROUP,
+    "blocks": GROUP + ("--prime",),
+    "chains": GROUP + ("--prime", "--block", "--start", "--defect"),
+    "verify-ctc": GROUP + ("--prime", "--block", "--all-blocks", "--start", "--defect",
+                           "--max-defect", "--mode", "--ambient"),
+    "verify-am": GROUP + ("--prime", "--block", "--all-blocks"),
+    "pi-pairing": GROUP + ("--prime", "--block", "--all-blocks"),
+    "verify-abelian-defect": GROUP + ("--prime",),
+    "verify-blockfree": GROUP + ("--prime", "--start"),
+    "defect-scan": GROUP + ("--prime", "--start"),
+    "repair-demo": ("--format", "--seed", "--trials"),
+}
+OPTIONS = sorted(set().union(*TAKES.values()))
+
+
+@pytest.mark.parametrize("option", OPTIONS)
+@pytest.mark.parametrize("command", TAKES)
+def test_option_matrix(tmp_path, capsys, monkeypatch, command, option):
+    s3 = tmp_path / "s3.grp"
+    s3.write_text("degree: 3\ngenerators: (0 1); (0 1 2)\n")
+    values = {"--group": [str(s3)], "--lib": ["S3"], "--max-order": ["100"],
+              "--format": ["text"], "--prime": ["3"], "--block": ["0"], "--all-blocks": [],
+              "--start": ["op"], "--defect": ["1"], "--max-defect": [], "--mode": ["strict"],
+              "--ambient": [str(s3)], "--seed": ["1"], "--trials": ["3"]}
+    takes = TAKES[command]
+    argv = [command]
+    if "--lib" in takes and option not in ("--group", "--lib"):
+        argv += ["--lib", "S3"]
+    if "--prime" in takes and option != "--prime":
+        argv += ["--prime", "3"]
+    argv += [option, *values[option]]
+    if option in takes:
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert run([command, "--help"]) == 0
+        assert option in capsys.readouterr().out
+    else:
+        monkeypatch.setattr(groups, "_build_chain", lambda *a: pytest.fail("group built"))
+        assert run(argv) == 2
+        assert capsys.readouterr() == \
+            ("", f"error: {command} does not take {' '.join([option, *values[option]])}\n")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_repair_demo_refuses_trials_below_one(capsys, trials):
+    assert run(["repair-demo", "--trials", trials]) == 2
+    assert capsys.readouterr() == ("", f"error: --trials must be at least 1, got {trials}\n")
+
+
+@pytest.mark.parametrize("start", [" ", ";"])
+@pytest.mark.parametrize("command", [
+    ["chains"], ["verify-ctc", "--defect", "2"], ["verify-blockfree"], ["defect-scan"],
+])
+def test_start_naming_no_permutation_exits_2(capsys, command, start):
+    # 'trivial' asks for the trivial start; an empty generator list is a typo
+    assert run([*command, "--lib", "S4", "--prime", "2", "--start", start]) == 2
+    assert capsys.readouterr() == ("", f"error: --start {start!r} names no permutation; "
+                                       "the trivial start is --start trivial\n")

@@ -49,7 +49,11 @@ def guarded(monkeypatch):
 @pytest.mark.parametrize("name, p", [("S4", 2), ("A5", 3), ("F20", 5), ("F21", 7)])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_commands_run_on_element_indices(guarded, capsys, command, name, p):
-    argv = [command, "--lib", name, "--prime", str(p)]
+    argv = [command]
+    if command != "repair-demo":
+        argv += ["--lib", name]
+    if command not in ("table", "repair-demo"):
+        argv += ["--prime", str(p)]
     if command in ("verify-am", "pi-pairing"):
         argv.append("--all-blocks")
     assert run(argv) == 0
