@@ -5,10 +5,14 @@ coefficient tensor, split F_ell^r into common eigenspaces of the class-sum
 matrices for a prime ell = 1 (mod exponent) with ell > 2*sqrt(|G|), read off
 the central character values, recover degrees from the orthogonality
 relation, and lift each value to an exact element of Z[zeta_e] by discrete
-Fourier inversion over a fixed e-th root of unity in F_ell.
+Fourier inversion.  The values on a class of element order o repeat with
+period o in the power, so each class is inverted over the o-th roots of
+unity in F_ell, all classes of one order in one product.
 
 Every table is validated against both orthogonality relations before it is
-returned; a table that fails validation is never handed out.
+returned; a table that fails validation is never handed out.  Their
+cyclotomic products convolve only the coefficient planes that are nonzero
+in the arrays multiplied; a rational table has one.
 
 The integer products of the lift and of the validation run through float64
 matrix products.  Each is preceded by an a-priori bound on its partial sums;
@@ -347,35 +351,36 @@ def _values_mod_ell(table, omegas, degrees_mod, ell):
 
 
 def _lift_values(table, values_mod, degrees, ell, z):
-    """Exact values from eigenvalue multiplicities by Fourier inversion.
+    """Exact values from eigenvalue multiplicities by Fourier inversion per
+    element order.
 
-    chi(g) is a sum of chi(1) many e-th roots of unity; the multiplicity of
-    zeta_e^s among them is (1/e) * sum_t chi(g^t) z^{-st} mod ell, a genuine
-    integer in [0, chi(1)] and therefore determined by its residue.
+    chi(g) is a sum of chi(1) many o-th roots of unity, o the order of g, so
+    only zeta_e^(s e/o) occurs; its multiplicity is (1/o) * sum_{u<o}
+    chi(g^u) w^{-su} mod ell with w = z^(e/o), a genuine integer in
+    [0, chi(1)] and therefore determined by its residue.  The classes of
+    one order are inverted together, in one product with their o x o
+    transform, and mapped to the power basis through every (e/o)-th row.
     """
     e = table.conductor
-    phi = table.phi
-    r = table.r
-    pm = table.power_map()
-    # zmat[t, s] = z^(-st); z has order e
-    zinv = inv_mod(z, ell)
-    steps = np.arange(e)
-    zpow = np.array([pow(zinv, s, ell) for s in range(e)], dtype=np.float64)
-    zmat = zpow[np.outer(steps, steps) % e]
-    inv_e = inv_mod(e, ell)
-    basis = np.array(_power_reductions(e)[:e], dtype=np.int64)[:, :phi]
-
     _check_float_exact(e * ell * ell, "character value lift")
-    out = np.zeros((r, r, phi), dtype=np.int64)
-    for i in range(r):
-        gathered = values_mod[i][pm].astype(np.float64)  # [r, e]: chi(g_k^t)
-        mults = (gathered @ zmat).astype(np.int64) % ell
-        mults = (mults * inv_e) % ell
-        if mults.max() > degrees[i]:
+    pm = table.power_map()
+    orders = e // (pm == 0).sum(axis=1)  # rep_k^t = 1 iff o_k | t
+    zinv = inv_mod(z, ell)
+    zpow = np.array([pow(zinv, s, ell) for s in range(e)], dtype=np.float64)
+    basis = np.array(_power_reductions(e)[:e], dtype=np.int64)[:, :table.phi]
+    degs = np.array(degrees, dtype=np.int64)[:, None, None]
+    out = np.empty((table.r, table.r, table.phi), dtype=np.int64)
+    values = values_mod.astype(np.float64)
+    for o in sorted(set(orders.tolist())):
+        ks = (orders == o).nonzero()[0]
+        u = np.arange(o)
+        dft = zpow[e // o * np.outer(u, u) % e] * inv_mod(o, ell) % ell  # w^(-us) / o
+        mults = (values[:, pm[ks, :o]] @ dft).astype(np.int64) % ell  # [i, k, s]
+        if (mults > degs).any():
             raise InternalError("eigenvalue multiplicity exceeds the degree")
-        if not np.all(mults.sum(axis=1) == degrees[i]):
+        if not (mults.sum(axis=2) == degs[:, :, 0]).all():
             raise InternalError("eigenvalue multiplicities do not sum to the degree")
-        out[i] = mults @ basis
+        out[:, ks] = mults @ basis[::e // o]
     return out
 
 
@@ -416,6 +421,8 @@ def _pairwise_products(A: np.ndarray, B: np.ndarray, weights: np.ndarray, e: int
 
     A, B: [n, r, phi] integer coefficient tensors; the product is the
     cyclotomic product, computed by convolution then reduction mod Phi_e.
+    Only the planes s of A and t of B that are nonzero somewhere are
+    multiplied, each pair into plane s + t of the convolution.
     A convolution entry is at most max|A| * max|B| * sum|w| * phi, and the
     reduction multiplies that by at most the largest column sum of |rows|.
     """
@@ -425,13 +432,18 @@ def _pairwise_products(A: np.ndarray, B: np.ndarray, weights: np.ndarray, e: int
     _check_float_exact(int(np.abs(A).max()) * int(np.abs(B).max())
                        * int(np.abs(weights).sum()) * phi
                        * int(np.abs(rows).sum(axis=0).max()), "orthogonality check")
-    wb = np.moveaxis(B * weights[None, :, None], 1, 0).reshape(r, n_b * phi)
-    wb = wb.astype(np.float64)
-    conv = np.zeros((n_a, n_b, 2 * phi - 1))
-    for s in range(phi):
+    planes_a = A.any(axis=(0, 1)).nonzero()[0]
+    planes_b = B.any(axis=(0, 1)).nonzero()[0]
+    # wb[K, (t, j)] = w_K * B[j, K, t], over the planes t where B is nonzero
+    wb = np.empty((r, len(planes_b), n_b))
+    np.multiply(B[:, :, planes_b].transpose(1, 2, 0), weights[:, None, None], out=wb)
+    wb = wb.reshape(r, len(planes_b) * n_b)
+    conv = np.zeros((2 * phi - 1, n_a, n_b))  # planes first: a scatter moves whole blocks
+    for s in planes_a:
         product = A[:, :, s].astype(np.float64) @ wb
-        conv[:, :, s : s + phi] += product.reshape(n_a, n_b, phi)
-    return (conv @ rows.astype(np.float64)).astype(np.int64)
+        conv[s + planes_b] += product.reshape(n_a, len(planes_b), n_b).swapaxes(0, 1)
+    reduced = rows.T.astype(np.float64) @ conv.reshape(2 * phi - 1, n_a * n_b)
+    return reduced.T.reshape(n_a, n_b, phi).astype(np.int64)
 
 
 def _validate_table(table: CharTable) -> None:
@@ -446,11 +458,10 @@ def _validate_table(table: CharTable) -> None:
     conj_values = np.tensordot(table.values, galois_matrix(table.conductor, -1),
                                axes=([2], [0]))
 
+    diagonal = np.arange(r), np.arange(r), 0  # the rational part of C[i, i]
     row_orth = _pairwise_products(table.values, conj_values, sizes, table.conductor)
     expected = np.zeros_like(row_orth)
-    one = _one_vector(table.conductor)
-    for i in range(r):
-        expected[i, i] = one * G.order
+    expected[diagonal] = G.order
     if not np.array_equal(row_orth, expected):
         raise InternalError("row orthogonality failed; table rejected")
     del row_orth, expected  # the column products are the validation's peak
@@ -460,8 +471,7 @@ def _validate_table(table: CharTable) -> None:
     col_orth = _pairwise_products(col, col_conj, np.ones(r, dtype=np.int64),
                                   table.conductor)
     expected_col = np.zeros_like(col_orth)
-    for k in range(r):
-        expected_col[k, k] = one * (G.order // sizes[k])
+    expected_col[diagonal] = G.order // sizes
     if not np.array_equal(col_orth, expected_col):
         raise InternalError("column orthogonality failed; table rejected")
 
@@ -469,7 +479,7 @@ def _validate_table(table: CharTable) -> None:
     if table.degrees[idx] != 1:
         raise InternalError("trivial character has wrong degree")
     # identity column must equal the degree list
-    for i in range(r):
-        if not np.array_equal(table.values[i, 0], one * table.degrees[i]):
-            raise InternalError("identity column disagrees with the degrees")
+    one = _one_vector(table.conductor)
+    if not np.array_equal(table.values[:, 0], np.outer(table.degrees, one)):
+        raise InternalError("identity column disagrees with the degrees")
 

@@ -50,7 +50,8 @@ _OPTIONS = {
     "--block": dict(type=int, metavar="I", help="block index (canonical order, principal = 0)"),
     "--all-blocks": dict(action="store_true"),
     "--start": dict(metavar="Z-SPEC", default="op",
-                    help="chain start: 'op' (O_p(G)), 'trivial', or generators in cycle notation"),
+                    help="chain start (default %(default)s): 'op' (O_p(G)), 'trivial', "
+                         "or generators in cycle notation"),
     "--defect": dict(type=int, metavar="D"),
     "--max-defect": dict(action="store_true"),
     "--mode": dict(choices=("strict", "permissive"), default="strict"),
@@ -77,6 +78,8 @@ COMMANDS = {
     "pi-pairing": _GROUP + ("--prime", "--block", "--all-blocks"),
     "repair-demo": ("--seed", "--trials"),
 }
+# The block-free checks start from the trivial subgroup unless told otherwise.
+_TRIVIAL_START = ("verify-blockfree", "defect-scan")
 
 
 @functools.cache
@@ -97,6 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         for option in options + ("--format",):
             home = next((g for pair, g in exclusive.items() if option in pair), sub)
             home.add_argument(option, **_OPTIONS[option])
+        if command in _TRIVIAL_START:
+            sub.set_defaults(start="trivial")
     return parser
 
 
@@ -141,10 +146,10 @@ def _need_prime(args) -> int:
     return args.prime
 
 
-def _start_handle(args, G: Group, p: int, blockfree: bool = False):
-    """The chain start; block-free checks read the default 'op' as trivial."""
+def _start_handle(args, G: Group, p: int):
+    """The chain start that --start names."""
     spec = args.start.strip().lower()
-    if spec == "trivial" or (blockfree and spec == "op"):
+    if spec == "trivial":
         return G.trivial_subgroup()
     if spec == "op":
         return G.p_core(p)
@@ -246,10 +251,10 @@ def _execute(args):
     elif command == "verify-abelian-defect":
         reports.extend(verify_abelian_defect(G, p))
     elif command == "verify-blockfree":
-        U = _start_handle(args, G, p, blockfree=True)
+        U = _start_handle(args, G, p)
         reports.append(verify_blockfree(G, p, U))
     elif command == "defect-scan":
-        U = _start_handle(args, G, p, blockfree=True)
+        U = _start_handle(args, G, p)
         reports.append(defect_support_scan(G, p, U))
     elif command == "pi-pairing":
         reports.extend(pi_pairing_check(G, B) for B in _selected_blocks(args, table, p))

@@ -375,6 +375,28 @@ def test_blockfree_start_at_sylow_exits_2(capsys, command, start):
         "error: start term must be smaller than a Sylow p-subgroup\n"
 
 
+@pytest.mark.parametrize("command", ["verify-blockfree", "defect-scan"])
+def test_blockfree_start_op_is_the_p_core(capsys, command):
+    argv = [command, "--lib", "S4", "--prime", "2"]
+    outputs = {}
+    for start in ([], ["--start", "trivial"], ["--start", "op"],
+                  ["--start", "(0 1)(2 3); (0 2)(1 3)"]):  # O_2(S4)
+        assert run(argv + start) == 0
+        outputs[" ".join(start)] = capsys.readouterr().out
+    assert outputs[""] == outputs["--start trivial"]
+    assert outputs["--start op"] == outputs["--start (0 1)(2 3); (0 2)(1 3)"]
+    assert outputs["--start op"] != outputs[""]
+    assert run([command, "--help"]) == 0
+    assert "(default trivial)" in capsys.readouterr().out
+
+
+def test_blockfree_start_op_at_sylow_exits_2(capsys):
+    # O_2(C4) = C4 is the Sylow 2-subgroup
+    assert run(["defect-scan", "--lib", "C4", "--prime", "2", "--start", "op"]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: start term must be smaller than a Sylow p-subgroup\n")
+
+
 def test_prime_above_int64_guard_exits_2(capsys):
     # x^p on the element rows takes O(log p) gathers, so the run reaches the
     # guard instead of spending p - 1 gathers on the p-subgroup lattice
@@ -440,7 +462,7 @@ def test_option_matrix(tmp_path, capsys, monkeypatch, command, option):
     s3 = tmp_path / "s3.grp"
     s3.write_text("degree: 3\ngenerators: (0 1); (0 1 2)\n")
     values = {"--group": [str(s3)], "--lib": ["S3"], "--max-order": ["100"],
-              "--format": ["text"], "--prime": ["3"], "--block": ["0"], "--all-blocks": [],
+              "--format": ["text"], "--prime": ["2"], "--block": ["0"], "--all-blocks": [],
               "--start": ["op"], "--defect": ["1"], "--max-defect": [], "--mode": ["strict"],
               "--ambient": [str(s3)], "--seed": ["1"], "--trials": ["3"]}
     takes = TAKES[command]
@@ -448,7 +470,7 @@ def test_option_matrix(tmp_path, capsys, monkeypatch, command, option):
     if "--lib" in takes and option not in ("--group", "--lib"):
         argv += ["--lib", "S3"]
     if "--prime" in takes and option != "--prime":
-        argv += ["--prime", "3"]
+        argv += ["--prime", "2"]  # O_2(S3) = 1, so --start op is below a Sylow 2-subgroup
     argv += [option, *values[option]]
     if option in takes:
         assert run(argv) == 0

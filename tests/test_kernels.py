@@ -38,11 +38,13 @@ from pblocks import chartable
 from pblocks.blockfield import block_field
 from pblocks.blocks import brauer_correspondent, omega_int_vectors, p_blocks
 from pblocks.chartable import (
+    CharTable,
     _check_exact,
     _check_float_exact,
     _common_eigenvectors,
     _lift_values,
     _pairwise_products,
+    _validate_table,
     character_table,
     galois_matrix,
 )
@@ -403,7 +405,16 @@ def test_p_subgroups_and_orbits_match_oracles(group_of, case):
             key=lambda s: (len(s), tuple(sorted(s))))
 
 
-@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def values_mod_of(table):
+    """chi(g) mod ell for the whole table, as z evaluates zeta_e, with ell and z."""
+    ell, z = table.lift_meta["prime"], table.lift_meta["root_power"]
+    zpow = np.array([pow(z, c, ell) for c in range(table.phi)], dtype=np.int64)
+    return (table.values @ zpow) % ell, ell, z
+
+
+# F21xS3 has e = 42 and no element of order 42, so the lift inverts every
+# class over fewer roots of unity than the e-th ones the exact lift sums over
+@pytest.mark.parametrize("case", CASES + [("F21xS3", None), ("F21xS3", 7)], ids=_case_id)
 def test_float_routes_match_exact_integers(group_of, case):
     table = character_table(group_of(*case))
     e = table.conductor
@@ -411,12 +422,35 @@ def test_float_routes_match_exact_integers(group_of, case):
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
     assert np.array_equal(_pairwise_products(table.values, conj_values, sizes, e),
                           exact_pairwise_products(table.values, conj_values, sizes, e))
-    ell, z = table.lift_meta["prime"], table.lift_meta["root_power"]
-    zpow = np.array([pow(z, c, ell) for c in range(table.phi)], dtype=np.int64)
-    values_mod = (table.values @ zpow) % ell  # chi(g) mod ell, as z evaluates zeta
+    values_mod, ell, z = values_mod_of(table)
     lifted = _lift_values(table, values_mod, table.degrees, ell, z)
     assert np.array_equal(lifted, exact_lift(table, values_mod, ell, z))
     assert np.array_equal(lifted, table.values)
+
+
+def test_lift_rejects_a_shifted_value(group_of):
+    table = character_table(group_of("F21xS3", None))
+    values_mod, ell, z = values_mod_of(table)
+    shifted = values_mod.copy()
+    shifted[4, 9] = (shifted[4, 9] + 1) % ell  # one value on a non-identity class
+    with pytest.raises(InternalError, match="^eigenvalue multiplicity exceeds the degree$"):
+        _lift_values(table, shifted, table.degrees, ell, z)
+    with pytest.raises(InternalError,
+                       match="^eigenvalue multiplicities do not sum to the degree$"):
+        _lift_values(table, values_mod, [d + 1 for d in table.degrees], ell, z)
+
+
+def test_validation_rejects_a_value_in_an_empty_plane(group_of):
+    # S5's values are rational, so every coefficient plane but the first is
+    # zero across the whole table
+    table = character_table(group_of("S5", None))
+    assert not table.values[:, :, 1:].any()
+    values = table.values.copy()
+    values[3, 2, 5] = 1
+    corrupted = CharTable(table.group, table.classes, table.conductor, values,
+                          table.degrees, table.lift_meta)
+    with pytest.raises(InternalError, match="^row orthogonality failed; table rejected$"):
+        _validate_table(corrupted)
 
 
 # these two split many spaces on which a class matrix acts as a scalar
@@ -487,6 +521,26 @@ def test_pairwise_products_on_random_integers(e):
     A = rng.integers(-10**4, 10**4, size=(3, 5, phi))
     B = rng.integers(-10**4, 10**4, size=(4, 5, phi))
     w = rng.integers(1, 10**3, size=5)
+    assert np.array_equal(_pairwise_products(A, B, w, e),
+                          exact_pairwise_products(A, B, w, e))
+
+
+@pytest.mark.parametrize("zeroed", ["A", "B", "both", "all of A"])
+@pytest.mark.parametrize("e", [12, 60, 105])
+def test_pairwise_products_with_zero_planes(e, zeroed):
+    rng = np.random.default_rng(e)
+    phi = euler_phi(e)
+    A = rng.integers(-10**4, 10**4, size=(3, 5, phi))
+    B = rng.integers(-10**4, 10**4, size=(4, 5, phi))
+    w = rng.integers(1, 10**3, size=5)
+    if zeroed in ("A", "both"):
+        planes = rng.choice(phi, phi // 2, replace=False)
+        A[:, :, planes] = 0
+        A[2, 4, planes[0]] = 7  # a plane that is nonzero in one entry only
+    if zeroed in ("B", "both"):
+        B[:, :, rng.choice(phi, phi - 1, replace=False)] = 0
+    if zeroed == "all of A":
+        A[:] = 0
     assert np.array_equal(_pairwise_products(A, B, w, e),
                           exact_pairwise_products(A, B, w, e))
 
