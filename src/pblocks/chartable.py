@@ -1,13 +1,13 @@
 """Exact ordinary character tables via class-sum diagonalization over F_ell.
 
-The algorithm is the classical one: build the class-multiplication
-coefficient tensor, split F_ell^r into common eigenspaces of the class-sum
-matrices for a prime ell = 1 (mod exponent) with ell > 2*sqrt(|G|), read off
-the central character values, recover degrees from the orthogonality
-relation, and lift each value to an exact element of Z[zeta_e] by discrete
-Fourier inversion.  The values on a class of element order o repeat with
-period o in the power, so each class is inverted over the o-th roots of
-unity in F_ell, all classes of one order in one product.
+The algorithm is the classical one: split F_ell^r into common eigenspaces
+of the class-sum matrices for a prime ell = 1 (mod exponent) with
+ell > 2*sqrt(|G|), building each class matrix only when the split reads it;
+read off the central character values, recover degrees from the
+orthogonality relation, and lift each value to an exact element of
+Z[zeta_e] by discrete Fourier inversion.  The values on a class of element
+order o repeat with period o in the power, so each class is inverted over
+the o-th roots of unity in F_ell, all classes of one order in one product.
 
 Every table is validated against both orthogonality relations before it is
 returned; a table that fails validation is never handed out.  Their
@@ -17,12 +17,13 @@ in the arrays multiplied; a rational table has one.
 The integer products of the lift and of the validation run through float64
 matrix products.  Each is preceded by an a-priori bound on its partial sums;
 at 2^53 the result could be inexact, so a ResourceError is raised instead.
-The eigenspace split works in int64 and raises the same way where its
-partial sums, r * (ell - 1)^2, would reach 2^63.
+The lift's bound, e * ell^2, is known once ell is chosen, so it is checked
+before any class matrix is built.  The eigenspace split works in int64 and
+raises the same way where its partial sums, r * (ell - 1)^2, would reach
+2^63.
 
 Every character's defect at p lives in :func:`defects`, one cached tuple of
 ints per (table, p); the p-adic valuation is :func:`pblocks.cyclotomic._nu`.
-The class-multiplication tensor is computed once per table and not kept.
 """
 
 from __future__ import annotations
@@ -114,20 +115,31 @@ class CharTable:
         """Row index by the bytes of its value matrix."""
         return {self.values[i].tobytes(): i for i in range(self.r)}
 
-    # -- class-multiplication coefficients -------------------------------------
 
-    def cmc(self) -> np.ndarray:
-        """Tensor a[i, j, k]: K_i K_j = sum_k a[i,j,k] K_k as class sums."""
-        arr = self.group._array()
-        cls = self.group._class_of()
-        r = self.r
-        a = np.zeros((r, r, r), dtype=np.int32)
-        for k, ck in enumerate(self.classes):
-            # row x of the gather is x^-1 z
-            quotients = arr.index(arr.perm(ck.rep)[arr.inv])
-            a[:, :, k] = np.bincount(cls * r + cls[quotients],
-                                     minlength=r * r).reshape(r, r)
-        return a
+class _ClassMatrices:
+    """The class matrices a[i][j, k] = #{x in K_i : x^-1 z_k in K_j} of a
+    table, z_k the class representatives, each built when it is read: one
+    lookup of the r * |K_i| rows x^-1 z_k, where the whole tensor takes
+    r * |G|.  The class members and representative rows are gathered once.
+    """
+
+    def __init__(self, table: CharTable):
+        G = table.group
+        r = table.r
+        self.shape = (r, r, r)
+        self._arr = G._array()
+        self._class_of = G._class_of()
+        sizes = np.cumsum([c.size for c in table.classes])[:-1]
+        self._members = np.split(np.argsort(self._class_of, kind="stable"), sizes)
+        self._reps = np.array([c.rep for c in table.classes], dtype=self._arr.rows.dtype)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        r = self.shape[0]
+        # row (k, x) of the gather is x^-1 z_k
+        quotients = self._reps[:, self._arr.inv[self._members[i]]]
+        found = self._arr.index(quotients.reshape(-1, quotients.shape[-1]))
+        keys = self._class_of[found].reshape(r, -1) * r + np.arange(r)[:, None]
+        return np.bincount(keys.ravel(), minlength=r * r).reshape(r, r)
 
 
 @_cached
@@ -216,27 +228,21 @@ def _dixon_table(G: Group) -> CharTable:
     order = G.order
 
     ell = _dixon_prime(order, e)
+    _check_float_exact(e * ell * ell, "character value lift")
     w = _primitive_root(ell)
     z = pow(w, (ell - 1) // e, ell)
 
     table = CharTable(G, classes, e, None, None,
                       {"prime": ell, "primitive_root": w, "root_power": z})
-    a = table.cmc()
-
-    omegas = _common_eigenvectors(a, ell)  # [r, r]: one row per character
-    degrees_mod, degrees = _recover_degrees(table, omegas, ell)
-    values_mod = _values_mod_ell(table, omegas, degrees_mod, ell)
+    omegas = _common_eigenvectors(_ClassMatrices(table), ell)  # [r, r]: a row per character
+    inv_sizes = np.array([inv_mod(c.size, ell) for c in classes], dtype=np.int64)
+    degrees = _recover_degrees(table, omegas, inv_sizes, ell)
+    values_mod = omegas * inv_sizes % ell * np.array(degrees)[:, None] % ell
     int_values = _lift_values(table, values_mod, degrees, ell, z)
 
-    rows = sorted(
-        range(r),
-        key=lambda i: (degrees[i], int_values[i].reshape(-1).tolist()),
-    )
-    values = np.stack([int_values[i] for i in rows])
-    degs = [degrees[i] for i in rows]
-
-    table.values = values
-    table.degrees = degs
+    rows = sorted(range(r), key=lambda i: (degrees[i], int_values[i].reshape(-1).tolist()))
+    table.values = int_values[rows]
+    table.degrees = [degrees[i] for i in rows]
     _validate_table(table)
     return table
 
@@ -255,7 +261,8 @@ def _common_eigenvectors(a: np.ndarray, ell: int) -> np.ndarray:
 
     Each M_i = a[i] satisfies M_i v = omega(K_i) v on the central character
     vector v = (omega(K_k))_k; since ell does not divide |G| the common
-    eigenspaces are one-dimensional.
+    eigenspaces are one-dimensional.  ``a`` is read through ``a.shape[0]``
+    and ``a[i]``, each a[i] once and only while a space is not yet a line.
 
     A space is a basis in reduced row echelon form with its pivot columns,
     so the coordinates of a vector in it are its entries there, and the
@@ -312,42 +319,26 @@ def _common_eigenvectors(a: np.ndarray, ell: int) -> np.ndarray:
     return out
 
 
-def _recover_degrees(table: CharTable, omegas: np.ndarray, ell: int):
+def _recover_degrees(table: CharTable, omegas: np.ndarray, inv_sizes: np.ndarray,
+                     ell: int) -> list[int]:
     """Degrees from the orthogonality relation, which gives chi(1)^2 mod ell.
 
     A degree d is at most sqrt|G| < ell / 2, so d is the only square root
     of its square mod ell in 1..isqrt|G|.
     """
     order = table.group.order
-    candidates = np.arange(1, isqrt(order) + 1)
-    squares = candidates * candidates % ell
-    sizes = [c.size for c in table.classes]
-    inv_sizes = np.array([inv_mod(s, ell) for s in sizes], dtype=np.int64)
+    root_of = {d * d % ell: d for d in range(1, isqrt(order) + 1)}
     inv_map = [table.inverse_class(k) for k in range(table.r)]
-    degrees_mod = []
+    dens = (omegas * omegas[:, inv_map] % ell * inv_sizes % ell).sum(axis=1) % ell
     degrees = []
-    for i in range(table.r):
-        v = omegas[i]
-        den = int(np.sum(v * v[inv_map] % ell * inv_sizes % ell) % ell)
+    for den in dens.tolist():
         if den == 0:
             raise InternalError("degree denominator vanished mod ell")
-        dsq = (order * inv_mod(den, ell)) % ell
-        roots = candidates[squares == dsq]
-        if len(roots) != 1:
+        deg = root_of.get(order * inv_mod(den, ell) % ell)
+        if deg is None:
             raise InternalError("degree square has no square root mod ell")
-        deg = int(roots[0])
-        degrees_mod.append(deg % ell)
         degrees.append(deg)
-    return degrees_mod, degrees
-
-
-def _values_mod_ell(table, omegas, degrees_mod, ell):
-    sizes = np.array([c.size for c in table.classes], dtype=np.int64)
-    inv_sizes = np.array([inv_mod(int(s), ell) for s in sizes], dtype=np.int64)
-    vals = np.zeros((table.r, table.r), dtype=np.int64)
-    for i in range(table.r):
-        vals[i] = (omegas[i] * inv_sizes % ell) * degrees_mod[i] % ell
-    return vals
+    return degrees
 
 
 def _lift_values(table, values_mod, degrees, ell, z):
@@ -360,9 +351,9 @@ def _lift_values(table, values_mod, degrees, ell, z):
     [0, chi(1)] and therefore determined by its residue.  The classes of
     one order are inverted together, in one product with their o x o
     transform, and mapped to the power basis through every (e/o)-th row.
+    The caller has checked e * ell^2 against 2^53.
     """
     e = table.conductor
-    _check_float_exact(e * ell * ell, "character value lift")
     pm = table.power_map()
     orders = e // (pm == 0).sum(axis=1)  # rep_k^t = 1 iff o_k | t
     zinv = inv_mod(z, ell)
@@ -423,17 +414,25 @@ def _pairwise_products(A: np.ndarray, B: np.ndarray, weights: np.ndarray, e: int
     cyclotomic product, computed by convolution then reduction mod Phi_e.
     Only the planes s of A and t of B that are nonzero somewhere are
     multiplied, each pair into plane s + t of the convolution.
-    A convolution entry is at most max|A| * max|B| * sum|w| * phi, and the
-    reduction multiplies that by at most the largest column sum of |rows|.
+
+    The guard bounds every float64 partial sum.  A plane product
+    sum_K A[i,K,s] w_K B[j,K,t] stays within M = max|A| max|B| sum|w|.  A
+    convolution entry c adds the pairs s + t = c, one t per s and one s per
+    t, so at most min(#planes of A, #planes of B) of them.  The reduction
+    weights entry c by rows[c], and only the c in the sumset of the plane
+    sets are nonzero: the bound is that count times M times the largest
+    column sum of |rows| over the sumset.
     """
     n_a, r, phi = A.shape
     n_b = B.shape[0]
     rows = np.array(_power_reductions(e)[: 2 * phi - 1], dtype=np.int64)[:, :phi]
-    _check_float_exact(int(np.abs(A).max()) * int(np.abs(B).max())
-                       * int(np.abs(weights).sum()) * phi
-                       * int(np.abs(rows).sum(axis=0).max()), "orthogonality check")
     planes_a = A.any(axis=(0, 1)).nonzero()[0]
     planes_b = B.any(axis=(0, 1)).nonzero()[0]
+    reached = np.zeros(2 * phi - 1, dtype=bool)  # the sumset of the plane sets
+    reached[np.add.outer(planes_a, planes_b)] = True
+    _check_float_exact(int(np.abs(A).max()) * int(np.abs(B).max())
+                       * int(np.abs(weights).sum()) * min(len(planes_a), len(planes_b))
+                       * int(np.abs(rows[reached]).sum(axis=0).max()), "orthogonality check")
     # wb[K, (t, j)] = w_K * B[j, K, t], over the planes t where B is nonzero
     wb = np.empty((r, len(planes_b), n_b))
     np.multiply(B[:, :, planes_b].transpose(1, 2, 0), weights[:, None, None], out=wb)

@@ -11,7 +11,7 @@ cut from its parent's certified rows, and membership is one row lookup.
 
 Everything else runs on the element indices 0..|G|-1: conjugacy classes,
 centralizers, normalizers and transporters, Sylow subgroups, the p-subgroup
-lattice and the class-multiplication tensor in :mod:`pblocks.chartable`.  A
+lattice and the class matrices in :mod:`pblocks.chartable`.  A
 :class:`SubgroupHandle` is the frozenset of its element indices, spanned by
 one coset-by-coset closure over index arrays.  Tuples are only what comes in
 (the generators, and the stabilizer chain built from them) and what goes

@@ -10,6 +10,10 @@ indices and ``Group.elements()`` the products of the chain's transversals.
 ``perm_set`` and ``index_set`` translate between a group's element indices
 and its elements, and ``class_index`` maps every element to its class.
 ``relabelled`` renames a group's points by a seeded permutation.
+``oracle_classes`` finds the conjugacy classes by tuple conjugation, and
+``oracle_cmc`` counts the whole class-multiplication tensor by tuple
+products; the table code builds its class matrices one at a time, only
+those that its eigenspace split reads.
 ``conj`` and ``ppow`` are the tuple conjugate and power that no program
 path needs any more.  ``sympy_canonical_factor`` is the least factor of a
 cyclotomic polynomial mod p as sympy's factorisation finds it, the way
@@ -87,6 +91,41 @@ def relabelled(G, seed):
 def class_index(G) -> dict:
     """Map every element of G to the index of its conjugacy class."""
     return dict(zip(G.elements(), G._class_of().tolist()))
+
+
+def oracle_classes(G):
+    """(rep, size, sorted elements) per class, by size then minimal element."""
+    seen = set()
+    raw = []
+    for x in G.elements():
+        if x in seen:
+            continue
+        orbit = {x}
+        queue = [x]
+        while queue:
+            y = queue.pop()
+            for g in G.generators:
+                z = conj(y, g)
+                if z not in orbit:
+                    orbit.add(z)
+                    queue.append(z)
+        seen |= orbit
+        raw.append(tuple(sorted(orbit)))
+    raw.sort(key=lambda orb: (len(orb), orb[0]))
+    return [(orb[0], len(orb), orb) for orb in raw]
+
+
+def oracle_cmc(G, classes):
+    """a[i, j, k] = #{x in K_i : x^-1 z_k in K_j} by tuple products, the
+    classes K_k with representatives z_k as ``oracle_classes`` lists them."""
+    idx = {x: k for k, (_, _, orb) in enumerate(classes) for x in orb}
+    r = len(classes)
+    a = np.zeros((r, r, r), dtype=np.int32)
+    inv = {x: pinv(x) for x in G.elements()}
+    for k, (z, _, _) in enumerate(classes):
+        for x in G.elements():
+            a[idx[x], idx[pmul(inv[x], z)], k] += 1
+    return a
 
 
 def perm_set(G, indices) -> frozenset:

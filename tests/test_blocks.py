@@ -11,7 +11,7 @@ import dataclasses
 import pytest
 
 from cyclo_oracle import Cyclo, central_character, entry
-from kernel_oracles import TupleField, class_index, perm_set
+from kernel_oracles import TupleField, class_index, oracle_classes, oracle_cmc, perm_set
 from pblocks import blocks
 from pblocks.blockfield import block_field
 from pblocks.blocks import (
@@ -104,8 +104,9 @@ def test_central_character_values(grp):
 
 @pytest.mark.parametrize("name,p", [("A5", 2), ("S4", 2), ("SL23", 3), ("F20", 5)])
 def test_reduced_central_character_is_multiplicative(grp, name, p):
-    table = character_table(grp(name))
-    a = table.cmc()
+    G = grp(name)
+    table = character_table(G)
+    a = oracle_cmc(G, oracle_classes(G))
     f = TupleField(block_field(p, table.conductor))
     for b in p_blocks(table, p):
         lam = [tuple(row) for row in b.lam.tolist()]

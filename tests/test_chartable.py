@@ -1,16 +1,21 @@
 """Character tables against independent exact recomputation.
 
 The construction path runs over F_ell and lifts; the oracle here redoes
-orthogonality with Cyclo arithmetic over Q(zeta_e) from scratch.
+orthogonality with Cyclo arithmetic over Q(zeta_e) from scratch.  M12,
+past the default order ceiling, is read from a group file and checked
+against the ATLAS.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cyclo_oracle import Cyclo, entry, inner_product, row
 from pblocks.chartable import character_table, defects, galois_matrix, p_prime_degree_set
+from pblocks.cli import run
 from pblocks.errors import InputError
 from pblocks.perms import parse_cycles
 from pblocks.reports import SCHEMA_VERSION, canonical_json, table_document
@@ -264,6 +269,20 @@ def test_exponent(grp):
     assert character_table(grp("A5")).conductor == 30
     assert character_table(grp("S4")).conductor == 12
     assert character_table(grp("Q8")).conductor == 4
+
+
+def test_m12_from_a_group_file_has_the_atlas_table(capsys):
+    # M12 is past the default order ceiling; its class centralizer orders
+    # and degrees are those of the ATLAS of Finite Groups
+    path = Path(__file__).parent / "fixtures" / "groups" / "M12.txt"
+    assert run(["table", "--group", str(path), "--max-order", "100000"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["group"]["order"] == 95040
+    result = doc["result"]
+    assert result["conductor"] == 1320
+    assert sorted(c["centralizer_order"] for c in result["classes"]) == \
+        [6, 8, 8, 10, 10, 11, 11, 12, 32, 32, 36, 54, 192, 240, 95040]
+    assert result["degrees"] == [1, 11, 11, 16, 16, 45, 54, 55, 55, 55, 66, 99, 120, 144, 176]
 
 
 def _gcd(a, b):

@@ -400,8 +400,8 @@ def test_cached_fact_is_one_object_per_argument(name):
 
 
 def test_single_use_facts_are_not_kept():
-    # cmc() and exponent() run once per table, and the counting memo once per
-    # call: none of them stays in a cache
+    # the class matrices are built per read and exponent() once per table,
+    # and the counting memo lives for one call: none of them stays in a cache
     G = library_group("S4")
     table = character_table(G)
     signed_pair_counts(G, G.trivial_subgroup(), 2)

@@ -1,15 +1,17 @@
 """Array kernels against the tuple scans they replaced.
 
 The oracles below are the element-by-element scans over tuple permutations
-that the array versions in ``groups`` and ``chartable`` replaced: classes,
-the class-multiplication tensor, the power map, centralizers, normalizers,
-subgroup conjugation orbits and the subgroups of a p-group; with
-``kernel_oracles``, the breadth-first element closure and the tuple
-reduction of central characters.  They are compared on every
-acceptance-corpus group and on a seeded relabelling of its points, together
-with the float64 product and lift routes of the table code against the same
-computations in exact Python integers, and the eigenspace split against the
-split that reduces every basis again and splits every space.  The p-th
+that the array versions in ``groups`` and ``chartable`` replaced: the power
+map, centralizers, normalizers, subgroup conjugation orbits and the
+subgroups of a p-group; with ``kernel_oracles``, the classes, the
+class-multiplication tensor (of which the table builds one class matrix at
+a time), the breadth-first element closure and the tuple reduction of
+central characters.  They are compared on every acceptance-corpus group and
+on a seeded relabelling of its points, together with the float64 product
+and lift routes of the table code against the same computations in exact
+Python integers, and the eigenspace split against the split that reduces
+every basis again and splits every space; the split reads only the class
+matrices that it needs, and the float guards are sized by the data.  The p-th
 powers of the elements are compared with p - 1 repeated gathers, and each
 table's splitting prime, its primitive root and the reduction moduli with
 sympy.  Complex conjugation as ``galois_matrix(e, -1)`` and the one p-adic
@@ -30,6 +32,8 @@ from kernel_oracles import (
     conj_matrix,
     generating_subset,
     nu_by_division,
+    oracle_classes,
+    oracle_cmc,
     perm_set,
     relabelled,
     sympy_canonical_factor,
@@ -39,6 +43,7 @@ from pblocks.blockfield import block_field
 from pblocks.blocks import brauer_correspondent, omega_int_vectors, p_blocks
 from pblocks.chartable import (
     CharTable,
+    _ClassMatrices,
     _check_exact,
     _check_float_exact,
     _common_eigenvectors,
@@ -48,6 +53,7 @@ from pblocks.chartable import (
     character_table,
     galois_matrix,
 )
+from pblocks.config import Limits
 from pblocks.cyclotomic import _nu, _power_reductions, euler_phi
 from pblocks.errors import InternalError, ResourceError
 from pblocks.groups import Group, _member_mask, _subgroups_of_p_group
@@ -56,39 +62,6 @@ from pblocks.modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
 from pblocks.perms import pinv, pmul
 
 # -- brute-force oracles --------------------------------------------------------
-
-
-def oracle_classes(G):
-    """(rep, size, sorted elements) per class, by size then minimal element."""
-    seen = set()
-    raw = []
-    for x in G.elements():
-        if x in seen:
-            continue
-        orbit = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g in G.generators:
-                z = conj(y, g)
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        seen |= orbit
-        raw.append(tuple(sorted(orbit)))
-    raw.sort(key=lambda orb: (len(orb), orb[0]))
-    return [(orb[0], len(orb), orb) for orb in raw]
-
-
-def oracle_cmc(G, classes):
-    idx = {x: k for k, (_, _, orb) in enumerate(classes) for x in orb}
-    r = len(classes)
-    a = np.zeros((r, r, r), dtype=np.int32)
-    inv = {x: pinv(x) for x in G.elements()}
-    for k, (z, _, _) in enumerate(classes):
-        for x in G.elements():
-            a[idx[x], idx[pmul(inv[x], z)], k] += 1
-    return a
 
 
 def oracle_power_map(table):
@@ -279,9 +252,14 @@ def test_classes_and_cmc_match_oracles(group_of, case):
     assert all(c.centralizer_order * c.size == G.order for c in classes)
     assert class_index(G) == {x: k for k, (_, _, orb) in enumerate(expected)
                                for x in orb}
-    cmc = character_table(G).cmc()
-    assert cmc.dtype == np.int32
-    assert np.array_equal(cmc, oracle_cmc(G, expected))
+    # each class matrix is built by itself, so build them in reverse order
+    oracle = oracle_cmc(G, expected)
+    matrices = _ClassMatrices(character_table(G))
+    assert matrices.shape == oracle.shape
+    for i in reversed(range(len(classes))):
+        a = matrices[i]
+        assert a.dtype == np.int64
+        assert np.array_equal(a, oracle[i])
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -428,6 +406,25 @@ def test_float_routes_match_exact_integers(group_of, case):
     assert np.array_equal(lifted, table.values)
 
 
+def test_degree_recovery_rejects_wrong_central_characters(group_of):
+    # omega_chi(K) = |K| chi(g_K) / chi(1) mod ell, rescaled or zeroed per row
+    table = character_table(group_of("S4", None))
+    values_mod, ell, _ = values_mod_of(table)
+    sizes = np.array([c.size for c in table.classes], dtype=np.int64)
+    inv_degrees = np.array([inv_mod(d, ell) for d in table.degrees], dtype=np.int64)
+    omegas = values_mod * sizes % ell * inv_degrees[:, None] % ell
+    inv_sizes = np.array([inv_mod(int(s), ell) for s in sizes], dtype=np.int64)
+    assert chartable._recover_degrees(table, omegas, inv_sizes, ell) == table.degrees
+    scaled = omegas.copy()
+    assert ell == 13
+    scaled[0] = scaled[0] * 2 % ell  # degree 1/2 = 7 or 6 mod 13, above isqrt(24)
+    with pytest.raises(InternalError, match="^degree square has no square root mod ell$"):
+        chartable._recover_degrees(table, scaled, inv_sizes, ell)
+    scaled[0] = 0
+    with pytest.raises(InternalError, match="^degree denominator vanished mod ell$"):
+        chartable._recover_degrees(table, scaled, inv_sizes, ell)
+
+
 def test_lift_rejects_a_shifted_value(group_of):
     table = character_table(group_of("F21xS3", None))
     values_mod, ell, z = values_mod_of(table)
@@ -459,15 +456,16 @@ SPLIT_CASES = CASES + [("C4xC2xC2xC2", None), ("C3xC3xC3xC2", None)]
 
 @pytest.mark.parametrize("case", SPLIT_CASES, ids=_case_id)
 def test_eigenspace_split_matches_oracle(group_of, case):
-    table = character_table(group_of(*case))
-    a, ell = table.cmc(), table.lift_meta["prime"]
+    G = group_of(*case)
+    a, ell = oracle_cmc(G, oracle_classes(G)), character_table(G).lift_meta["prime"]
     out = _common_eigenvectors(a, ell)
     assert out.dtype == np.int64
     assert np.array_equal(out, oracle_common_eigenvectors(a, ell))
 
 
 def test_split_rejects_a_basis_off_its_pivots(monkeypatch, group_of):
-    table = character_table(group_of("C4xC2xC2xC2", None))
+    G = group_of("C4xC2xC2xC2", None)
+    table = character_table(G)
     real_rref = chartable.rref
 
     def reversed_pivots(mat, ell):
@@ -476,7 +474,7 @@ def test_split_rejects_a_basis_off_its_pivots(monkeypatch, group_of):
 
     monkeypatch.setattr(chartable, "rref", reversed_pivots)
     with pytest.raises(InternalError, match="lost rank"):
-        _common_eigenvectors(table.cmc(), table.lift_meta["prime"])
+        _common_eigenvectors(oracle_cmc(G, oracle_classes(G)), table.lift_meta["prime"])
 
 
 def test_split_rejects_lines_off_the_identity_class():
@@ -487,12 +485,44 @@ def test_split_rejects_lines_off_the_identity_class():
         _common_eigenvectors(a, 7)
 
 
+def test_split_builds_only_the_class_matrices_it_reads(monkeypatch):
+    # the split's reads, on the whole oracle tensor, against the matrices
+    # that the S7 table builds
+    G = library_group("S7", Limits(max_order=5040))
+    oracle = oracle_cmc(G, oracle_classes(G))
+    reads = []
+
+    class Recording:
+        shape = oracle.shape
+
+        def __getitem__(self, i):
+            reads.append(i)
+            return oracle[i]
+
+    _common_eigenvectors(Recording(), chartable._dixon_prime(G.order, G.exponent()))
+    built = []
+    real_build = _ClassMatrices.__getitem__
+
+    def recording_build(matrices, i):
+        built.append(i)
+        return real_build(matrices, i)
+
+    monkeypatch.setattr(_ClassMatrices, "__getitem__", recording_build)
+    table = character_table(G)
+    assert built == reads
+    assert len(built) < table.r
+
+
 def test_large_split_prime_trips_the_int64_guard(monkeypatch):
-    G = library_group("S3")  # r = 3, exponent 6
-    r, e = 3, 6
+    # the lift's guard e * ell^2 < 2^53 runs first, so the split's guard
+    # r * (ell - 1)^2 < 2^63 is the one that trips only where r > 2^10 * e:
+    # C2^12 has r = 4096 classes and exponent 2
+    G = library_group("x".join(["C2"] * 12))
+    r, e = 4096, 2
     ell = isqrt(2**63 // r) + 2  # so r * (ell - 1)^2 > 2^63
     while not (ell % e == 1 and isprime(ell)):
         ell += 1
+    assert e * ell * ell < 2**53
     monkeypatch.setattr(chartable, "_dixon_prime", lambda order, exponent: ell)
     with pytest.raises(ResourceError, match=r"2\^63") as info:
         character_table(G)
@@ -500,6 +530,21 @@ def test_large_split_prime_trips_the_int64_guard(monkeypatch):
     _check_exact(2**63 - 1, "edge", 63, "int64")
     with pytest.raises(ResourceError):
         _check_exact(2**63, "edge", 63, "int64")
+
+
+def test_large_lift_prime_trips_the_float_guard_before_any_class_matrix(monkeypatch):
+    G = library_group("S3")  # exponent 6
+    e = 6
+    ell = isqrt(2**53 // e) + 1  # so e * ell^2 >= 2^53
+    while not (ell % e == 1 and isprime(ell)):
+        ell += 1
+    monkeypatch.setattr(chartable, "_dixon_prime", lambda order, exponent: ell)
+    built = []
+    monkeypatch.setattr(_ClassMatrices, "__getitem__", lambda matrices, i: built.append(i))
+    with pytest.raises(ResourceError, match=r"^character value lift: .*2\^53") as info:
+        character_table(G)
+    assert str(e * ell * ell) in str(info.value)  # the value reached
+    assert built == []
 
 
 def test_large_reduction_prime_trips_the_int64_guard():
@@ -554,6 +599,36 @@ def test_oversized_products_trip_the_float_guard():
     _check_float_exact(2**53 - 1, "edge")
     with pytest.raises(ResourceError):
         _check_float_exact(2**53, "edge")
+
+
+def s10_sized(planes):
+    """Values up to 768 in the given planes of a [42, 42, phi(2520)] array,
+    and weights summing to 10!: S10 has 42 classes, exponent 2520 and
+    largest degree 768."""
+    rng = np.random.default_rng(10)
+    A = np.zeros((42, 42, euler_phi(2520)), dtype=np.int64)
+    A[:, :, planes] = rng.integers(-768, 769, size=(42, 42, len(planes)))
+    A[0, 0, planes] = 768
+    return A, np.full(42, 3628800 // 42, dtype=np.int64)
+
+
+def test_rational_s10_sized_products_pass_the_float_guard():
+    # S10's values are rational, so they fill plane 0 alone
+    A, w = s10_sized([0])
+    phi = A.shape[2]
+    # a bound over every plane and every reduction row refuses these
+    rows = np.array(_power_reductions(2520)[: 2 * phi - 1], dtype=np.int64)[:, :phi]
+    assert 768**2 * int(w.sum()) * phi * int(np.abs(rows).sum(axis=0).max()) >= 2**53
+    # plane 0 times plane 0 lands in plane 0, which reduces to itself
+    expected = np.zeros_like(A)
+    expected[:, :, 0] = (A[:, :, 0] * w) @ A[:, :, 0].T
+    assert np.array_equal(_pairwise_products(A, A, w, 2520), expected)
+
+
+def test_many_nonzero_planes_still_trip_the_float_guard():
+    A, w = s10_sized(list(range(euler_phi(2520))))
+    with pytest.raises(ResourceError, match=r"^orthogonality check: .*2\^53"):
+        _pairwise_products(A, A, w, 2520)
 
 
 def test_row_lookup_rejects_non_elements():
