@@ -2,17 +2,24 @@
 
 The algorithm is the classical one: split F_ell^r into common eigenspaces
 of the class-sum matrices for a prime ell = 1 (mod exponent) with
-ell > 2*sqrt(|G|), building each class matrix only when the split reads it;
-read off the central character values, recover degrees from the
-orthogonality relation, and lift each value to an exact element of
+ell > 2*sqrt(|G|); read off the central character values, recover degrees
+from the orthogonality relation, and lift each value to an exact element of
 Z[zeta_e] by discrete Fourier inversion.  The values on a class of element
 order o repeat with period o in the power, so each class is inverted over
 the o-th roots of unity in F_ell, all classes of one order in one product.
 
+The split reads the class matrices smallest class first, and among classes
+of one size those of prime element order first, then by element order and
+index; it builds each class matrix only when it reads it.  On each space it
+takes the minimal polynomial of the class matrix from its powers, and each
+eigenspace as the row space of a Lagrange projector, a combination of those
+powers.
+
 Every table is validated against both orthogonality relations before it is
 returned; a table that fails validation is never handed out.  Their
 cyclotomic products convolve only the coefficient planes that are nonzero
-in the arrays multiplied; a rational table has one.
+in the arrays multiplied, and only the table's nonzero planes are complex
+conjugated; a rational table has one.
 
 The integer products of the lift and of the validation run through float64
 matrix products.  Each is preceded by an a-priori bound on its partial sums;
@@ -36,7 +43,7 @@ import numpy as np
 from .cyclotomic import _nu, _power_reductions, _prime_factors, euler_phi
 from .errors import InputError, InternalError, ResourceError
 from .groups import ConjClass, Group, _cached
-from .modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
+from .modlinalg import inv_mod, lagrange_basis, minimal_polynomial, poly_roots, rref
 
 __all__ = [
     "CharTable",
@@ -234,7 +241,8 @@ def _dixon_table(G: Group) -> CharTable:
 
     table = CharTable(G, classes, e, None, None,
                       {"prime": ell, "primitive_root": w, "root_power": z})
-    omegas = _common_eigenvectors(_ClassMatrices(table), ell)  # [r, r]: a row per character
+    # [r, r]: a row per character
+    omegas = _common_eigenvectors(_ClassMatrices(table), ell, _read_order(table))
     inv_sizes = np.array([inv_mod(c.size, ell) for c in classes], dtype=np.int64)
     degrees = _recover_degrees(table, omegas, inv_sizes, ell)
     values_mod = omegas * inv_sizes % ell * np.array(degrees)[:, None] % ell
@@ -256,24 +264,44 @@ def _dixon_prime(order: int, e: int) -> int:
         ell += e
 
 
-def _common_eigenvectors(a: np.ndarray, ell: int) -> np.ndarray:
+def _read_order(table: CharTable) -> list[int]:
+    """The classes whose matrices the eigenspace split reads, in the order
+    it reads them: by class size, smallest first (Schneider), then classes
+    of prime element order before the others, then by element order and
+    index.  A class of size one and prime order p is a central element,
+    which acts in every character as a p-th root of unity times the degree:
+    it splits a space into at most p parts, with a minimal polynomial of
+    degree at most p, while the spaces are large."""
+    orders = _element_orders(table).tolist()
+    return sorted(range(1, table.r), key=lambda k: (
+        table.classes[k].size, not _is_prime(orders[k]), orders[k], k))
+
+
+def _common_eigenvectors(a: np.ndarray, ell: int, reads) -> np.ndarray:
     """Split F_ell^r into the common eigenspaces of the class-sum matrices.
 
     Each M_i = a[i] satisfies M_i v = omega(K_i) v on the central character
     vector v = (omega(K_k))_k; since ell does not divide |G| the common
     eigenspaces are one-dimensional.  ``a`` is read through ``a.shape[0]``
-    and ``a[i]``, each a[i] once and only while a space is not yet a line.
+    and ``a[i]`` for i in ``reads`` (see :func:`_read_order`), each a[i]
+    once and only while a space is not yet a line.
 
     A space is a basis in reduced row echelon form with its pivot columns,
     so the coordinates of a vector in it are its entries there, and the
-    basis is never reduced again.  A class matrix that acts on a space as a
-    scalar cannot split it, so the space is kept as it is (Schneider,
-    J. Symbolic Comput. 9 (1990)).
+    basis is never reduced again.  On a space, M_i acts as a diagonalizable
+    matrix R.  Its minimal polynomial has distinct roots lambda_k, the
+    eigenvalues, and the left lambda_k-eigenspace is the row space of the
+    Lagrange projector L_k(R), a combination of the powers of R that the
+    minimal polynomial was found from; all projectors come from one
+    product.  A restriction whose minimal polynomial lacks distinct roots
+    in F_ell is not diagonalizable there, and is refused.  A class matrix
+    that acts on a space as a scalar cannot split it, so the space is kept
+    as it is (Schneider, J. Symbolic Comput. 9 (1990)).
     """
     r = a.shape[0]
     _check_exact(r * (ell - 1) ** 2, "eigenspace split", 63, "int64")
     spaces = [(np.eye(r, dtype=np.int64), np.arange(r))]
-    for i in range(1, r):
+    for i in reads:
         if all(len(pivots) == 1 for _, pivots in spaces):
             break
         mt = (a[i].T.astype(np.int64)) % ell
@@ -283,26 +311,26 @@ def _common_eigenvectors(a: np.ndarray, ell: int) -> np.ndarray:
             if n == 1:
                 new_spaces.append((basis, pivots))
                 continue
-            eye = np.eye(n, dtype=np.int64)
-            if not np.array_equal(basis[:, pivots], eye):
+            if not np.array_equal(basis[:, pivots], np.eye(n, dtype=np.int64)):
                 raise InternalError("eigenspace basis lost rank")
             image = (basis @ mt) % ell
+            if np.array_equal(image, image[0, pivots[0]] * basis % ell):  # a scalar
+                new_spaces.append((basis, pivots))
+                continue
+            # coordinates act by right multiplication with the restriction
             restriction = image[:, pivots]
             if not np.array_equal((restriction @ basis) % ell, image):
                 raise InternalError("class-sum matrix does not preserve eigenspace")
-            if np.array_equal(restriction, restriction[0, 0] * eye):
-                new_spaces.append((basis, pivots))
-                continue
+            poly, powers = minimal_polynomial(restriction, ell)
+            roots = poly_roots(poly, ell)
+            if len(roots) < len(poly) - 1:  # not diagonalizable over F_ell
+                raise InternalError("eigenspace refinement lost dimension")
+            projectors = lagrange_basis(roots, ell) @ powers.reshape(len(roots), -1) % ell
             dim_total = 0
-            for lam in poly_roots(charpoly(restriction, ell), ell):
-                # coordinates act by right multiplication with the
-                # restriction, so eigen-rows come from the left nullspace
-                null = nullspace(((restriction - lam * eye) % ell).T, ell)
-                if null.shape[0] == 0:
-                    continue
+            for projector in projectors:
                 # an echelon basis in the coordinates of an echelon basis
                 # is echelon, with the pivots of the pivots
-                coords, sub_pivots = rref(null, ell)
+                coords, sub_pivots = rref(projector.reshape(n, n), ell)
                 dim_total += coords.shape[0]
                 new_spaces.append(((coords @ basis) % ell, pivots[sub_pivots]))
             if dim_total != n:
@@ -355,7 +383,7 @@ def _lift_values(table, values_mod, degrees, ell, z):
     """
     e = table.conductor
     pm = table.power_map()
-    orders = e // (pm == 0).sum(axis=1)  # rep_k^t = 1 iff o_k | t
+    orders = _element_orders(table)
     zinv = inv_mod(z, ell)
     zpow = np.array([pow(zinv, s, ell) for s in range(e)], dtype=np.float64)
     basis = np.array(_power_reductions(e)[:e], dtype=np.int64)[:, :table.phi]
@@ -373,6 +401,12 @@ def _lift_values(table, values_mod, degrees, ell, z):
             raise InternalError("eigenvalue multiplicities do not sum to the degree")
         out[:, ks] = mults @ basis[::e // o]
     return out
+
+
+def _element_orders(table: CharTable) -> np.ndarray:
+    """The order of every class representative, in class order."""
+    # rep_k^t = 1 iff o_k | t, for 0 <= t < e
+    return table.conductor // (table.power_map() == 0).sum(axis=1)
 
 
 def _one_vector(e: int) -> np.ndarray:
@@ -454,8 +488,9 @@ def _validate_table(table: CharTable) -> None:
         if G.order % d:
             raise InternalError("character degree does not divide the group order")
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
-    conj_values = np.tensordot(table.values, galois_matrix(table.conductor, -1),
-                               axes=([2], [0]))
+    planes = table.values.any(axis=(0, 1)).nonzero()[0]  # conjugate only these
+    conj_values = np.tensordot(table.values[:, :, planes],
+                               galois_matrix(table.conductor, -1)[planes], axes=([2], [0]))
 
     diagonal = np.arange(r), np.arange(r), 0  # the rational part of C[i, i]
     row_orth = _pairwise_products(table.values, conj_values, sizes, table.conductor)

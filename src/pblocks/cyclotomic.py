@@ -10,6 +10,7 @@ This leaf module also holds the one p-adic valuation, :func:`_nu`.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
 from .errors import InputError, InternalError
 
@@ -49,32 +50,38 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(e: int) -> tuple:
-    """Integer coefficients of the e-th cyclotomic polynomial, ascending."""
+    """Integer coefficients of the e-th cyclotomic polynomial, ascending.
+
+    The Moebius product prod_{d | e} (x^d - 1)^mu(e/d): the factors with
+    mu(e/d) = 1 are multiplied first, and then each with mu(e/d) = -1 is
+    divided out, which is exact as every quotient on the way is Phi_e times
+    the factors still to divide.  Both steps run in stride d.
+    """
     if e < 1:
         raise InputError("conductor must be positive")
-    # x^e - 1 divided by the product of the lower cyclotomic polynomials.
-    num = [-1] + [0] * (e - 1) + [1]
-    for d in range(1, e):
-        if e % d == 0:
-            num = _poly_div_exact(num, list(cyclotomic_poly(d)))
-    return tuple(num)
+    primes = _prime_factors(e)
+    times, over = [], []  # the d with mu(e/d) = 1 and -1
+    for mask in range(1 << len(primes)):
+        s = prod(q for j, q in enumerate(primes) if mask >> j & 1)
+        (over if bin(mask).count("1") % 2 else times).append(e // s)
+    poly = [1]
+    for d in times:
+        poly = [hi - lo for hi, lo in zip([0] * d + poly, poly + [0] * d)]
+    for d in over:
+        poly = _over_binomial(poly, d)
+    return tuple(poly)
 
 
-def _poly_div_exact(num: list, den: list):
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1]:
-            raise InternalError("non-exact cyclotomic polynomial division")
-        q = c // den[-1]
-        out[i] = q
-        if q:
-            for j, d in enumerate(den):
-                num[i + j] -= q * d
-    if any(num):
+def _over_binomial(p: list, d: int) -> list:
+    """p / (x^d - 1), exact: p = q x^d - q gives q[i] = q[i - d] - p[i]."""
+    n = len(p) - d
+    q = [0] * (n + d)  # q[i] at q[i + d], after d zeros
+    for i in range(n):
+        q[i + d] = q[i] - p[i]
+    # the top d coefficients of p are those of q x^d alone
+    if p[n:] != q[n:]:
         raise InternalError("non-exact cyclotomic polynomial division")
-    return out
+    return q[d:]
 
 
 @lru_cache(maxsize=None)

@@ -1,17 +1,23 @@
 """Dense linear algebra over a prime field F_ell, on numpy int64 arrays.
 
-A matrix product sums up to r products of two residues before it reduces;
+Every product here sums at most r products of two residues before it
+reduces, r the number of classes of the table being built: a product of two
+n x n matrices sums n <= r terms, the echelon reductions of
+:func:`minimal_polynomial` sum one term per earlier power (at most n), and a
+combination of the m <= n powers of a matrix sums m terms.
 :func:`pblocks.chartable._common_eigenvectors` checks that r * (ell - 1)^2
 stays below 2^63 before it calls these routines.
 """
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from .errors import InternalError
 
-__all__ = ["rref", "nullspace", "charpoly", "poly_roots", "inv_mod"]
+__all__ = ["rref", "minimal_polynomial", "lagrange_basis", "poly_roots", "inv_mod"]
 
 
 def inv_mod(a: int, ell: int) -> int:
@@ -42,68 +48,68 @@ def rref(mat: np.ndarray, ell: int):
     return m[:r], pivots
 
 
-def nullspace(mat: np.ndarray, ell: int) -> np.ndarray:
-    """Basis of the right nullspace, as rows, in rref."""
-    m, pivots = rref(mat, ell)
-    cols = mat.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[i, pc] = (-m[ri, fc]) % ell
-    return basis
+def minimal_polynomial(mat: np.ndarray, ell: int):
+    """(coefficients, powers): the monic minimal polynomial of a square
+    matrix, ascending, and its powers I, mat, ..., mat^(m-1) as an [m, n, n]
+    array, m the degree.
 
-
-def charpoly(mat: np.ndarray, ell: int) -> list[int]:
-    """Characteristic polynomial coefficients, ascending, monic.
-
-    Hessenberg reduction by similarity (only field divisions), then the
-    standard leading-principal-minor recurrence.
+    The powers are flattened and kept in reduced echelon form, each row with
+    the combination of powers that gives it; the first power that reduces
+    to zero against the earlier ones gives the polynomial.  m <= n, as the
+    characteristic polynomial annihilates the matrix.
     """
     n = mat.shape[0]
-    h = mat.astype(np.int64) % ell
-    h = h.copy()
-    for j in range(n - 2):
-        piv = None
-        for i in range(j + 1, n):
-            if h[i, j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != j + 1:
-            h[[j + 1, piv]] = h[[piv, j + 1]]
-            h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
-        inv = inv_mod(h[j + 1, j], ell)
-        for i in range(j + 2, n):
-            if h[i, j]:
-                f = (h[i, j] * inv) % ell
-                h[i] = (h[i] - f * h[j + 1]) % ell
-                h[:, j + 1] = (h[:, j + 1] + f * h[:, i]) % ell
-    # p_k(x) for the leading k x k minor of xI - H.
-    polys = [np.array([1], dtype=np.int64)]
-    for k in range(1, n + 1):
-        prev = polys[k - 1]
-        term = np.zeros(k + 1, dtype=np.int64)
-        term[1:] = prev
-        term[:-1] = (term[:-1] - h[k - 1, k - 1] * prev) % ell
-        term %= ell
-        sub = 1
-        for i in range(1, k):
-            sub = (sub * h[k - i, k - i - 1]) % ell
-            coeff = (h[k - 1 - i, k - 1] * sub) % ell
-            if coeff:
-                term[: k - i] = (term[: k - i] - coeff * polys[k - 1 - i]) % ell
-        polys.append(term % ell)
-    out = [int(c) for c in polys[n]]
-    if out[-1] != 1:
-        raise InternalError("characteristic polynomial is not monic")
+    mat = mat % ell
+    power = np.eye(n, dtype=np.int64)
+    powers = []
+    echelon = np.zeros((0, n * n), dtype=np.int64)  # rows 1 at their pivots, 0 at the others'
+    combos = np.zeros((0, n + 1), dtype=np.int64)  # echelon = combos @ powers
+    pivots = []
+    for t in range(n + 1):
+        flat = power.reshape(-1)
+        weights = flat[pivots]
+        residual = (flat - weights @ echelon % ell) % ell
+        combo = -weights @ combos % ell
+        combo[t] = 1
+        nonzero = residual.nonzero()[0]
+        if nonzero.size == 0:
+            return [int(c) for c in combo[:t + 1]], np.array(powers)
+        q = int(nonzero[0])
+        scale = inv_mod(residual[q], ell)
+        residual = residual * scale % ell
+        combo = combo * scale % ell
+        column = echelon[:, q].copy()
+        echelon = np.vstack([(echelon - np.outer(column, residual)) % ell, residual])
+        combos = np.vstack([(combos - np.outer(column, combo)) % ell, combo])
+        pivots.append(q)
+        powers.append(power)
+        power = mat if t == 0 else power @ mat % ell
+    raise InternalError("minimal polynomial exceeds the dimension")
+
+
+def lagrange_basis(roots: list[int], ell: int) -> np.ndarray:
+    """[m, m] coefficients, ascending, of the Lagrange polynomials
+    L_k(x) = prod_{j != k} (x - roots[j]) / (roots[k] - roots[j]) of m
+    distinct residues, one row per root."""
+    m = len(roots)
+    full = [1]  # prod_j (x - roots[j]), ascending
+    for lam in roots:
+        full = [(below - lam * c) % ell for below, c in zip([0] + full, full + [0])]
+    out = np.zeros((m, m), dtype=np.int64)
+    for k, lam in enumerate(roots):
+        # synthetic division by x - lam, from the top
+        quotient = [0] * m
+        carry = 0
+        for t in range(m, 0, -1):
+            carry = (full[t] + lam * carry) % ell
+            quotient[t - 1] = carry
+        denominator = prod(lam - other for other in roots if other != lam)
+        out[k] = np.array(quotient, dtype=np.int64) * inv_mod(denominator, ell) % ell
     return out
 
 
 def poly_roots(coeffs: list[int], ell: int) -> list[int]:
-    """All roots in F_ell, by vectorized evaluation at every residue."""
+    """All roots in F_ell, ascending, by vectorized evaluation at every residue."""
     xs = np.arange(ell, dtype=np.int64)
     acc = np.full(ell, coeffs[-1] % ell, dtype=np.int64)
     for c in reversed(coeffs[:-1]):

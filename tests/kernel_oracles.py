@@ -21,12 +21,18 @@ cyclotomic polynomial mod p as sympy's factorisation finds it, the way
 ``conj_matrix`` is complex conjugation on the power basis as the table
 validation built it before it took ``galois_matrix(e, -1)``, and
 ``nu_by_division`` is the divide loop that each module once ran for the
-p-adic valuation.
+p-adic valuation.  ``cyclotomic_by_division`` is Phi_e as x^e - 1 divided
+by every lower Phi_d in long division, as ``cyclotomic_poly`` found it
+before it took the Moebius product.  ``charpoly`` and ``nullspace`` are the
+characteristic polynomial by Hessenberg reduction and the nullspace by
+elimination that the eigenspace split ran per eigenvalue before it took
+Lagrange projectors; ``oracle_common_eigenvectors`` is that split.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import numpy as np
 from sympy import GF, Poly, Symbol
@@ -35,6 +41,7 @@ from pblocks.blockfield import BlockField
 from pblocks.cyclotomic import _power_reductions, cyclotomic_poly, euler_phi
 from pblocks.errors import InternalError
 from pblocks.groups import Group
+from pblocks.modlinalg import inv_mod, poly_roots, rref
 from pblocks.perms import identity, pinv, pmul
 
 
@@ -60,6 +67,133 @@ def nu_by_division(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(e: int) -> tuple:
+    """Phi_e, ascending: x^e - 1 divided by Phi_d for every proper divisor d."""
+    num = [-1] + [0] * (e - 1) + [1]
+    for d in range(1, e):
+        if e % d == 0:
+            num = _poly_div_exact(num, list(cyclotomic_by_division(d)))
+    return tuple(num)
+
+
+def _poly_div_exact(num: list, den: list):
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        c = num[i + len(den) - 1]
+        if c % den[-1]:
+            raise InternalError("non-exact cyclotomic polynomial division")
+        q = c // den[-1]
+        out[i] = q
+        if q:
+            for j, d in enumerate(den):
+                num[i + j] -= q * d
+    if any(num):
+        raise InternalError("non-exact cyclotomic polynomial division")
+    return out
+
+
+def nullspace(mat: np.ndarray, ell: int) -> np.ndarray:
+    """Basis of the right nullspace, as rows, in rref."""
+    m, pivots = rref(mat, ell)
+    cols = mat.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for ri, pc in enumerate(pivots):
+            basis[i, pc] = (-m[ri, fc]) % ell
+    return basis
+
+
+def charpoly(mat: np.ndarray, ell: int) -> list[int]:
+    """Characteristic polynomial coefficients, ascending, monic.
+
+    Hessenberg reduction by similarity (only field divisions), then the
+    standard leading-principal-minor recurrence.
+    """
+    n = mat.shape[0]
+    h = mat.astype(np.int64) % ell
+    h = h.copy()
+    for j in range(n - 2):
+        piv = None
+        for i in range(j + 1, n):
+            if h[i, j]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[[j + 1, piv]] = h[[piv, j + 1]]
+            h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
+        inv = inv_mod(h[j + 1, j], ell)
+        for i in range(j + 2, n):
+            if h[i, j]:
+                f = (h[i, j] * inv) % ell
+                h[i] = (h[i] - f * h[j + 1]) % ell
+                h[:, j + 1] = (h[:, j + 1] + f * h[:, i]) % ell
+    # p_k(x) for the leading k x k minor of xI - H.
+    polys = [np.array([1], dtype=np.int64)]
+    for k in range(1, n + 1):
+        prev = polys[k - 1]
+        term = np.zeros(k + 1, dtype=np.int64)
+        term[1:] = prev
+        term[:-1] = (term[:-1] - h[k - 1, k - 1] * prev) % ell
+        term %= ell
+        sub = 1
+        for i in range(1, k):
+            sub = (sub * h[k - i, k - i - 1]) % ell
+            coeff = (h[k - 1 - i, k - 1] * sub) % ell
+            if coeff:
+                term[: k - i] = (term[: k - i] - coeff * polys[k - 1 - i]) % ell
+        polys.append(term % ell)
+    out = [int(c) for c in polys[n]]
+    if out[-1] != 1:
+        raise InternalError("characteristic polynomial is not monic")
+    return out
+
+
+def oracle_common_eigenvectors(a, ell, reads):
+    """The eigenspace split that reads a[i] for i in ``reads``, reduces
+    every basis again and takes the characteristic polynomial of every
+    restriction, scalar ones included, and the nullspace of every shift."""
+    r = a.shape[0]
+    spaces = [np.eye(r, dtype=np.int64)]
+    for i in reads:
+        if all(s.shape[0] == 1 for s in spaces):
+            break
+        mt = (a[i].T.astype(np.int64)) % ell
+        new_spaces = []
+        for basis in spaces:
+            if basis.shape[0] == 1:
+                new_spaces.append(basis)
+                continue
+            image = (basis @ mt) % ell
+            reduced, pivots = rref(basis, ell)
+            assert reduced.shape[0] == basis.shape[0]
+            restriction = image[:, pivots] % ell
+            assert np.array_equal((restriction @ basis) % ell, image % ell)
+            dim_total = 0
+            for lam in poly_roots(charpoly(restriction, ell), ell):
+                shifted = (restriction - lam * np.eye(basis.shape[0], dtype=np.int64)) % ell
+                null = nullspace(shifted.T % ell, ell)
+                if null.shape[0] == 0:
+                    continue
+                sub, _ = rref((null @ basis) % ell, ell)
+                dim_total += sub.shape[0]
+                new_spaces.append(sub)
+            assert dim_total == basis.shape[0]
+        spaces = new_spaces
+    assert all(s.shape[0] == 1 for s in spaces) and len(spaces) == r
+    out = np.zeros((r, r), dtype=np.int64)
+    for i, s in enumerate(spaces):
+        v = s[0] % ell
+        assert v[0] != 0
+        out[i] = (v * inv_mod(v[0], ell)) % ell
+    return out
 
 
 def ppow(p, k: int):

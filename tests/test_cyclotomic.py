@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cyclo_oracle import Cyclo
+from kernel_oracles import cyclotomic_by_division
 from pblocks.cyclotomic import cyclotomic_poly, euler_phi
 from pblocks.errors import InputError
 
@@ -18,6 +19,11 @@ def test_cyclotomic_polynomials():
     for e in range(1, 40):
         assert len(cyclotomic_poly(e)) == euler_phi(e) + 1
         assert cyclotomic_poly(e)[-1] == 1
+
+
+def test_moebius_product_matches_long_division():
+    for e in list(range(1, 501)) + [2520]:
+        assert cyclotomic_poly(e) == cyclotomic_by_division(e), e
 
 
 def test_root_of_unity_relations():

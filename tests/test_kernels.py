@@ -10,8 +10,10 @@ central characters.  They are compared on every acceptance-corpus group and
 on a seeded relabelling of its points, together with the float64 product
 and lift routes of the table code against the same computations in exact
 Python integers, and the eigenspace split against the split that reduces
-every basis again and splits every space; the split reads only the class
-matrices that it needs, and the float guards are sized by the data.  The p-th
+every basis again, splits every space and finds each eigenspace as a
+nullspace, both reading the classes in the same order; the split reads
+only the class matrices that it needs, in the order of class size and
+prime element order first, and the float guards are sized by the data.  The p-th
 powers of the elements are compared with p - 1 repeated gathers, and each
 table's splitting prime, its primitive root and the reduction moduli with
 sympy.  Complex conjugation as ``galois_matrix(e, -1)`` and the one p-adic
@@ -34,6 +36,7 @@ from kernel_oracles import (
     nu_by_division,
     oracle_classes,
     oracle_cmc,
+    oracle_common_eigenvectors,
     perm_set,
     relabelled,
     sympy_canonical_factor,
@@ -49,6 +52,7 @@ from pblocks.chartable import (
     _common_eigenvectors,
     _lift_values,
     _pairwise_products,
+    _read_order,
     _validate_table,
     character_table,
     galois_matrix,
@@ -58,7 +62,7 @@ from pblocks.cyclotomic import _nu, _power_reductions, euler_phi
 from pblocks.errors import InternalError, ResourceError
 from pblocks.groups import Group, _member_mask, _subgroups_of_p_group
 from pblocks.library import acceptance_corpus, library_group
-from pblocks.modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
+from pblocks.modlinalg import inv_mod
 from pblocks.perms import pinv, pmul
 
 # -- brute-force oracles --------------------------------------------------------
@@ -143,45 +147,6 @@ def oracle_subgroups_of_p_group(degree, elements, p):
         found |= nxt
         levels.append(nxt)
     return found
-
-
-def oracle_common_eigenvectors(a, ell):
-    """The eigenspace split that reduces every basis again and takes the
-    characteristic polynomial of every restriction, scalar ones included."""
-    r = a.shape[0]
-    spaces = [np.eye(r, dtype=np.int64)]
-    for i in range(1, r):
-        if all(s.shape[0] == 1 for s in spaces):
-            break
-        mt = (a[i].T.astype(np.int64)) % ell
-        new_spaces = []
-        for basis in spaces:
-            if basis.shape[0] == 1:
-                new_spaces.append(basis)
-                continue
-            image = (basis @ mt) % ell
-            reduced, pivots = rref(basis, ell)
-            assert reduced.shape[0] == basis.shape[0]
-            restriction = image[:, pivots] % ell
-            assert np.array_equal((restriction @ basis) % ell, image % ell)
-            dim_total = 0
-            for lam in poly_roots(charpoly(restriction, ell), ell):
-                shifted = (restriction - lam * np.eye(basis.shape[0], dtype=np.int64)) % ell
-                null = nullspace(shifted.T % ell, ell)
-                if null.shape[0] == 0:
-                    continue
-                sub, _ = rref((null @ basis) % ell, ell)
-                dim_total += sub.shape[0]
-                new_spaces.append(sub)
-            assert dim_total == basis.shape[0]
-        spaces = new_spaces
-    assert all(s.shape[0] == 1 for s in spaces) and len(spaces) == r
-    out = np.zeros((r, r), dtype=np.int64)
-    for i, s in enumerate(spaces):
-        v = s[0] % ell
-        assert v[0] != 0
-        out[i] = (v * inv_mod(v[0], ell)) % ell
-    return out
 
 
 def exact_pairwise_products(A, B, weights, e):
@@ -450,17 +415,41 @@ def test_validation_rejects_a_value_in_an_empty_plane(group_of):
         _validate_table(corrupted)
 
 
-# these two split many spaces on which a class matrix acts as a scalar
-SPLIT_CASES = CASES + [("C4xC2xC2xC2", None), ("C3xC3xC3xC2", None)]
+# the first two split many spaces on which a class matrix acts as a scalar;
+# the last reads classes of orders 2 and 5 before those of order 10
+SPLIT_CASES = CASES + [("C4xC2xC2xC2", None), ("C3xC3xC3xC2", None),
+                       ("C2xC2xC2xC2xC5", None)]
 
 
 @pytest.mark.parametrize("case", SPLIT_CASES, ids=_case_id)
 def test_eigenspace_split_matches_oracle(group_of, case):
     G = group_of(*case)
-    a, ell = oracle_cmc(G, oracle_classes(G)), character_table(G).lift_meta["prime"]
-    out = _common_eigenvectors(a, ell)
-    assert out.dtype == np.int64
-    assert np.array_equal(out, oracle_common_eigenvectors(a, ell))
+    table = character_table(G)
+    a, ell = oracle_cmc(G, oracle_classes(G)), table.lift_meta["prime"]
+    for reads in [_read_order(table), range(1, table.r)]:
+        out = _common_eigenvectors(a, ell, reads)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, oracle_common_eigenvectors(a, ell, reads))
+
+
+def element_order(x) -> int:
+    """The order of a permutation, by tuple products."""
+    k, acc = 1, x
+    while acc != tuple(range(len(x))):
+        acc = pmul(acc, x)
+        k += 1
+    return k
+
+
+# C20 has classes of a prime order above a composite one (5 > 4), of the
+# same size
+@pytest.mark.parametrize("case", CASES + [("C20", None)], ids=_case_id)
+def test_read_order_is_size_then_prime_element_order(group_of, case):
+    table = character_table(group_of(*case))
+    orders = [element_order(c.rep) for c in table.classes]
+    expected = sorted(range(1, table.r), key=lambda k: (
+        table.classes[k].size, not isprime(orders[k]), orders[k], k))
+    assert _read_order(table) == expected
 
 
 def test_split_rejects_a_basis_off_its_pivots(monkeypatch, group_of):
@@ -474,7 +463,16 @@ def test_split_rejects_a_basis_off_its_pivots(monkeypatch, group_of):
 
     monkeypatch.setattr(chartable, "rref", reversed_pivots)
     with pytest.raises(InternalError, match="lost rank"):
-        _common_eigenvectors(oracle_cmc(G, oracle_classes(G)), table.lift_meta["prime"])
+        _common_eigenvectors(oracle_cmc(G, oracle_classes(G)), table.lift_meta["prime"],
+                             _read_order(table))
+
+
+# a Jordan block, and a rotation whose eigenvalues +-i are not in F_7
+@pytest.mark.parametrize("block", [[[1, 1], [0, 1]], [[0, 6], [1, 0]]])
+def test_split_rejects_a_class_matrix_that_is_not_diagonalizable(block):
+    a = np.stack([np.eye(2, dtype=np.int32), np.array(block, dtype=np.int32)])
+    with pytest.raises(InternalError, match="^eigenspace refinement lost dimension$"):
+        _common_eigenvectors(a, 7, [1])
 
 
 def test_split_rejects_lines_off_the_identity_class():
@@ -482,24 +480,12 @@ def test_split_rejects_lines_off_the_identity_class():
     # but the first vanish on the identity class
     a = np.stack([np.eye(3, dtype=np.int32)] + [np.diag([1, 2, 3]).astype(np.int32)] * 2)
     with pytest.raises(InternalError, match="vanishes on the identity class"):
-        _common_eigenvectors(a, 7)
+        _common_eigenvectors(a, 7, [1, 2])
 
 
 def test_split_builds_only_the_class_matrices_it_reads(monkeypatch):
-    # the split's reads, on the whole oracle tensor, against the matrices
-    # that the S7 table builds
-    G = library_group("S7", Limits(max_order=5040))
-    oracle = oracle_cmc(G, oracle_classes(G))
-    reads = []
-
-    class Recording:
-        shape = oracle.shape
-
-        def __getitem__(self, i):
-            reads.append(i)
-            return oracle[i]
-
-    _common_eigenvectors(Recording(), chartable._dixon_prime(G.order, G.exponent()))
+    # the matrices that a table builds, against the split's reads on the
+    # whole oracle tensor; C20 reads its classes out of index order
     built = []
     real_build = _ClassMatrices.__getitem__
 
@@ -508,9 +494,22 @@ def test_split_builds_only_the_class_matrices_it_reads(monkeypatch):
         return real_build(matrices, i)
 
     monkeypatch.setattr(_ClassMatrices, "__getitem__", recording_build)
-    table = character_table(G)
-    assert built == reads
-    assert len(built) < table.r
+    for G in [library_group("S7", Limits(max_order=5040)), library_group("C20")]:
+        built.clear()
+        table = character_table(G)
+        oracle = oracle_cmc(G, oracle_classes(G))
+        reads = []
+
+        class Recording:
+            shape = oracle.shape
+
+            def __getitem__(self, i):
+                reads.append(i)
+                return oracle[i]
+
+        _common_eigenvectors(Recording(), table.lift_meta["prime"], _read_order(table))
+        assert built == reads
+        assert len(built) < table.r
 
 
 def test_large_split_prime_trips_the_int64_guard(monkeypatch):

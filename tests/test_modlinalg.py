@@ -2,7 +2,8 @@ import random
 
 import numpy as np
 
-from pblocks.modlinalg import charpoly, inv_mod, nullspace, poly_roots, rref
+from kernel_oracles import charpoly, nullspace
+from pblocks.modlinalg import inv_mod, lagrange_basis, minimal_polynomial, poly_roots, rref
 
 
 def det_mod(mat, ell):
@@ -73,3 +74,68 @@ def test_rref_and_nullspace():
         assert ns.shape[0] == cols - len(pivots)
         if ns.shape[0]:
             assert not np.any((m @ ns.T) % ell)
+
+
+def poly_at_matrix(coeffs, m, ell):
+    """sum_t coeffs[t] m^t by repeated products."""
+    n = m.shape[0]
+    acc = np.zeros((n, n), dtype=np.int64)
+    power = np.eye(n, dtype=np.int64)
+    for c in coeffs:
+        acc = (acc + c * power) % ell
+        power = power @ m % ell
+    return acc
+
+
+def test_minimal_polynomial_is_the_least_annihilator():
+    rng = random.Random(47)
+    for ell in [7, 13, 31]:
+        for n in range(1, 7):
+            for _ in range(10):
+                # random matrices, and sparse ones with repeated eigenvalues
+                density = rng.choice([1.0, 0.3])
+                m = np.array([[rng.randrange(ell) if rng.random() < density else 0
+                               for _ in range(n)] for _ in range(n)], dtype=np.int64)
+                poly, powers = minimal_polynomial(m, ell)
+                k = len(poly) - 1
+                assert 1 <= k <= n and poly[-1] == 1
+                assert not poly_at_matrix(poly, m, ell).any()
+                assert powers.shape == (k, n, n)
+                for t in range(k):
+                    assert np.array_equal(powers[t], poly_at_matrix([0] * t + [1], m, ell))
+                # no lower degree: I, m, ..., m^(k-1) are independent
+                assert len(rref(powers.reshape(k, -1), ell)[1]) == k
+                # and it divides the characteristic polynomial
+                char = charpoly(m, ell)
+                assert not poly_at_matrix(char, m, ell).any()
+                assert set(poly_roots(poly, ell)) == set(poly_roots(char, ell))
+
+
+def test_minimal_polynomial_of_a_diagonalizable_matrix():
+    ell = 13
+    rng = random.Random(53)
+    for eigenvalues in [[3, 3, 3], [1, 2, 2, 5], [0, 4, 4, 4, 9, 9]]:
+        n = len(eigenvalues)
+        while True:
+            s = np.array([[rng.randrange(ell) for _ in range(n)] for _ in range(n)],
+                         dtype=np.int64)
+            if len(rref(s, ell)[1]) == n:
+                break
+        s_inv = rref(np.hstack([s, np.eye(n, dtype=np.int64)]), ell)[0][:, n:]
+        m = s @ np.diag(eigenvalues) % ell @ s_inv % ell
+        poly, _ = minimal_polynomial(m, ell)
+        assert poly_roots(poly, ell) == sorted(set(eigenvalues))
+        assert len(poly) == len(set(eigenvalues)) + 1
+
+
+def test_lagrange_basis():
+    ell = 31
+    for roots in [[5], [0, 1], [2, 9, 30], [1, 4, 6, 17, 22]]:
+        basis = lagrange_basis(roots, ell)
+        assert basis.shape == (len(roots), len(roots))
+        for k, row in enumerate(basis.tolist()):
+            for j, lam in enumerate(roots):
+                value = 0
+                for c in reversed(row):
+                    value = (value * lam + c) % ell
+                assert value == (k == j)
