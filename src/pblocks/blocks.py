@@ -103,7 +103,7 @@ def p_blocks(table: CharTable, p: int) -> tuple[Block, ...]:
     for bi, members in enumerate(groups):
         members = tuple(sorted(members))
         d = max(defect[i] for i in members)
-        dg = _defect_group(table, p, members, lams[members[0]], d)
+        dg = _defect_group(table, p, lams[members[0]], d)
         blocks.append(
             Block(
                 table=table,
@@ -123,13 +123,11 @@ def p_blocks(table: CharTable, p: int) -> tuple[Block, ...]:
     return tuple(blocks)
 
 
-def _defect_group(table: CharTable, p: int, members, lam: np.ndarray,
-                  d: int) -> SubgroupHandle:
+def _defect_group(table: CharTable, p: int, lam: np.ndarray, d: int) -> SubgroupHandle:
     """Sylow p-subgroup of the centralizer of a defect-class element."""
     G = table.group
     rep = table.classes[_defect_class(table, p, lam)].rep
-    cent = G.handle(elements=G.centralizer_set(rep))
-    dg = cent.lift(cent.as_group().sylow(p))
+    dg = G.handle(elements=G._sylow_in(p, np.flatnonzero(G._commutes_with(rep))))
     if dg.order != p**d:
         raise InternalError(
             "defect group from the defect class disagrees with the member defects"

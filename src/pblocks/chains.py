@@ -25,7 +25,7 @@ from .blocks import Block, block_of, brauer_induce, p_blocks
 from .chartable import CharTable, _check_prime, character_table, defects
 from .cyclotomic import _nu
 from .errors import InputError, InternalError, ResourceError
-from .groups import Group, SubgroupHandle, _cached, _lex_keys, _member_mask, _orbit_labels
+from .groups import Group, SubgroupHandle, _cached, _fuse, _member_mask
 
 __all__ = [
     "PChain",
@@ -102,8 +102,9 @@ def _extensions(G: Group, stab: SubgroupHandle, final: frozenset, p: int) -> lis
 
     This is the extension step shared by chain enumeration and counting.
     The candidates are the members s of G's p-subgroup lattice with
-    ``final`` < s <= H.  They are fused under H's generators by their index
-    maps, and each class is represented by its least member.  H is the
+    ``final`` < s <= H.  They are fused under H's generators by
+    :func:`~pblocks.groups._fuse`, as G's lattice is under G's, and each
+    class is represented by its least member.  H is the
     stabilizer of a chain with final term ``final``, so it normalizes
     ``final`` and each H-class lies above it wholly or not at all.  The
     result is cached on G.
@@ -111,21 +112,13 @@ def _extensions(G: Group, stab: SubgroupHandle, final: frozenset, p: int) -> lis
     inside, below = _member_mask(G.order, stab.elements), _member_mask(G.order, final)
     moves = [G._conj_move(g) for g in stab.generators]
     out = []
-    for level in G._p_lattice(p):
+    for level, _ in G._p_lattice(p):
         if level.shape[1] <= len(final):
             continue
         cand = level[inside[level].all(axis=1) & (below[level].sum(axis=1) == len(final))]
         if not len(cand):
             continue
-        keys = _lex_keys(cand)  # sorted, as the lattice rows are
-        images = []
-        for move in moves:
-            image = _lex_keys(np.sort(move[cand], axis=1))
-            at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
-            if not np.array_equal(keys[at], image):
-                raise InternalError("p-subgroup class lies only partly above the final term")
-            images.append(at)
-        label = _orbit_labels(len(cand), images)
+        label = _fuse(cand, moves)  # cand is sorted, as the lattice rows are
         for i in np.flatnonzero(label == np.arange(len(cand))).tolist():
             t = G.handle(elements=cand[i].tolist())
             n_in_stab = G.normalizer(t).elements & stab.elements

@@ -419,11 +419,14 @@ def final_term_pairing(G: Group, B: Block) -> PairingWitness:
     p^d(B).  The result is checked to be a bijection on chain orbits with
     equal eligible-character counts on matched chains.
     """
-    p = B.p
-    Z = G.p_core(p)
-    S = pair_set(G, B, Z, B.defect)
-    bounds = boundary_sets(S, B)
+    S = pair_set(G, B, G.p_core(B.p), B.defect)
+    return _surgery(G, B, S, boundary_sets(S, B))
 
+
+def _surgery(G: Group, B: Block, S: PairSet, bounds: BoundarySets) -> PairingWitness:
+    """:func:`final_term_pairing` on the pair set S of B at maximal defect
+    from O_p(G), with its boundary sets."""
+    p = B.p
     # chain index -> eligible characters, for the chains off the boundary
     plus_chains = {ci: len(S.chars[ci]) for ci, _ in bounds.Jplus}
     minus_chains = {ci: len(S.chars[ci]) for ci, _ in bounds.Jminus}
@@ -579,19 +582,26 @@ def pairing_with_repair(G: Group, B: Block) -> tuple[CheckReport, PairingWitness
     non-boundary chains, a canonical starting bijection, and repairs it so
     the trivial-chain pairs land on the defect-group-chain pairs.
     """
+    return _pairing_with_repair(G, B)[:2]
+
+
+def _pairing_with_repair(G: Group, B: Block) -> tuple:
+    """(report, witness, witness.to_dict()) of :func:`pairing_with_repair`."""
     p = B.p
     Z = G.p_core(p)
     S = pair_set(G, B, Z, B.defect)
     plus, minus = S.plus, S.minus
     inputs = {"group": group_document(G), "p": p, "block": B.index, "d": B.defect}
     if len(plus) != len(minus):
+        witness = PairingWitness(())
         return (
             CheckReport("pi-pairing", inputs, len(plus), len(minus), "fail",
                         witness={"reason": "signed counts differ; no pairing exists"}),
-            PairingWitness(()),
+            witness,
+            witness.to_dict(),
         )
-    witness = final_term_pairing(G, B)
     bounds = boundary_sets(S, B)
+    witness = _surgery(G, B, S, bounds)
     if len(bounds.C0) != len(bounds.C1):
         raise InternalError("boundary sets have different sizes despite count equality")
     omega = dict(zip(plus, minus))
@@ -600,15 +610,16 @@ def pairing_with_repair(G: Group, B: Block) -> tuple[CheckReport, PairingWitness
     result = repair_bijection(plus, bounds.C0, minus, bounds.C1, omega, pi)
     witness.repaired_map = result.mapping
     witness.swap_log = result.swap_log
+    surgery = witness.to_dict()
     report = CheckReport(
         "pi-pairing", inputs, len(bounds.Jplus), len(bounds.Jminus), "pass",
         witness={
-            "pairing": witness.to_dict()["chain_pairs"],
+            "pairing": surgery["chain_pairs"],
             "boundary": {"C0": len(bounds.C0), "C1": len(bounds.C1)},
             "swaps": len(result.swap_log),
         },
     )
-    return report, witness
+    return report, witness, surgery
 
 
 def pi_pairing_check(G: Group, B: Block) -> CheckReport:
@@ -619,8 +630,8 @@ def pi_pairing_check(G: Group, B: Block) -> CheckReport:
             "pi-pairing", {"group": group_document(G), "p": p, "block": B.index},
             None, None, "not-applicable",
             witness={"reason": "no non-boundary chains for this block"})
-    report, witness = pairing_with_repair(G, B)
-    report.witness["surgery"] = witness.to_dict()
+    report, _, surgery = _pairing_with_repair(G, B)
+    report.witness["surgery"] = surgery
     return report
 
 

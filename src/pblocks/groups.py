@@ -13,9 +13,13 @@ Everything else runs on the element indices 0..|G|-1: conjugacy classes,
 centralizers, normalizers and transporters, Sylow subgroups, the p-subgroup
 lattice and the class matrices in :mod:`pblocks.chartable`.  A
 :class:`SubgroupHandle` is the frozenset of its element indices, spanned by
-one coset-by-coset closure over index arrays.  Tuples are only what comes in
-(the generators, and the stabilizer chain built from them) and what goes
-out (generating sets, class representatives, :meth:`Group.elements`).
+one coset-by-coset closure over index arrays.  One routine, :func:`_fuse`,
+fuses subgroups into conjugacy classes, for the lattice and for the chain
+extension step.  A Sylow subgroup, of G or of a centralizer, grows among G's
+indices, and a subgroup becomes a Group of its own only where its character
+table is built.  Tuples are only what comes in (the generators, and the
+stabilizer chain built from them) and what goes out (generating sets, class
+representatives, :meth:`Group.elements`).
 
 Groups are desk scale: the chain is cheap, but every group holds all its
 elements, so orders are capped by :class:`~pblocks.config.Limits`.
@@ -81,6 +85,22 @@ def _orbit_labels(n: int, moves) -> np.ndarray:
         if np.array_equal(new, label):
             return label
         label = new
+
+
+def _fuse(rows: np.ndarray, moves) -> np.ndarray:
+    """:func:`_orbit_labels` of subgroups under conjugation: ``rows`` holds
+    one sorted element-index array per subgroup, in lexicographic order and
+    closed under every index map of ``moves``."""
+    keys = _lex_keys(rows)
+    images = []
+    for move in moves:
+        image = _lex_keys(np.sort(move[rows], axis=1))
+        at = np.minimum(keys.searchsorted(image), len(keys) - 1)
+        if not np.array_equal(keys[at], image):
+            raise InternalError(
+                "p-subgroup class lies only partly above the final term or in the lattice level")
+        images.append(at)
+    return _orbit_labels(len(rows), images)
 
 
 def _member_mask(n: int, elements) -> np.ndarray:
@@ -349,10 +369,9 @@ class Group:
                 raise InputError("generator lies outside the ambient group")
             inside, _ = self._extend(_member_mask(self.order, [0]), [], found.tolist())
             elements = np.flatnonzero(inside).tolist()
-        elements = frozenset(elements)
-        key = ("handle", elements)
+        key = ("handle", frozenset(elements))
         if key not in self._cache:
-            self._cache[key] = SubgroupHandle(self, elements)
+            self._cache[key] = SubgroupHandle(self, key[1])
         return self._cache[key]
 
     def _extend(self, inside: np.ndarray, gens: list, candidates,
@@ -459,26 +478,31 @@ class Group:
     @_cached
     def sylow(self, p: int) -> "SubgroupHandle":
         """A Sylow p-subgroup, grown deterministically inside normalizers."""
-        target = self.order_p_part(p)
-        if target == self.order:  # a p-group is its own Sylow subgroup
-            return self.full_subgroup()
-        arr = self._array()
-        inside = _member_mask(self.order, [0])
-        gens: list[int] = []
-        size = 1
-        while size < target:
-            # Any x in N_G(P) \ P with x^p in P is a p-element, and <P, x> is
-            # a p-group of order p*|P|.  The least such x is taken.
-            grow = self._transporter(arr.rows[gens], inside) & ~inside
-            grow &= inside[self._powers(p)]
-            if not grow.any():
+        return self.handle(elements=self._sylow_in(p, np.arange(self.order)))
+
+    def _sylow_in(self, p: int, among: np.ndarray) -> list:
+        """Element indices of a Sylow p-subgroup of the subgroup with the
+        ascending element indices ``among``, grown by the least x of
+        :meth:`_p_steps`: as that subgroup's own group grows it."""
+        target = p ** _nu(len(among), p)
+        if target == len(among):  # a p-group is its own Sylow subgroup
+            return among.tolist()
+        inside, gens = _member_mask(self.order, [0]), []
+        while (size := int(inside.sum())) < target:
+            steps = self._p_steps(p, inside, gens, among)
+            if not len(steps):
                 raise InternalError("Sylow construction stalled below target order")
-            inside, gens = self._extend(inside, gens, [int(np.argmax(grow))])
-            grown = int(inside.sum())
-            if not size < grown <= target:
+            inside, gens = self._extend(inside, gens, steps[:1].tolist())
+            if not size < inside.sum() <= target:
                 raise InternalError("Sylow step did not grow to a larger p-subgroup")
-            size = grown
-        return self.handle(elements=np.flatnonzero(inside).tolist())
+        return np.flatnonzero(inside).tolist()
+
+    def _p_steps(self, p: int, inside: np.ndarray, gens: list, among: np.ndarray) -> np.ndarray:
+        """The x of the element indices ``among`` in N(Q) \\ Q with x^p in Q,
+        for the subgroup Q marked by ``inside`` and generated by the indices
+        ``gens``.  Each such x is a p-element, and <Q, x> has order p*|Q|."""
+        among = among[inside[self._powers(p)[among]] & ~inside[among]]
+        return among[self._transporter(self._array().rows[gens], inside, among)]
 
     @_cached
     def p_core(self, p: int) -> "SubgroupHandle":
@@ -492,13 +516,13 @@ class Group:
         """G-orbit of a subgroup under conjugation, given by its element
         indices: one row of sorted indices per conjugate, rows in
         lexicographic order."""
-        return self._index_orbit(np.array(sorted(elements), dtype=self._array().idx))
+        return self._index_orbit(np.array(sorted(elements), dtype=self._array().idx)[None, :])
 
-    def _index_orbit(self, sub: np.ndarray) -> np.ndarray:
-        """G-orbit of a subgroup given by its sorted element indices: one
-        row per conjugate, rows in lexicographic order."""
+    def _index_orbit(self, subs: np.ndarray) -> np.ndarray:
+        """The union of the G-orbits of subgroups given as rows of sorted
+        element indices: one row per conjugate, rows in lexicographic order."""
         moves = [self._conj_move(g) for g in self.generators]
-        orbit = frontier = sub[None, :]
+        orbit = frontier = subs
         while len(frontier) and moves:
             rows = np.concatenate([orbit] + [np.sort(m[frontier], axis=1) for m in moves])
             # np.unique keeps the first of equal rows, and the known rows come first
@@ -509,15 +533,11 @@ class Group:
 
     @_cached
     def subgroup_group(self, handle: "SubgroupHandle") -> "Group":
-        """The subgroup as a Group in its own right (same degree).
-
-        Its rows are cut from this group's rows at the handle's element
-        indices, so its element index i is the i-th smallest index of the
-        handle, and :meth:`SubgroupHandle.lift` maps its handles back by a
-        gather.  The whole group is its own subgroup group, so its table,
-        classes and p-subgroup lattice are built once, whatever subgroup
-        role it plays.
-        """
+        """The subgroup as a Group in its own right (same degree), made
+        where its character table is built.  Its rows are cut from this
+        group's at the handle's element indices, so its index i is the
+        handle's i-th smallest, as :meth:`SubgroupHandle.lift` reads.  The
+        whole group is its own subgroup group, so its facts are built once."""
         if handle.order == self.order:
             return self
         g = Group.__new__(Group)
@@ -532,42 +552,35 @@ class Group:
 
     @_cached
     def p_subgroup_classes(self, p: int) -> tuple["SubgroupHandle", ...]:
-        """One handle per G-class of p-subgroups, sorted by order then key.
-
-        Strategy: every p-subgroup lies in a Sylow p-subgroup, so enumerate
-        all subgroups of one Sylow subgroup bottom-up and fuse the result
-        under G-conjugacy.  Each class orbit is kept as the
-        :meth:`subgroup_orbit` of its handle.
-        """
-        limit = self.limits.max_p_subgroup_classes
-        remaining = {s.tobytes(): s for s in
-                     _subgroups_of_p_group(self, self.sylow(p).elements, p, limit)}
-        orbits = []
-        while remaining:
-            orbit = self._index_orbit(remaining.popitem()[1])
-            for s in orbit:
-                remaining.pop(s.tobytes(), None)
-            orbits.append(orbit)
-            if len(orbits) > limit:
-                raise ResourceError(
-                    f"p-subgroup class count reached {len(orbits)}, above the "
-                    f"ceiling max_p_subgroup_classes = {limit}")
-        orbits.sort(key=lambda orbit: (orbit.shape[1], orbit[0].tolist()))
-        handles = []
-        for orbit in orbits:
-            h = self.handle(elements=orbit[0].tolist())
-            self._cache["subgroup_orbit", h.elements] = orbit
-            handles.append(h)
-        return tuple(handles)
+        """One handle per G-class of p-subgroups, sorted by order then
+        canonical key: the least row of each class of :meth:`_p_lattice`."""
+        return tuple(self.handle(elements=rows[i].tolist())
+                     for rows, labels in self._p_lattice(p)
+                     for i in np.flatnonzero(labels == np.arange(len(rows))).tolist())
 
     @_cached
     def _p_lattice(self, p: int) -> tuple:
-        """Every p-subgroup as the sorted array of its element indices: one
-        array per order, ascending, with its rows in lexicographic order."""
-        lattice = []
-        for _, level in groupby(self.p_subgroup_classes(p), key=lambda h: h.order):
-            rows = np.concatenate([self.subgroup_orbit(h.elements) for h in level])
-            lattice.append(rows[np.argsort(_lex_keys(rows), kind="stable")])
+        """Every p-subgroup, one level (rows, labels) per order, ascending:
+        the subgroups' sorted element indices in lexicographic order, and
+        the least row of each one's G-class.  A level is the G-closure of a
+        Sylow subgroup's subgroups of its order, fused by :func:`_fuse`; each
+        class orbit is kept as the :meth:`subgroup_orbit` of its least row."""
+        limit = self.limits.max_p_subgroup_classes
+        lattice, classes = [], 0
+        subs = _subgroups_of_p_group(self, self.sylow(p).elements, p, limit)
+        for _, level in groupby(subs, key=len):
+            rows = self._index_orbit(np.stack(list(level)))
+            labels = _fuse(rows, [self._conj_move(g) for g in self.generators])
+            by_class = np.argsort(labels, kind="stable")  # rows stay ascending
+            orbits = np.split(rows[by_class], np.flatnonzero(np.diff(labels[by_class])) + 1)
+            classes += len(orbits)
+            if classes > limit:  # counted one class at a time, it passes limit + 1
+                raise ResourceError(
+                    f"p-subgroup class count reached {limit + 1}, above the "
+                    f"ceiling max_p_subgroup_classes = {limit}")
+            for orbit in orbits:
+                self._cache["subgroup_orbit", frozenset(orbit[0].tolist())] = orbit
+            lattice.append((rows, labels))
         return tuple(lattice)
 
 
@@ -582,7 +595,6 @@ def _subgroups_of_p_group(G: Group, elements: frozenset, p: int, ceiling: int) -
     """
     arr = G._array()
     members = np.array(sorted(elements), dtype=arr.idx)
-    power = G._powers(p)[members]  # the index of x^p, for every x of P
     trivial = np.zeros(1, dtype=arr.idx)
     found = [trivial]
     level = [(trivial, [])]  # (subgroup, its generators as indices)
@@ -590,13 +602,10 @@ def _subgroups_of_p_group(G: Group, elements: frozenset, p: int, ceiling: int) -
     while level:
         nxt = {}
         for q, gens in level:
-            inside = np.zeros(G.order, dtype=bool)
-            inside[q] = True
-            extends = inside[power] & ~inside[members]
-            extends &= G._transporter(arr.rows[gens], inside, members)
+            inside = _member_mask(G.order, q)
             q_rows = arr.rows[q]
             taken = np.zeros(G.order, dtype=bool)
-            for x in members[extends].tolist():
+            for x in G._p_steps(p, inside, gens, members).tolist():
                 if taken[x]:
                     continue
                 r = inside.copy()

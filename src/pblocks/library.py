@@ -12,9 +12,9 @@ Catalogue names (case-insensitive):
 * ``F21``    Frobenius group C7:C3 on 7 points
 * ``Dic3``   dicyclic group of order 12 (realized as C3:C4)
 
-Names can be combined with ``x`` for direct products acting on disjoint
-points, e.g. ``C2xA4``.  General split metacyclic groups are available
-through :func:`semidirect_cyclic`.
+Names can be combined with ``x`` or ``X`` for direct products acting on
+disjoint points, e.g. ``C2xA4``; an empty factor is an error.  General split
+metacyclic groups are available through :func:`semidirect_cyclic`.
 
 Group-definition files are plain text::
 
@@ -24,6 +24,8 @@ Group-definition files are plain text::
 
 Generators are written in 0-based disjoint-cycle notation and separated by
 ``;`` or newlines after the ``generators:`` header.  ``()`` is the identity.
+A header is its key word followed by ``:``, whitespace or the end of the
+line, and the rest of the line is its content; there is one ``degree`` line.
 """
 
 from __future__ import annotations
@@ -192,10 +194,10 @@ def _atom(name: str) -> tuple:
 
 def library_group(name: str, limits: Limits = DEFAULT_LIMITS) -> Group:
     """Resolve a catalogue name, possibly an ``x``-product of atoms."""
-    parts = [p for p in re.split(r"x", name.strip()) if p]
-    if not parts:
-        raise InputError(f"unknown library group {name!r}")
-    return Group(*_product([_atom(p.strip()) for p in parts]), limits=limits)
+    parts = [p.strip() for p in re.split(r"[xX]", name.strip())]
+    if not all(parts):
+        raise InputError(f"library group name {name!r} has an empty factor")
+    return Group(*_product([_atom(p) for p in parts]), limits=limits)
 
 
 def acceptance_corpus() -> list[str]:
@@ -210,6 +212,9 @@ def acceptance_corpus() -> list[str]:
     ]
 
 
+_HEADER_RE = re.compile(r"(degree|generators)(?:\s*:|\s|$)(.*)", re.IGNORECASE)
+
+
 def parse_group_file(text: str, limits: Limits = DEFAULT_LIMITS) -> Group:
     """Parse the group-definition file format documented in this module."""
     degree = None
@@ -219,18 +224,19 @@ def parse_group_file(text: str, limits: Limits = DEFAULT_LIMITS) -> Group:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        low = line.lower()
-        if low.startswith("degree"):
-            rest = line.split(":", 1)[1] if ":" in line else line[len("degree"):]
+        header = _HEADER_RE.fullmatch(line)
+        key = header and header[1].lower()
+        if key == "degree":
+            if degree is not None:
+                raise InputError(f"second degree line {raw!r}")
             try:
-                degree = int(rest.strip())
+                degree = int(header[2])
             except ValueError:
                 raise InputError(f"bad degree line {raw!r}") from None
             in_gens = False
-        elif low.startswith("generators"):
-            rest = line.split(":", 1)[1] if ":" in line else ""
-            if rest.strip():
-                gen_text.append(rest.strip())
+        elif key == "generators":
+            if header[2].strip():
+                gen_text.append(header[2].strip())
             in_gens = True
         elif in_gens:
             gen_text.append(line)

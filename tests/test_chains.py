@@ -353,8 +353,8 @@ def test_enumeration_reuses_the_counting_extensions(monkeypatch, name):
     G = library_group(name)
     U = G.trivial_subgroup()
     fused = []
-    labels = chains._orbit_labels
-    monkeypatch.setattr(chains, "_orbit_labels", lambda *a: fused.append(1) or labels(*a))
+    fuse = chains._fuse
+    monkeypatch.setattr(chains, "_fuse", lambda *a: fused.append(1) or fuse(*a))
     counts, orbits = signed_pair_counts(G, U, 2)
     assert fused
     before = len(fused)

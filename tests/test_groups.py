@@ -5,6 +5,7 @@ for classes and normalizers, and level-by-level extension over the whole
 group for p-subgroups.  They never touch the stabilizer chain.
 """
 
+import re
 from math import prod
 
 import numpy as np
@@ -250,6 +251,13 @@ def test_group_file_round_trip(tmp_path):
         parse_group_file("degree: three\n")
     with pytest.raises(InputError):
         parse_group_file("degree: 3\nnonsense\n")
+    # a header is its key word followed by ':', whitespace or the line end
+    assert parse_group_file("degree 3\ngenerators (0 1)\n").order == 2
+    assert parse_group_file("Degree : 3\nGENERATORS:\n(0 1 2)\n").order == 3
+    for bad in ["degreex: 3\ngenerators: (0 1)\n", "degree 3\ngenerators(0 1)\n",
+                "degree: 3\ngenerators: (0 1 2)\ndegree: 4\n", "degree\n"]:
+        with pytest.raises(InputError):
+            parse_group_file(bad)
 
 
 def test_library_names(grp):
@@ -262,6 +270,12 @@ def test_library_names(grp):
         library_group("nope")
     with pytest.raises(InputError):
         library_group("S9")
+    # names are case-insensitive, the product sign included
+    for name in ["c2xa4", "C2XA4", "c2Xa4", " C2 x A4 "]:
+        assert library_group(name).generators == grp("C2xA4").generators
+    for name in ["C2xxC2", "xC2", "C2x", "X", ""]:
+        with pytest.raises(InputError, match=re.escape(repr(name))):
+            library_group(name)
 
 
 def test_library_product_keeps_the_factor_generators(grp):
@@ -358,7 +372,8 @@ def test_subgroup_groups_match_schreier_sims(tmp_path, monkeypatch, capsys):
         for source in (["--lib", name], ["--group", group_file(tmp_path, relabelled(G, 7), name)]):
             for p in primefactors(G.order):
                 for command in (["verify-am", "--all-blocks"], ["pi-pairing"],
-                                ["verify-blockfree"]):
+                                ["verify-blockfree"], ["verify-ctc"],
+                                ["chains", "--start", "trivial"]):
                     assert run([*command, *source, "--prime", str(p)]) == 0
     capsys.readouterr()
     assert len(made) > 250

@@ -14,13 +14,19 @@ every basis again, splits every space and finds each eigenspace as a
 nullspace, both reading the classes in the same order; the split reads
 only the class matrices that it needs, in the order of class size and
 prime element order first, and the float guards are sized by the data.  The p-th
-powers of the elements are compared with p - 1 repeated gathers, and each
-table's splitting prime, its primitive root and the reduction moduli with
-sympy.  Complex conjugation as ``galois_matrix(e, -1)`` and the one p-adic
-valuation ``_nu`` are compared with the routines they replaced.
+powers of the elements are compared with p - 1 repeated gathers.  Each level
+of the p-subgroup lattice is counted without its fusion: 1 mod p subgroups
+(Frobenius), |G : N_G(S)| Sylow subgroups, and |G : N_G(H)| members in the
+class of H.  Each block's defect group, grown among the centraliser's
+indices in G, is compared with the Sylow subgroup that the centraliser's own
+group grows.  Each table's splitting prime, its primitive root and the
+reduction moduli are compared with sympy.  Complex conjugation as
+``galois_matrix(e, -1)`` and the one p-adic valuation ``_nu`` are compared
+with the routines they replaced.
 """
 
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +49,7 @@ from kernel_oracles import (
 )
 from pblocks import chartable
 from pblocks.blockfield import block_field
-from pblocks.blocks import brauer_correspondent, omega_int_vectors, p_blocks
+from pblocks.blocks import _defect_class, brauer_correspondent, omega_int_vectors, p_blocks
 from pblocks.chartable import (
     CharTable,
     _ClassMatrices,
@@ -61,7 +67,7 @@ from pblocks.config import Limits
 from pblocks.cyclotomic import _nu, _power_reductions, euler_phi
 from pblocks.errors import InternalError, ResourceError
 from pblocks.groups import Group, _member_mask, _subgroups_of_p_group
-from pblocks.library import acceptance_corpus, library_group
+from pblocks.library import acceptance_corpus, library_group, parse_group_file
 from pblocks.modlinalg import inv_mod
 from pblocks.perms import pinv, pmul
 
@@ -341,11 +347,66 @@ def test_p_subgroups_and_orbits_match_oracles(group_of, case):
             assert perm_orbit(G, G.subgroup_orbit(n)) == \
                 oracle_subgroup_orbit(G, perm_set(G, n))
         lattice = G._p_lattice(p)
-        assert [len(level[0]) for level in lattice] == sorted(
+        assert [rows.shape[1] for rows, _ in lattice] == sorted(
             {h.order for h in G.p_subgroup_classes(p)})
-        assert [perm_set(G, s) for level in lattice for s in level.tolist()] == sorted(
+        assert [perm_set(G, s) for rows, _ in lattice for s in rows.tolist()] == sorted(
             (perm_set(G, s) for h in G.p_subgroup_classes(p) for s in h.class_orbit),
             key=lambda s: (len(s), tuple(sorted(s))))
+
+
+@pytest.mark.parametrize("case", CASES + [("S6", None), ("C2xC2xC2xC2xC2", None)],
+                         ids=_case_id)
+def test_lattice_levels_have_the_sylow_counts(group_of, case):
+    # counts that do not come from the fusion: the subgroups of order p^k
+    # number 1 mod p (Frobenius), the Sylow subgroups |G : N_G(S)|, and the
+    # members of each class the index of its least member's normalizer
+    G = group_of(*case)
+    for p in primefactors(G.order):
+        lattice = G._p_lattice(p)
+        assert [rows.shape[1] for rows, _ in lattice] == \
+            [p**k for k in range(_nu(G.order, p) + 1)]
+        classes = iter(G.p_subgroup_classes(p))
+        for rows, labels in lattice:
+            assert len(rows) % p == 1
+            assert sorted(set(map(tuple, rows.tolist()))) == list(map(tuple, rows.tolist()))
+            for i in np.flatnonzero(labels == np.arange(len(rows))).tolist():
+                h = next(classes)
+                assert h.elements == frozenset(rows[i].tolist())
+                assert np.count_nonzero(labels == i) == G.order // G.normalizer(h).order
+        assert next(classes, None) is None
+        assert len(lattice[-1][0]) == G.order // G.normalizer(G.sylow(p)).order
+
+
+def centraliser_sylow(G, x, p):
+    """A Sylow p-subgroup of C_G(x) grown in the centraliser's own group
+    and lifted back to G: the route the defect groups took before they were
+    grown among G's indices."""
+    cent = G.handle(elements=G.centralizer_set(x))
+    return cent.lift(cent.as_group().sylow(p))
+
+
+def assert_defect_groups_match_centraliser_route(G, p):
+    table = character_table(G)
+    for B in p_blocks(table, p):
+        rep = table.classes[_defect_class(table, p, B.lam)].rep
+        cent = G.centralizer_set(rep)
+        assert B.defect_group.elements <= cent
+        assert B.defect_group.order == p ** _nu(len(cent), p)
+        assert B.defect_group == centraliser_sylow(G, rep, p)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_defect_groups_match_the_centraliser_route(group_of, case):
+    G = group_of(*case)
+    for p in primefactors(G.order):
+        assert_defect_groups_match_centraliser_route(G, p)
+
+
+def test_m12_defect_groups_match_the_centraliser_route():
+    path = Path(__file__).parent / "fixtures" / "groups" / "M12.txt"
+    G = parse_group_file(path.read_text(), limits=Limits(max_order=100_000))
+    for p in (2, 3):
+        assert_defect_groups_match_centraliser_route(G, p)
 
 
 def values_mod_of(table):
