@@ -10,10 +10,12 @@ the o-th roots of unity in F_ell, all classes of one order in one product.
 
 The split reads the class matrices smallest class first, and among classes
 of one size those of prime element order first, then by element order and
-index; it builds each class matrix only when it reads it.  On each space it
-takes the minimal polynomial of the class matrix from its powers, and each
-eigenspace as the row space of a Lagrange projector, a combination of those
-powers.
+index; it builds each class matrix only when it reads it.  It carries each
+eigenspace as one vector, the component in it of the identity-class row.
+A read takes the Krylov blocks of all carried vectors under the class
+matrix, one product per power, up to their least annihilating polynomial,
+and each vector's component per root as one Lagrange combination of the
+blocks.
 
 Every table is validated against both orthogonality relations before it is
 returned; a table that fails validation is never handed out.  Their
@@ -43,7 +45,7 @@ import numpy as np
 from .cyclotomic import _nu, _power_reductions, _prime_factors, euler_phi
 from .errors import InputError, InternalError, ResourceError
 from .groups import ConjClass, Group, _cached
-from .modlinalg import inv_mod, lagrange_basis, minimal_polynomial, poly_roots, rref
+from .modlinalg import inv_mod, krylov_polynomial, lagrange_basis, poly_roots
 
 __all__ = [
     "CharTable",
@@ -270,8 +272,8 @@ def _read_order(table: CharTable) -> list[int]:
     of prime element order before the others, then by element order and
     index.  A class of size one and prime order p is a central element,
     which acts in every character as a p-th root of unity times the degree:
-    it splits a space into at most p parts, with a minimal polynomial of
-    degree at most p, while the spaces are large."""
+    it splits each space into at most p parts, with a Krylov polynomial of
+    degree at most p, while the spaces are few and large."""
     orders = _element_orders(table).tolist()
     return sorted(range(1, table.r), key=lambda k: (
         table.classes[k].size, not _is_prime(orders[k]), orders[k], k))
@@ -284,67 +286,55 @@ def _common_eigenvectors(a: np.ndarray, ell: int, reads) -> np.ndarray:
     vector v = (omega(K_k))_k; since ell does not divide |G| the common
     eigenspaces are one-dimensional.  ``a`` is read through ``a.shape[0]``
     and ``a[i]`` for i in ``reads`` (see :func:`_read_order`), each a[i]
-    once and only while a space is not yet a line.
+    once and only while fewer than r spaces are known.
 
-    A space is a basis in reduced row echelon form with its pivot columns,
-    so the coordinates of a vector in it are its entries there, and the
-    basis is never reduced again.  On a space, M_i acts as a diagonalizable
-    matrix R.  Its minimal polynomial has distinct roots lambda_k, the
-    eigenvalues, and the left lambda_k-eigenspace is the row space of the
-    Lagrange projector L_k(R), a combination of the powers of R that the
-    minimal polynomial was found from; all projectors come from one
-    product.  A restriction whose minimal polynomial lacks distinct roots
-    in F_ell is not diagonalizable there, and is refused.  A class matrix
-    that acts on a space as a scalar cannot split it, so the space is kept
-    as it is (Schneider, J. Symbolic Comput. 9 (1990)).
+    A space is carried as one row vector: the component in it of the
+    identity-class row e_0.  By column orthogonality, e_0 is the sum of
+    (chi(1)^2 / |G|) omega_chi over the central characters omega_chi, and
+    each coefficient is a unit mod ell, so e_0 has a nonzero component in
+    every common eigenspace.  A read stacks the carried vectors V and takes
+    their Krylov blocks V M_i^T, V M_i^T^2, ... in one product per power,
+    up to the least monic p with V p(M_i^T) = 0; the Lagrange polynomials
+    L_k of its roots lambda_k give each vector's lambda_k-component in one
+    combination of the blocks, spaces in order and roots ascending within
+    each, and the zero components are dropped.  A class matrix that acts
+    on a space as a scalar leaves its vector as it is (Schneider,
+    J. Symbolic Comput. 9 (1990)).  After r vectors each is a multiple of
+    its omega_chi, which is read off by scaling the identity coordinate,
+    omega_chi(K_0) = 1, to one.
+
+    Each failure raises InternalError: a p with fewer roots in F_ell than
+    its degree (M_i^T not diagonalizable there), or fewer than r vectors
+    after the last read, is a lost dimension; a component v_k = sum_t
+    L_k[t] Y_t of the Krylov blocks Y_t whose image sum_t L_k[t] Y_(t+1) is
+    not lambda_k v_k is not an eigenvector; and a vector with identity
+    coordinate 0 is refused.
     """
     r = a.shape[0]
     _check_exact(r * (ell - 1) ** 2, "eigenspace split", 63, "int64")
-    spaces = [(np.eye(r, dtype=np.int64), np.arange(r))]
+    vectors = np.eye(1, r, dtype=np.int64)  # e_0
     for i in reads:
-        if all(len(pivots) == 1 for _, pivots in spaces):
+        if len(vectors) == r:
             break
-        mt = (a[i].T.astype(np.int64)) % ell
-        new_spaces = []
-        for basis, pivots in spaces:
-            n = len(pivots)
-            if n == 1:
-                new_spaces.append((basis, pivots))
-                continue
-            if not np.array_equal(basis[:, pivots], np.eye(n, dtype=np.int64)):
-                raise InternalError("eigenspace basis lost rank")
-            image = (basis @ mt) % ell
-            if np.array_equal(image, image[0, pivots[0]] * basis % ell):  # a scalar
-                new_spaces.append((basis, pivots))
-                continue
-            # coordinates act by right multiplication with the restriction
-            restriction = image[:, pivots]
-            if not np.array_equal((restriction @ basis) % ell, image):
-                raise InternalError("class-sum matrix does not preserve eigenspace")
-            poly, powers = minimal_polynomial(restriction, ell)
-            roots = poly_roots(poly, ell)
-            if len(roots) < len(poly) - 1:  # not diagonalizable over F_ell
-                raise InternalError("eigenspace refinement lost dimension")
-            projectors = lagrange_basis(roots, ell) @ powers.reshape(len(roots), -1) % ell
-            dim_total = 0
-            for projector in projectors:
-                # an echelon basis in the coordinates of an echelon basis
-                # is echelon, with the pivots of the pivots
-                coords, sub_pivots = rref(projector.reshape(n, n), ell)
-                dim_total += coords.shape[0]
-                new_spaces.append(((coords @ basis) % ell, pivots[sub_pivots]))
-            if dim_total != n:
-                raise InternalError("eigenspace refinement lost dimension")
-        spaces = new_spaces
-    if not all(len(pivots) == 1 for _, pivots in spaces) or len(spaces) != r:
-        raise InternalError("class-sum action failed to split into lines")
-    out = np.zeros((r, r), dtype=np.int64)
-    for i, (s, _) in enumerate(spaces):
-        v = s[0] % ell
-        if v[0] == 0:
-            raise InternalError("central character vanishes on the identity class")
-        out[i] = (v * inv_mod(v[0], ell)) % ell
-    return out
+        poly, blocks = krylov_polynomial(vectors, a[i].T.astype(np.int64), ell)
+        roots = poly_roots(poly, ell)
+        m = len(roots)
+        if m < len(poly) - 1:  # not diagonalizable over F_ell
+            raise InternalError("eigenspace refinement lost dimension")
+        lagrange = lagrange_basis(roots, ell)
+        blocks = blocks.reshape(m + 1, -1)
+        parts = lagrange @ blocks[:m] % ell  # parts[k] = V L_k(M_i^T)
+        if not np.array_equal(lagrange @ blocks[1:] % ell,
+                              parts * np.array(roots)[:, None] % ell):
+            raise InternalError("Lagrange component is not an eigenvector")
+        parts = parts.reshape(m, len(vectors), r).swapaxes(0, 1).reshape(-1, r)
+        vectors = parts[parts.any(axis=1)]
+    if len(vectors) != r:
+        raise InternalError("eigenspace refinement lost dimension")
+    if not vectors[:, 0].all():
+        raise InternalError("central character vanishes on the identity class")
+    scales = np.array([inv_mod(x, ell) for x in vectors[:, 0]], dtype=np.int64)
+    return vectors * scales[:, None] % ell
 
 
 def _recover_degrees(table: CharTable, omegas: np.ndarray, inv_sizes: np.ndarray,

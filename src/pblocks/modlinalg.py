@@ -1,10 +1,10 @@
 """Dense linear algebra over a prime field F_ell, on numpy int64 arrays.
 
 Every product here sums at most r products of two residues before it
-reduces, r the number of classes of the table being built: a product of two
-n x n matrices sums n <= r terms, the echelon reductions of
-:func:`minimal_polynomial` sum one term per earlier power (at most n), and a
-combination of the m <= n powers of a matrix sums m terms.
+reduces, r the number of classes of the table being built: a Krylov step, a
+stack of rows times an n x n matrix, sums n <= r terms, the echelon
+reduction of :func:`krylov_polynomial` sums one term per earlier Krylov
+block (at most n), and a combination of m <= n Krylov blocks sums m terms.
 :func:`pblocks.chartable._common_eigenvectors` checks that r * (ell - 1)^2
 stays below 2^63 before it calls these routines.
 """
@@ -17,63 +17,42 @@ import numpy as np
 
 from .errors import InternalError
 
-__all__ = ["rref", "minimal_polynomial", "lagrange_basis", "poly_roots", "inv_mod"]
+__all__ = ["krylov_polynomial", "lagrange_basis", "poly_roots", "inv_mod"]
 
 
 def inv_mod(a: int, ell: int) -> int:
     return pow(int(a) % ell, ell - 2, ell)
 
 
-def rref(mat: np.ndarray, ell: int):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = mat.astype(np.int64) % ell
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_rows = np.nonzero(m[r:, c])[0]
-        if pivot_rows.size == 0:
-            continue
-        pr = r + int(pivot_rows[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * inv_mod(m[r, c], ell)) % ell
-        col = m[:, c].copy()
-        col[r] = 0
-        m = (m - np.outer(col, m[r])) % ell
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+def krylov_polynomial(rows: np.ndarray, mat: np.ndarray, ell: int):
+    """(coefficients, blocks): the least monic p, ascending, with
+    rows . p(mat) = 0 for an [s, n] stack of rows and an n x n matrix, and
+    its Krylov blocks rows . mat^t for t = 0..m as an [m + 1, s, n] array,
+    m the degree.  With rows = I, p is the minimal polynomial of mat and
+    the blocks are its powers.
 
-
-def minimal_polynomial(mat: np.ndarray, ell: int):
-    """(coefficients, powers): the monic minimal polynomial of a square
-    matrix, ascending, and its powers I, mat, ..., mat^(m-1) as an [m, n, n]
-    array, m the degree.
-
-    The powers are flattened and kept in reduced echelon form, each row with
-    the combination of powers that gives it; the first power that reduces
-    to zero against the earlier ones gives the polynomial.  m <= n, as the
-    characteristic polynomial annihilates the matrix.
+    The blocks are flattened and kept in reduced echelon form, each row
+    with the combination of blocks that gives it; the first block that
+    reduces to zero against the earlier ones gives the polynomial.  m <= n,
+    as the characteristic polynomial of mat annihilates every row.
     """
     n = mat.shape[0]
     mat = mat % ell
-    power = np.eye(n, dtype=np.int64)
-    powers = []
-    echelon = np.zeros((0, n * n), dtype=np.int64)  # rows 1 at their pivots, 0 at the others'
-    combos = np.zeros((0, n + 1), dtype=np.int64)  # echelon = combos @ powers
+    block = rows % ell
+    blocks = []
+    echelon = np.zeros((0, block.size), dtype=np.int64)  # rows 1 at their pivots, 0 at the others'
+    combos = np.zeros((0, n + 1), dtype=np.int64)  # echelon = combos @ blocks
     pivots = []
     for t in range(n + 1):
-        flat = power.reshape(-1)
+        blocks.append(block)
+        flat = block.reshape(-1)
         weights = flat[pivots]
         residual = (flat - weights @ echelon % ell) % ell
         combo = -weights @ combos % ell
         combo[t] = 1
         nonzero = residual.nonzero()[0]
         if nonzero.size == 0:
-            return [int(c) for c in combo[:t + 1]], np.array(powers)
+            return [int(c) for c in combo[:t + 1]], np.array(blocks)
         q = int(nonzero[0])
         scale = inv_mod(residual[q], ell)
         residual = residual * scale % ell
@@ -82,8 +61,7 @@ def minimal_polynomial(mat: np.ndarray, ell: int):
         echelon = np.vstack([(echelon - np.outer(column, residual)) % ell, residual])
         combos = np.vstack([(combos - np.outer(column, combo)) % ell, combo])
         pivots.append(q)
-        powers.append(power)
-        power = mat if t == 0 else power @ mat % ell
+        block = block @ mat % ell
     raise InternalError("minimal polynomial exceeds the dimension")
 
 

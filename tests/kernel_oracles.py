@@ -27,6 +27,9 @@ before it took the Moebius product.  ``charpoly`` and ``nullspace`` are the
 characteristic polynomial by Hessenberg reduction and the nullspace by
 elimination that the eigenspace split ran per eigenvalue before it took
 Lagrange projectors; ``oracle_common_eigenvectors`` is that split.
+``rref`` is the reduced row echelon form in which that split, and the one
+after it, carried each eigenspace as a basis, before each space became
+one vector.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from pblocks.blockfield import BlockField
 from pblocks.cyclotomic import _power_reductions, cyclotomic_poly, euler_phi
 from pblocks.errors import InternalError
 from pblocks.groups import Group
-from pblocks.modlinalg import inv_mod, poly_roots, rref
+from pblocks.modlinalg import inv_mod, poly_roots
 from pblocks.perms import identity, pinv, pmul
 
 
@@ -94,6 +97,30 @@ def _poly_div_exact(num: list, den: list):
     if any(num):
         raise InternalError("non-exact cyclotomic polynomial division")
     return out
+
+
+def rref(mat: np.ndarray, ell: int):
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    m = mat.astype(np.int64) % ell
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot_rows = np.nonzero(m[r:, c])[0]
+        if pivot_rows.size == 0:
+            continue
+        pr = r + int(pivot_rows[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = (m[r] * inv_mod(m[r, c], ell)) % ell
+        col = m[:, c].copy()
+        col[r] = 0
+        m = (m - np.outer(col, m[r])) % ell
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
 
 
 def nullspace(mat: np.ndarray, ell: int) -> np.ndarray:

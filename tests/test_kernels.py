@@ -477,9 +477,12 @@ def test_validation_rejects_a_value_in_an_empty_plane(group_of):
 
 
 # the first two split many spaces on which a class matrix acts as a scalar;
-# the last reads classes of orders 2 and 5 before those of order 10
+# the third reads classes of orders 2 and 5 before those of order 10; the
+# last three are nonabelian, with element orders that are not prime powers
+# and conductors up to 420
 SPLIT_CASES = CASES + [("C4xC2xC2xC2", None), ("C3xC3xC3xC2", None),
-                       ("C2xC2xC2xC2xC5", None)]
+                       ("C2xC2xC2xC2xC5", None), ("F21xS5", None), ("S5xS4", None),
+                       ("A5xA5", None)]
 
 
 @pytest.mark.parametrize("case", SPLIT_CASES, ids=_case_id)
@@ -513,17 +516,19 @@ def test_read_order_is_size_then_prime_element_order(group_of, case):
     assert _read_order(table) == expected
 
 
-def test_split_rejects_a_basis_off_its_pivots(monkeypatch, group_of):
+# the Lagrange rows taken in reverse, or row 1 standing in for row 0, give
+# components of one eigenvalue labelled with another
+@pytest.mark.parametrize("mislabel", [
+    lambda rows: rows[::-1],
+    lambda rows: rows[[min(1, len(rows) - 1)] + list(range(1, len(rows)))],
+], ids=["reversed", "duplicated"])
+def test_split_rejects_a_component_off_its_eigenvalue(monkeypatch, group_of, mislabel):
     G = group_of("C4xC2xC2xC2", None)
     table = character_table(G)
-    real_rref = chartable.rref
-
-    def reversed_pivots(mat, ell):
-        reduced, pivots = real_rref(mat, ell)
-        return reduced, pivots[::-1]
-
-    monkeypatch.setattr(chartable, "rref", reversed_pivots)
-    with pytest.raises(InternalError, match="lost rank"):
+    real_lagrange = chartable.lagrange_basis
+    monkeypatch.setattr(chartable, "lagrange_basis",
+                        lambda roots, ell: mislabel(real_lagrange(roots, ell)))
+    with pytest.raises(InternalError, match="^Lagrange component is not an eigenvector$"):
         _common_eigenvectors(oracle_cmc(G, oracle_classes(G)), table.lift_meta["prime"],
                              _read_order(table))
 
@@ -538,10 +543,21 @@ def test_split_rejects_a_class_matrix_that_is_not_diagonalizable(block):
 
 def test_split_rejects_lines_off_the_identity_class():
     # diagonal class matrices split F^3 into the coordinate lines, and all
-    # but the first vanish on the identity class
+    # but the first vanish on the identity class: the identity row, itself
+    # the first line, reaches no other
     a = np.stack([np.eye(3, dtype=np.int32)] + [np.diag([1, 2, 3]).astype(np.int32)] * 2)
-    with pytest.raises(InternalError, match="vanishes on the identity class"):
+    with pytest.raises(InternalError, match="^eigenspace refinement lost dimension$"):
         _common_eigenvectors(a, 7, [1, 2])
+
+
+def test_split_rejects_a_reachable_line_off_the_identity_class():
+    # the transpose [[0, 1], [0, 1]] takes e_0 to (0, 1), a 1-eigenvector:
+    # the components of e_0 are (1, 6) for 0 and (0, 1) for 1, which
+    # vanishes on the identity class
+    a = np.stack([np.eye(2, dtype=np.int32), np.array([[0, 0], [1, 1]], dtype=np.int32)])
+    with pytest.raises(InternalError,
+                       match="^central character vanishes on the identity class$"):
+        _common_eigenvectors(a, 7, [1])
 
 
 def test_split_builds_only_the_class_matrices_it_reads(monkeypatch):

@@ -2,8 +2,8 @@ import random
 
 import numpy as np
 
-from kernel_oracles import charpoly, nullspace
-from pblocks.modlinalg import inv_mod, lagrange_basis, minimal_polynomial, poly_roots, rref
+from kernel_oracles import charpoly, nullspace, rref
+from pblocks.modlinalg import inv_mod, krylov_polynomial, lagrange_basis, poly_roots
 
 
 def det_mod(mat, ell):
@@ -76,6 +76,13 @@ def test_rref_and_nullspace():
             assert not np.any((m @ ns.T) % ell)
 
 
+def minimal_polynomial(m, ell):
+    """M's minimal polynomial and its powers I, m, ..., m^(k-1), k the
+    degree: the Krylov polynomial of the identity rows."""
+    poly, blocks = krylov_polynomial(np.eye(m.shape[0], dtype=np.int64), m, ell)
+    return poly, blocks[:-1]
+
+
 def poly_at_matrix(coeffs, m, ell):
     """sum_t coeffs[t] m^t by repeated products."""
     n = m.shape[0]
@@ -109,6 +116,28 @@ def test_minimal_polynomial_is_the_least_annihilator():
                 char = charpoly(m, ell)
                 assert not poly_at_matrix(char, m, ell).any()
                 assert set(poly_roots(poly, ell)) == set(poly_roots(char, ell))
+
+
+def test_krylov_polynomial_of_a_stack_of_rows():
+    rng = random.Random(59)
+    for ell in [7, 13, 31]:
+        for n in range(1, 7):
+            for _ in range(10):
+                m = np.array([[rng.randrange(ell) for _ in range(n)] for _ in range(n)],
+                             dtype=np.int64)
+                rows = np.array([[rng.randrange(ell) for _ in range(n)]
+                                 for _ in range(rng.randrange(1, n + 1))], dtype=np.int64)
+                poly, blocks = krylov_polynomial(rows, m, ell)
+                k = len(poly) - 1
+                assert poly[-1] == 1 and blocks.shape == (k + 1,) + rows.shape
+                for t in range(k + 1):
+                    power = poly_at_matrix([0] * t + [1], m, ell)
+                    assert np.array_equal(blocks[t], rows @ power % ell)
+                assert not (rows @ poly_at_matrix(poly, m, ell) % ell).any()
+                # no lower degree, and a divisor of the minimal polynomial
+                assert len(rref(blocks[:k].reshape(k, rows.size), ell)[1]) == k
+                minimal, _ = minimal_polynomial(m, ell)
+                assert set(poly_roots(poly, ell)) <= set(poly_roots(minimal, ell))
 
 
 def test_minimal_polynomial_of_a_diagonalizable_matrix():
