@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockfield import block_field
-from .chartable import CharTable, character_table, defects
+from .chartable import CharTable, _element_orders, character_table, defects
 from .cyclotomic import _nu
 from .errors import InputError, InternalError
 from .groups import Group, SubgroupHandle, _cached
-from .perms import perm_order
 
 __all__ = [
     "Block",
@@ -125,14 +124,19 @@ def p_blocks(table: CharTable, p: int) -> tuple[Block, ...]:
 
 def _defect_group(table: CharTable, p: int, lam: np.ndarray, d: int) -> SubgroupHandle:
     """Sylow p-subgroup of the centralizer of a defect-class element."""
-    G = table.group
-    rep = table.classes[_defect_class(table, p, lam)].rep
-    dg = G.handle(elements=G._sylow_in(p, np.flatnonzero(G._commutes_with(rep))))
+    dg = _centralizer_sylow(table.group, p, table.classes[_defect_class(table, p, lam)].rep)
     if dg.order != p**d:
         raise InternalError(
             "defect group from the defect class disagrees with the member defects"
         )
     return dg
+
+
+@_cached
+def _centralizer_sylow(G: Group, p: int, rep: tuple) -> SubgroupHandle:
+    """A Sylow p-subgroup of C_G(rep), grown once per (p, rep) and cached on
+    G, so the blocks that share a defect class share its handle."""
+    return G.handle(elements=G._sylow_in(p, np.flatnonzero(G._commutes_with(rep))))
 
 
 def _defect_class(table: CharTable, p: int, lam: np.ndarray) -> int:
@@ -141,8 +145,8 @@ def _defect_class(table: CharTable, p: int, lam: np.ndarray) -> int:
     A defect class is a p-regular class with lam(K) != 0 whose size has
     maximal p-part; ties are broken by canonical class order.
     """
-    regular = [k for k, c in enumerate(table.classes)
-               if lam[k].any() and perm_order(c.rep) % p]
+    orders = _element_orders(table)
+    regular = np.flatnonzero(lam.any(axis=1) & (orders % p != 0)).tolist()
     if not regular:
         raise InternalError("block has no p-regular class with nonzero central character")
     # max keeps the first of equal keys

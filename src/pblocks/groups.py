@@ -122,6 +122,9 @@ class ConjClass:
         return f"ConjClass({format_cycles(self.rep)}, size={self.size})"
 
 
+# rows per int64 product in _ElementArray._row_keys
+_KEY_CHUNK = 1 << 14
+
 # one level of a stabilizer chain: base point, generators, {image: coset rep}
 _ChainLevel = namedtuple("_ChainLevel", "point gens transversal")
 
@@ -131,26 +134,47 @@ class _ElementArray:
 
     ``rows[i]`` is ``elements()[i]`` and ``inv[i]`` its inverse, both
     ``uint8`` (``uint16`` above degree 256), so index order is element
-    order.  The big-endian byte keys of the rows ascend with them, so
-    :meth:`index` maps rows back to indices by one binary search.  Index
+    order.  Each row has one key, and the keys ascend with the rows, so
+    :meth:`lookup` maps rows back to indices by one binary search.  Up to
+    degree 15, where degree**degree < 2**63, the key is the int64 whose
+    base-degree digits are the row's images, first point most significant:
+    exact and injective on every row of points below the degree, element or
+    not, so a key match is a row match.  Past that bound the key is the
+    row's big-endian bytes as one ``np.void``, compared bytewise.  Index
     arrays that are kept use ``idx``, the smallest unsigned dtype that holds
     every index.
     """
 
-    __slots__ = ("rows", "inv", "idx", "_keys")
+    __slots__ = ("rows", "inv", "idx", "_radix", "_keys")
 
     def __init__(self, rows: np.ndarray):
-        inv = np.empty_like(rows)
-        inv[np.arange(len(rows))[:, None], rows] = np.arange(rows.shape[1], dtype=rows.dtype)
-        self.rows = rows
-        self.inv = inv
+        """The distinct rows of ``rows``, sorted."""
+        degree = rows.shape[1]
+        self._radix = (degree ** np.arange(degree - 1, -1, -1, dtype=np.int64)
+                       if degree ** degree < 2**63 else None)
+        self._keys, first = np.unique(self._row_keys(rows), return_index=True)
+        rows = self.rows = rows[first]
+        inv = self.inv = np.empty_like(rows)
+        inv[np.arange(len(rows))[:, None], rows] = np.arange(degree, dtype=rows.dtype)
         self.idx = np.min_scalar_type(len(rows) - 1)
-        self._keys = _lex_keys(rows)
+
+    def _row_keys(self, rows: np.ndarray) -> np.ndarray:
+        """The key of every row.  The int64 keys are summed over chunks of
+        rows, so no rows-sized int64 copy of ``rows`` is made."""
+        if self._radix is None:
+            return _lex_keys(rows)
+        if len(rows) <= _KEY_CHUNK:
+            return rows @ self._radix
+        keys = np.empty(len(rows), dtype=np.int64)
+        for start in range(0, len(rows), _KEY_CHUNK):
+            np.matmul(rows[start:start + _KEY_CHUNK], self._radix,
+                      out=keys[start:start + _KEY_CHUNK])
+        return keys
 
     def lookup(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(index, hit) of every row: ``hit`` marks the rows that are
         elements, and ``index`` is meaningful only where it is set."""
-        keys = _lex_keys(rows)
+        keys = self._row_keys(rows)
         found = np.minimum(self._keys.searchsorted(keys), len(self._keys) - 1)
         return found, self._keys[found] == keys
 
@@ -271,10 +295,9 @@ class Group:
         ``rows``, once they are certified: there are ``order`` distinct rows,
         and right multiplication by each generator maps them into themselves,
         which ``index`` checks."""
-        first = np.unique(_lex_keys(rows), return_index=True)[1]
-        if len(first) != order:
+        arr = _ElementArray(rows)
+        if len(arr.rows) != order:
             raise InternalError("element rows disagree with the group order")
-        arr = _ElementArray(rows[first])
         for g in generators:
             arr.index(arr.perm(g)[arr.rows])
         self.degree, self.generators, self.limits, self.order = degree, generators, limits, order

@@ -9,6 +9,7 @@ cyclotomic arithmetic and never touches the finite-field reduction.
 import dataclasses
 
 import pytest
+from sympy import primefactors
 
 from cyclo_oracle import Cyclo, central_character, entry
 from kernel_oracles import TupleField, class_index, oracle_classes, oracle_cmc, perm_set
@@ -25,6 +26,7 @@ from pblocks.blocks import (
 )
 from pblocks.chartable import character_table, defects
 from pblocks.errors import InputError, InternalError
+from pblocks.groups import Group
 from pblocks.library import library_group
 from pblocks.perms import perm_order, pinv
 
@@ -308,3 +310,26 @@ def test_defect_class_is_p_regular(grp, name, block):
     cent = G.handle(elements=G.centralizer_set(unrestricted.rep))
     C = cent.as_group()
     assert perm_set(G, B.defect_group.elements) == perm_set(C, C.sylow(2).elements)
+
+
+@pytest.mark.parametrize("name", ["C3xS3", "S5", "D7"])
+def test_blocks_share_the_defect_group_of_their_defect_class(monkeypatch, name):
+    G = library_group(name)  # fresh: no defect groups cached
+    table = character_table(G)
+    grown = []
+    sylow_in = Group._sylow_in
+
+    def counted(self, p, among):
+        grown.append(p)
+        return sylow_in(self, p, among)
+
+    monkeypatch.setattr(Group, "_sylow_in", counted)
+    classes = set()
+    for p in primefactors(G.order):
+        first = {}
+        for B in p_blocks(table, p):
+            k = _defect_class(table, p, B.lam)
+            assert first.setdefault(k, B.defect_group) is B.defect_group
+            classes.add((p, k))
+    assert len(grown) == len(classes) < sum(len(p_blocks(table, p))
+                                            for p in primefactors(G.order))

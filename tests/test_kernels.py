@@ -22,7 +22,9 @@ indices in G, is compared with the Sylow subgroup that the centraliser's own
 group grows.  Each table's splitting prime, its primitive root and the
 reduction moduli are compared with sympy.  Complex conjugation as
 ``galois_matrix(e, -1)`` and the one p-adic valuation ``_nu`` are compared
-with the routines they replaced.
+with the routines they replaced.  The int64 row keys equal the rows read as
+base-degree numbers in exact Python integers and ascend with the rows, up to
+the 15-point bound; past it the void keys do.
 """
 
 from math import isqrt
@@ -66,7 +68,7 @@ from pblocks.chartable import (
 from pblocks.config import Limits
 from pblocks.cyclotomic import _nu, _power_reductions, euler_phi
 from pblocks.errors import InternalError, ResourceError
-from pblocks.groups import Group, _member_mask, _subgroups_of_p_group
+from pblocks.groups import _KEY_CHUNK, Group, _member_mask, _subgroups_of_p_group
 from pblocks.library import acceptance_corpus, library_group, parse_group_file
 from pblocks.modlinalg import inv_mod
 from pblocks.perms import pinv, pmul
@@ -719,6 +721,69 @@ def test_row_lookup_rejects_non_elements():
         G.normalizer_set(frozenset([0]), [(1, 0, 2, 3)])
     found, hit = arr.lookup(np.concatenate([arr.rows[2:3], odd]))
     assert hit.tolist() == [True, False] and found[0] == 2
+
+
+def d15():
+    """The dihedral group on 15 points, at the int64 key bound: it holds
+    the reversal, whose key is the largest of any row of distinct points."""
+    return Group(15, [tuple(range(1, 15)) + (0,), tuple(range(14, -1, -1))])
+
+
+def c2_8():
+    """C2^8 on 16 points, one past the int64 key bound."""
+    return Group(16, [tuple(j ^ 1 if j // 2 == i else j for j in range(16))
+                      for i in range(8)])
+
+
+def assert_keys_ascend_with_rows(G):
+    arr = G._array()
+    keys = arr._row_keys(arr.rows)
+    assert np.array_equal(keys, arr._keys)
+    keys = keys.tolist()  # ints, or bytes past the bound
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert arr.rows.tolist() == sorted(arr.rows.tolist())
+    if arr._radix is not None:  # the base-degree number of the row, exactly
+        n = G.degree
+        assert keys == [sum(x * n ** (n - 1 - j) for j, x in enumerate(row))
+                        for row in arr.rows.tolist()]
+
+
+@pytest.mark.parametrize("case", CASES + [("S6", None), ("S6", "7:S6")], ids=_case_id)
+def test_row_keys_ascend_with_the_rows(group_of, case):
+    G = group_of(*case)
+    assert G._array()._radix is not None
+    assert_keys_ascend_with_rows(G)
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_row_keys_at_and_past_the_int64_bound(seed):
+    for G, radix in ((d15(), True), (c2_8(), False)):
+        G = G if seed is None else relabelled(G, seed)
+        assert (G._array()._radix is not None) == radix
+        assert_keys_ascend_with_rows(G)
+
+
+def test_row_keys_are_chunked_like_one_product():
+    G = library_group("S4")
+    arr = G._array()
+    rows = arr.rows[np.arange(3 * _KEY_CHUNK + 5) % G.order]
+    assert np.array_equal(arr._row_keys(rows), arr._keys[np.arange(len(rows)) % G.order])
+
+
+@pytest.mark.parametrize("make", [d15, c2_8])
+def test_lookup_misses_non_members_and_non_permutations(make):
+    G = make()
+    arr = G._array()
+    n = G.degree
+    swap = arr.perm((0, 2, 1) + tuple(range(3, n)))  # a transposition, no member
+    repeated = arr.perm((0, 0) + tuple(range(1, n - 1)))  # no permutation
+    top = arr.perm((n - 1,) * n)  # the largest row of points below n
+    found, hit = arr.lookup(np.stack([arr.rows[-1], swap, repeated, top, arr.rows[0]]))
+    assert hit.tolist() == [True, False, False, False, True]
+    assert found[[0, 4]].tolist() == [G.order - 1, 0]
+    assert not G.contains(tuple(repeated.tolist()))
+    with pytest.raises(InternalError):
+        arr.index(repeated[None, :])
 
 
 def test_wide_degrees_use_uint16():
