@@ -5,19 +5,21 @@ at a designated normal start term, with every term normal in the final term.
 Equivalently (and this is what the enumeration uses) every extension term
 must normalize all earlier terms, i.e. lie in the chain stabilizer.
 
-Chains are enumerated up to G-conjugacy by depth-first extension: the
-extensions of a fixed representative chain sigma, up to conjugacy, are the
-G_sigma-classes of p-subgroups of G_sigma strictly containing the final
-term.  Distinct nodes of the search tree are never conjugate, so the tree
-is an irredundant transversal by construction.  The p-subgroups of every
-stabilizer are read from G's p-subgroup lattice, in G's element indices.
-A chain is located among the stored orbits by walking this tree down from
-the start chain, one :func:`_child_orbit` lookup per term.
+The extensions of a chain sigma up to conjugacy are the G_sigma-classes of
+p-subgroups of G_sigma strictly containing the final term, so they depend
+only on the state (G_sigma, final term).  :func:`_state_graph` walks these
+states once; enumeration expands it into the tree of chain orbits, whose
+distinct nodes are never conjugate (an irredundant transversal by
+construction), and counting folds it state by state.  The p-subgroups of
+every stabilizer are read from G's p-subgroup lattice, in G's element
+indices.  A chain is located among the stored orbits by walking the tree
+down from the start chain, one :func:`_child_orbit` lookup per term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,26 +90,17 @@ def _check_start(G: Group, Z: SubgroupHandle, p: int) -> None:
         raise InputError("chain start must be normal in the ambient group")
 
 
-def _orbit_ceiling(G: Group, reached: int) -> ResourceError:
-    return ResourceError(
-        f"chain orbit count reached {reached}, above the ceiling "
-        f"max_chain_orbits = {G.limits.max_chain_orbits}"
-    )
-
-
-@_cached
 def _extensions(G: Group, stab: SubgroupHandle, final: frozenset, p: int) -> list:
     """(t, N_H(t)) for the representative t of each H-class of p-subgroups
     of H = ``stab`` above ``final``, by order and then sorted elements.
 
-    This is the extension step shared by chain enumeration and counting.
+    This is the extension step of :func:`_state_graph`, read once per state.
     The candidates are the members s of G's p-subgroup lattice with
     ``final`` < s <= H.  They are fused under H's generators by
     :func:`~pblocks.groups._fuse`, as G's lattice is under G's, and each
     class is represented by its least member.  H is the
     stabilizer of a chain with final term ``final``, so it normalizes
-    ``final`` and each H-class lies above it wholly or not at all.  The
-    result is cached on G.
+    ``final`` and each H-class lies above it wholly or not at all.
     """
     inside, below = _member_mask(G.order, stab.elements), _member_mask(G.order, final)
     moves = [G._conj_move(g) for g in stab.generators]
@@ -126,33 +119,64 @@ def _extensions(G: Group, stab: SubgroupHandle, final: frozenset, p: int) -> lis
     return out
 
 
+class _State(NamedTuple):
+    """Chains with one stabilizer and final term have one subtree of orbits."""
+
+    stabilizer: SubgroupHandle
+    final: frozenset  # element indices of the final term
+    children: tuple  # (t, child state index) per extension, as _extensions lists them
+    orbits: int  # chain orbits in the subtree, this chain's own included
+
+
+@_cached
+def _state_graph(G: Group, Z: SubgroupHandle, p: int) -> tuple[_State, ...]:
+    """The states (stabilizer, final term) of the normal p-chains from Z,
+    each once and after its children, so the start state (G, Z) comes last.
+    The ``max_chain_orbits`` ceiling is raised as soon as a state's orbit
+    count, summed child by child, exceeds it: exactly when the chain orbits
+    from Z number more than the ceiling."""
+    _check_start(G, Z, p)
+    limit = G.limits.max_chain_orbits
+    states, index = [], {}
+
+    def visit(stab: SubgroupHandle, final: frozenset) -> int:
+        key = (stab.elements, final)
+        if key not in index:
+            children, orbits = [], 1
+            for t, n_in_stab in _extensions(G, stab, final, p):
+                child = visit(n_in_stab, t)
+                children.append((t, child))
+                orbits += states[child].orbits
+                if orbits > limit:
+                    raise ResourceError(f"chain orbit count reached {orbits}, above the "
+                                        f"ceiling max_chain_orbits = {limit}")
+            index[key] = len(states)
+            states.append(_State(stab, final, tuple(children), orbits))
+        return index[key]
+
+    visit(G.full_subgroup(), Z.elements)
+    return tuple(states)
+
+
 def enumerate_chain_orbits(G: Group, Z: SubgroupHandle, p: int) -> tuple[ChainOrbit, ...]:
     """Transversal of the G-orbits of normal p-chains starting at Z.
 
     Output order is canonical: by length, then term orders, then the
     conjugacy-canonical keys of the terms.
     """
-    _check_start(G, Z, p)
-
-    nodes = []  # (terms, stabilizer handle, parent node index)
-
-    def visit(terms: tuple, stab: SubgroupHandle, parent: int | None):
-        my_index = len(nodes)
-        nodes.append((terms, stab, parent))
-        if len(nodes) > G.limits.max_chain_orbits:
-            raise _orbit_ceiling(G, len(nodes))
-        for t, n_in_stab in _extensions(G, stab, terms[-1].elements, p):
-            visit(terms + (G.handle(elements=t),), n_in_stab, my_index)
-
-    visit((Z,), G.full_subgroup(), None)
+    graph = _state_graph(G, Z, p)
+    nodes = []  # (terms, stabilizer handle, parent node index), in preorder
+    stack = [((Z,), len(graph) - 1, None)]
+    while stack:
+        terms, state, parent = stack.pop()
+        stack.extend((terms + (G.handle(elements=t),), child, len(nodes))
+                     for t, child in reversed(graph[state].children))
+        nodes.append((terms, graph[state].stabilizer, parent))
 
     def sort_key(i):
         terms = nodes[i][0]
-        return (
-            len(terms),
-            tuple(t.order for t in terms),
-            tuple(t.canonical_key for t in terms),
-        )
+        return (len(terms), tuple(t.order for t in terms),
+                tuple(t.canonical_key for t in terms))
 
     order = sorted(range(len(nodes)), key=sort_key)
     position = {old: new for new, old in enumerate(order)}
@@ -162,16 +186,9 @@ def enumerate_chain_orbits(G: Group, Z: SubgroupHandle, p: int) -> tuple[ChainOr
         if G.order % stab.order:
             raise InternalError("chain stabilizer order does not divide |G|")
         chain = PChain(terms)
-        orbits.append(
-            ChainOrbit(
-                index=new,
-                chain=chain,
-                stabilizer=stab,
-                orbit_size=G.order // stab.order,
-                sign=chain.sign,
-                parent=None if parent is None else position[parent],
-            )
-        )
+        orbits.append(ChainOrbit(index=new, chain=chain, stabilizer=stab,
+                                 orbit_size=G.order // stab.order, sign=chain.sign,
+                                 parent=None if parent is None else position[parent]))
     return tuple(orbits)
 
 
@@ -202,40 +219,23 @@ def signed_pair_counts(G: Group, U: SubgroupHandle, p: int) -> tuple[tuple, int]
     ``pair_set(G, "all", U, f, p=p).counts`` for f = 0..nu_p(|G|), and
     ``orbits`` equals ``len(enumerate_chain_orbits(G, U, p))``.
 
-    The subtree of the enumeration below a chain depends only on its
-    stabilizer H and final term s, so its counts F(H, s) are memoised:
-    F(H, s) is the defect histogram of Irr(H) plus the parity-swapped sum of
-    F(N_H(t), t) over the extensions t of :func:`_extensions`.  Orbit counts
-    add up the same way, and the ``max_chain_orbits`` ceiling is raised as
-    soon as a subtree exceeds it, so this fails exactly where enumeration
-    does.
+    The counts below a chain depend only on its state (H, s) in
+    :func:`_state_graph`: F(H, s) is the defect histogram of Irr(H) plus the
+    parity-swapped sum of F over the children, so one pass over the states,
+    children first, folds them all.
     """
-    _check_start(G, U, p)
+    graph = _state_graph(G, U, p)  # before _nu, which needs a prime
     d = _nu(G.order, p)
-    limit = G.limits.max_chain_orbits
-    memo = {}
-
-    def count(stab: SubgroupHandle, final: frozenset) -> tuple:
-        """(same-sign histogram, opposite-sign histogram, orbits) below a chain."""
-        state = (stab.elements, final)
-        if state not in memo:
-            same, other = [0] * (d + 1), [0] * (d + 1)
-            for f in defects(character_table(stab.as_group()), p):
-                same[f] += 1
-            orbits = 1
-            for t, n_in_stab in _extensions(G, stab, final, p):
-                c_same, c_other, c_orbits = count(n_in_stab, t)
-                orbits += c_orbits
-                if orbits > limit:
-                    raise _orbit_ceiling(G, orbits)
-                for f in range(d + 1):
-                    same[f] += c_other[f]
-                    other[f] += c_same[f]
-            memo[state] = (tuple(same), tuple(other), orbits)
-        return memo[state]
-
-    plus, minus, orbits = count(G.full_subgroup(), U.elements)
-    return tuple(zip(plus, minus)), orbits
+    folds = []  # (same-sign, opposite-sign) defect histograms, one per state
+    for state in graph:
+        own = [0] * (d + 1)
+        for f in defects(character_table(state.stabilizer.as_group()), p):
+            own[f] += 1
+        below = [folds[child] for _, child in state.children]  # their signs swap
+        folds.append(([sum(col) for col in zip(own, *(o for _, o in below))],
+                      [sum(col) for col in zip([0] * (d + 1), *(s for s, _ in below))]))
+    plus, minus = folds[-1]
+    return tuple(zip(plus, minus)), graph[-1].orbits
 
 
 # -- signed pair sets ---------------------------------------------------------------

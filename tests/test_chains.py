@@ -26,6 +26,7 @@ from pblocks.blocks import p_blocks
 from pblocks.chains import (
     _extensions,
     _stabilizer_rows,
+    _state_graph,
     chain_orbits_cached,
     enumerate_chain_orbits,
     pair_set,
@@ -391,13 +392,44 @@ def test_counting_rejects_bad_start_and_prime(grp):
 
 def test_orbit_ceiling_is_a_resource_error(grp):
     # S4 at p = 2 from the trivial start has 18 chain orbits; both routes
-    # must stop at a ceiling of 5
+    # must stop at a ceiling of 5, and name the same count reached
     S4 = grp("S4")
     assert len(enumerate_chain_orbits(S4, S4.trivial_subgroup(), 2)) == 18
+    messages = set()
     for route in (enumerate_chain_orbits, signed_pair_counts):
         G = library_group("S4", limits=Limits(max_chain_orbits=5))
-        with pytest.raises(ResourceError, match="max_chain_orbits = 5"):
+        with pytest.raises(ResourceError, match="max_chain_orbits = 5") as info:
             route(G, G.trivial_subgroup(), 2)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize("name", acceptance_corpus())
+def test_state_graph_folds_the_enumeration(grp, name):
+    # at every prime, from the trivial start and from O_p(G): each state
+    # once, after its children, and the start state last; the states are the
+    # (stabilizer, final term) pairs of the enumerated orbits, and a state's
+    # orbit count is the size of the subtree below each orbit in that state
+    G = grp(name)
+    for p in _primes(G.order):
+        for U in (G.trivial_subgroup(), G.p_core(p)):
+            graph = _state_graph(G, U, p)
+            keys = [(s.stabilizer.elements, s.final) for s in graph]
+            assert len(set(keys)) == len(keys)
+            for i, s in enumerate(graph):
+                assert all(c < i and graph[c].final == t for t, c in s.children)
+            assert keys[-1] == (G.full_subgroup().elements, U.elements)
+            orbits = enumerate_chain_orbits(G, U, p)
+            assert set(keys) == {(o.stabilizer.elements, o.chain.final.elements)
+                                 for o in orbits}
+            below = [0] * len(orbits)  # descendants; a child sorts after its parent
+            for o in reversed(orbits):
+                if o.parent is not None:
+                    below[o.parent] += below[o.index] + 1
+            state = {key: i for i, key in enumerate(keys)}
+            for o in orbits:
+                key = (o.stabilizer.elements, o.chain.final.elements)
+                assert below[o.index] + 1 == graph[state[key]].orbits
 
 
 def _nu(n, p):

@@ -14,7 +14,7 @@ from sympy import primefactors
 
 from kernel_oracles import closure, conj, generating_subset, index_set, perm_set, relabelled
 from pblocks.blocks import p_blocks
-from pblocks.chains import _extensions, chain_orbits_cached, signed_pair_counts
+from pblocks.chains import _state_graph, chain_orbits_cached, signed_pair_counts
 from pblocks.chartable import character_table, defects
 from pblocks.cli import run
 from pblocks.config import Limits
@@ -395,8 +395,7 @@ CACHED_FACTS = {
     "sylow": lambda G, p: G.sylow(p),
     "normalizer": lambda G, p: G.normalizer(_handle(G, G.sylow(p).elements)),
     "p_subgroup_classes": lambda G, p: G.p_subgroup_classes(p),
-    "_extensions": lambda G, p: _extensions(G, _handle(G, range(G.order)),
-                                            frozenset({0}), p),
+    "_state_graph": lambda G, p: _state_graph(G, _handle(G, [0]), p),
     "chain_orbits_cached": lambda G, p: chain_orbits_cached(G, _handle(G, [0]), p),
 }
 
@@ -416,7 +415,8 @@ def test_cached_fact_is_one_object_per_argument(name):
 
 def test_single_use_facts_are_not_kept():
     # the class matrices are built per read and exponent() once per table,
-    # and the counting memo lives for one call: none of them stays in a cache
+    # and counting folds the cached state graph with no memo of its own: none
+    # of them stays in a cache
     G = library_group("S4")
     table = character_table(G)
     signed_pair_counts(G, G.trivial_subgroup(), 2)
