@@ -13,7 +13,8 @@ distinct nodes are never conjugate (an irredundant transversal by
 construction), and counting folds it state by state.  The p-subgroups of
 every stabilizer are read from G's p-subgroup lattice, in G's element
 indices.  A chain is located among the stored orbits by walking the tree
-down from the start chain, one :func:`_child_orbit` lookup per term.
+down from the start chain: :func:`_child_orbit` names each next child by
+the least row of its stabilizer orbit.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ class ChainOrbit:
     orbit_size: int
     sign: int
     parent: int | None  # orbit of the chain with the final term deleted
+    children: tuple  # orbits whose parent this is, ascending; () for a leaf
 
     def __repr__(self) -> str:
         return (f"ChainOrbit({self.chain!r}, sign={'+' if self.sign > 0 else '-'}, "
@@ -180,35 +182,32 @@ def enumerate_chain_orbits(G: Group, Z: SubgroupHandle, p: int) -> tuple[ChainOr
 
     order = sorted(range(len(nodes)), key=sort_key)
     position = {old: new for new, old in enumerate(order)}
+    kids = {}  # the children of each orbit that is not a leaf
+    for old in order[1:]:  # the start chain alone has no parent
+        kids.setdefault(position[nodes[old][2]], []).append(position[old])
     orbits = []
-    for new, old in enumerate(order):
+    for old, new in position.items():  # in index order; kids holds these same int objects
         terms, stab, parent = nodes[old]
         if G.order % stab.order:
             raise InternalError("chain stabilizer order does not divide |G|")
-        chain = PChain(terms)
-        orbits.append(ChainOrbit(index=new, chain=chain, stabilizer=stab,
-                                 orbit_size=G.order // stab.order, sign=chain.sign,
+        chain, children = PChain(terms), tuple(kids.pop(new, ()))
+        orbits.append(ChainOrbit(index=new, chain=chain, stabilizer=stab, sign=chain.sign,
+                                 orbit_size=G.order // stab.order, children=children,
                                  parent=None if parent is None else position[parent]))
     return tuple(orbits)
 
 
-def _child_orbit(G: Group, orbits, ci: int, inside: np.ndarray) -> tuple[int, int]:
-    """(j, g) for the child j of orbit ``ci`` whose final term is conjugate
-    to the subgroup K marked by ``inside``, and the index g of an element of
-    ci's stabilizer with final_j^g = K.
-
-    K must be a p-subgroup of ci's stabilizer above ci's final term.  The
-    children of ci are the stabilizer classes of such subgroups, so exactly
-    one matches; in the canonical order every child follows its parent.
-    """
-    among = sorted(orbits[ci].stabilizer.elements)
-    order = np.count_nonzero(inside)
-    for j in range(ci + 1, len(orbits)):
-        final = orbits[j].chain.final
-        if orbits[j].parent == ci and final.order == order:
-            mask = G._transporter(final.generators, inside, among)
-            if mask.any():
-                return j, among[int(np.argmax(mask))]
+def _child_orbit(G: Group, orbits, ci: int, K) -> int:
+    """The child of orbit ``ci`` whose final term is conjugate to K, the
+    element indices of a p-subgroup above ci's final term, under ci's
+    stabilizer H: its final term is the least row of K's H-orbit, as
+    :func:`_extensions` picks each child's final term."""
+    moves = [G._conj_move(g) for g in orbits[ci].stabilizer.generators]
+    row = np.array(sorted(K), dtype=G._array().idx)[None, :]
+    least = frozenset(G._index_orbit(row, moves)[0].tolist())
+    for j in orbits[ci].children:
+        if orbits[j].chain.final.elements == least:
+            return j
     raise InternalError("subgroup is conjugate to no child of the chain orbit")
 
 

@@ -446,7 +446,7 @@ def _surgery(G: Group, B: Block, S: PairSet, bounds: BoundarySets) -> PairingWit
                 raise InternalError("eligible stabilizer block has wrong defect")
             if not orb.chain.final.elements < dg:
                 raise InternalError("append target does not contain the final term")
-            children.add(_child_orbit(G, S.orbits, ci, _member_mask(G.order, dg))[0])
+            children.add(_child_orbit(G, S.orbits, ci, dg))
         if len(children) != 1:
             raise InternalError("eligible defect groups are not conjugate")
         return children.pop()
@@ -730,13 +730,14 @@ def _chain_image(G: Group, S: PairSet, ci: int, move: np.ndarray):
     and col[k] is the class of orbit ci's stabilizer that holds m x_k m^-1
     for the representative x_k of class k of orbit j's stabilizer.
 
-    m is found down the chain tree from the start term, which a fixes: the
-    image of each next term lies in orbit j's stabilizer, and the element g
-    of it that carries a child's final term there turns m into m*g^-1."""
-    arr = G._array()
+    m is found down the chain tree from the start term, which a fixes: each
+    next term's image K names a child j' of orbit j, and a transporter finds
+    the least g in j's stabilizer with final_j'^g = K; m becomes m*g^-1."""
     j, m = 0, move
     for t in S.orbits[ci].chain.terms[1:]:
-        j, g = _child_orbit(G, S.orbits, j, _member_mask(G.order, m[list(t.elements)]))
-        m = G._conj_rows(arr.inv[g])[m]
+        K, among = m[list(t.elements)], sorted(S.orbits[j].stabilizer.elements)
+        j = _child_orbit(G, S.orbits, j, K)  # so some g in among has final_j^g = K
+        mask = G._transporter(S.orbits[j].chain.final.generators, _member_mask(G.order, K), among)
+        m = G._conj_rows(G._array().inv[among[int(np.argmax(mask))]])[m]
     dst = character_table(S.orbits[j].stabilizer.as_group())
     return j, _conjugated_classes(G, dst, np.argsort(m), S.orbits[ci].stabilizer.as_group())

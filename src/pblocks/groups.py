@@ -541,10 +541,10 @@ class Group:
         lexicographic order."""
         return self._index_orbit(np.array(sorted(elements), dtype=self._array().idx)[None, :])
 
-    def _index_orbit(self, subs: np.ndarray) -> np.ndarray:
-        """The union of the G-orbits of subgroups given as rows of sorted
-        element indices: one row per conjugate, rows in lexicographic order."""
-        moves = [self._conj_move(g) for g in self.generators]
+    def _index_orbit(self, subs: np.ndarray, moves=None) -> np.ndarray:
+        """The union of the orbits of subgroups, rows of sorted element indices,
+        under ``moves`` (default: conjugation by G's generators): each once, ascending."""
+        moves = [self._conj_move(g) for g in self.generators] if moves is None else moves
         orbit = frontier = subs
         while len(frontier) and moves:
             rows = np.concatenate([orbit] + [np.sort(m[frontier], axis=1) for m in moves])

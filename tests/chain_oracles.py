@@ -5,13 +5,17 @@
 as a group of its own, from H's p-subgroup classes.  ``candidate_extensions``
 and ``fuse_under_group`` are the extension step as it once ran before that:
 collect every p-subgroup of H above the final term, then fuse the
-collection under H-conjugation.  The rest are the chain surgery and
-second-term transport helpers that the chain and invariant tests exercise.
+collection under H-conjugation.  ``oracle_child_orbit`` is the child lookup
+as it once ran: a scan of the orbits after the parent with one transporter
+per candidate child.  The rest are the chain surgery and second-term
+transport helpers that the chain and invariant tests exercise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from pblocks.blocks import Block, brauer_induce, p_blocks
 from pblocks.chains import PChain, PairSet, pair_set
@@ -116,6 +120,26 @@ def fuse_under_group(H: Group, candidate_sets) -> list:
         pending -= orbit
     reps.sort(key=lambda fs: (len(fs), tuple(sorted(fs))))
     return [index_set(H, s) for s in reps]
+
+
+def oracle_child_orbit(G: Group, orbits, ci: int, inside: np.ndarray) -> tuple[int, int]:
+    """(j, g) for the child j of orbit ``ci`` whose final term is conjugate
+    to the subgroup K marked by ``inside``, and the index g of an element of
+    ci's stabilizer with final_j^g = K.
+
+    K must be a p-subgroup of ci's stabilizer above ci's final term.  The
+    children of ci are the stabilizer classes of such subgroups, so exactly
+    one matches; in the canonical order every child follows its parent.
+    """
+    among = sorted(orbits[ci].stabilizer.elements)
+    order = np.count_nonzero(inside)
+    for j in range(ci + 1, len(orbits)):
+        final = orbits[j].chain.final
+        if orbits[j].parent == ci and final.order == order:
+            mask = G._transporter(final.generators, inside, among)
+            if mask.any():
+                return j, among[int(np.argmax(mask))]
+    raise InternalError("subgroup is conjugate to no child of the chain orbit")
 
 
 # -- chain surgery and second-term transport ---------------------------------------

@@ -17,13 +17,15 @@ from chain_oracles import (
     intermediate_subgroup_classes,
     local_extensions,
     local_second_term_sets,
+    oracle_child_orbit,
     prepend_first_term,
     second_term_blocks,
     second_term_partition,
 )
-from kernel_oracles import conj, index_set, perm_set
+from kernel_oracles import conj, index_set, perm_set, relabelled
 from pblocks.blocks import p_blocks
 from pblocks.chains import (
+    _child_orbit,
     _extensions,
     _stabilizer_rows,
     _state_graph,
@@ -35,6 +37,7 @@ from pblocks.chains import (
 from pblocks.chartable import character_table
 from pblocks.config import Limits
 from pblocks.errors import InputError, InternalError, ResourceError
+from pblocks.groups import _member_mask
 from pblocks.library import acceptance_corpus, library_group
 from pblocks.perms import parse_cycles
 
@@ -430,6 +433,31 @@ def test_state_graph_folds_the_enumeration(grp, name):
             for o in orbits:
                 key = (o.stabilizer.elements, o.chain.final.elements)
                 assert below[o.index] + 1 == graph[state[key]].orbits
+
+
+@pytest.mark.parametrize("name", acceptance_corpus() + ["S4-relabelled"])
+def test_child_orbit_reads_the_child_edge(grp, name):
+    # at every prime, from the trivial start and from O_p(G): each orbit's
+    # children are the orbits that name it as parent, and every conjugate K
+    # of a child's final term under the parent's stabilizer names that child,
+    # by the least row of K's orbit and by the old scan with one transporter
+    # per candidate child; the parent's own final term names no child
+    G = relabelled(grp("S4"), 3) if name == "S4-relabelled" else grp(name)
+    position = {x: i for i, x in enumerate(G.elements())}
+    for p in _primes(G.order):
+        for U in (G.trivial_subgroup(), G.p_core(p)):
+            orbits = enumerate_chain_orbits(G, U, p)
+            for orb in orbits:
+                ci = orb.index
+                assert orb.children == tuple(o.index for o in orbits if o.parent == ci)
+                stab = perm_set(G, orb.stabilizer.elements)
+                for j in orb.children:
+                    final = perm_set(G, orbits[j].chain.final.elements)
+                    for K in {frozenset(position[conj(x, h)] for x in final) for h in stab}:
+                        assert _child_orbit(G, orbits, ci, K) == j
+                        assert oracle_child_orbit(G, orbits, ci, _member_mask(G.order, K))[0] == j
+                with pytest.raises(InternalError, match="conjugate to no child"):
+                    _child_orbit(G, orbits, ci, orb.chain.final.elements)
 
 
 def _nu(n, p):
