@@ -12,9 +12,10 @@ states once; enumeration expands it into the tree of chain orbits, whose
 distinct nodes are never conjugate (an irredundant transversal by
 construction), and counting folds it state by state.  The p-subgroups of
 every stabilizer are read from G's p-subgroup lattice, in G's element
-indices.  A chain is located among the stored orbits by walking the tree
-down from the start chain: :func:`_child_orbit` names each next child by
-the least row of its stabilizer orbit.
+indices, through one view per distinct stabilizer.  A chain is located
+among the stored orbits by walking the tree down from the start chain:
+:func:`_child_orbit` names each next child by the least row of its
+stabilizer orbit.
 """
 
 from __future__ import annotations
@@ -92,32 +93,50 @@ def _check_start(G: Group, Z: SubgroupHandle, p: int) -> None:
         raise InputError("chain start must be normal in the ambient group")
 
 
-def _extensions(G: Group, stab: SubgroupHandle, final: frozenset, p: int) -> list:
-    """(t, N_H(t)) for the representative t of each H-class of p-subgroups
-    of H = ``stab`` above ``final``, by order and then sorted elements.
+def _lattice_view(G: Group, stab: SubgroupHandle, p: int) -> list:
+    """(rows, labels, single) per order: the rows of G's p-subgroup lattice
+    inside H = ``stab``, in lattice order, fused under H's generators by
+    :func:`~pblocks.groups._fuse` (for H = G, the lattice itself), and
+    whether each row's H-class is that row alone, i.e. normal in H."""
+    if stab.order == G.order:
+        levels = G._p_lattice(p)
+    else:
+        inside = _member_mask(G.order, stab.elements)
+        moves = [G._conj_move(g) for g in stab.generators]
+        levels = []
+        for level, _ in G._p_lattice(p):
+            rows = level[inside[level].all(axis=1)]
+            if len(rows):
+                levels.append((rows, _fuse(rows, moves)))
+    return [(rows, labels, np.bincount(labels)[labels] == 1) for rows, labels in levels]
 
-    This is the extension step of :func:`_state_graph`, read once per state.
-    The candidates are the members s of G's p-subgroup lattice with
-    ``final`` < s <= H.  They are fused under H's generators by
-    :func:`~pblocks.groups._fuse`, as G's lattice is under G's, and each
-    class is represented by its least member.  H is the
-    stabilizer of a chain with final term ``final``, so it normalizes
-    ``final`` and each H-class lies above it wholly or not at all.
+
+def _extensions(G: Group, stab: SubgroupHandle, view: list, final: frozenset) -> list:
+    """(t, N_H(t)) for the representative t of each H-class of p-subgroups
+    of H = ``stab`` above ``final``, by order and then least row.
+
+    This is the extension step of :func:`_state_graph`, read once per state
+    from H's :func:`_lattice_view`.  The candidates are the rows of the view
+    above ``final``, and each class is represented by its least member.  H
+    is the stabilizer of a chain with final term ``final``, so it normalizes
+    ``final`` and each H-class lies above it wholly or not at all.  A class
+    of one row is normal in H; any other t takes N_G(t) inside H.
     """
-    inside, below = _member_mask(G.order, stab.elements), _member_mask(G.order, final)
-    moves = [G._conj_move(g) for g in stab.generators]
+    below = _member_mask(G.order, final)
     out = []
-    for level, _ in G._p_lattice(p):
-        if level.shape[1] <= len(final):
+    for rows, labels, single in view:
+        if rows.shape[1] <= len(final):
             continue
-        cand = level[inside[level].all(axis=1) & (below[level].sum(axis=1) == len(final))]
-        if not len(cand):
-            continue
-        label = _fuse(cand, moves)  # cand is sorted, as the lattice rows are
-        for i in np.flatnonzero(label == np.arange(len(cand))).tolist():
-            t = G.handle(elements=cand[i].tolist())
-            n_in_stab = G.normalizer(t).elements & stab.elements
-            out.append((t.elements, G.handle(elements=n_in_stab)))
+        cand = below[rows].sum(axis=1) == len(final)
+        if not np.array_equal(cand[labels], cand):
+            raise InternalError("p-subgroup class lies only partly above the final term")
+        for i in np.flatnonzero(cand & (labels == np.arange(len(rows)))).tolist():
+            t = frozenset(rows[i].tolist())
+            if single[i]:
+                out.append((t, stab))
+            else:
+                n = G.normalizer(G.handle(elements=t))
+                out.append((t, G.handle(elements=n.elements & stab.elements)))
     return out
 
 
@@ -139,13 +158,15 @@ def _state_graph(G: Group, Z: SubgroupHandle, p: int) -> tuple[_State, ...]:
     from Z number more than the ceiling."""
     _check_start(G, Z, p)
     limit = G.limits.max_chain_orbits
-    states, index = [], {}
+    states, index, views = [], {}, {}  # views: one _lattice_view per stabilizer
 
     def visit(stab: SubgroupHandle, final: frozenset) -> int:
         key = (stab.elements, final)
         if key not in index:
+            if stab.elements not in views:
+                views[stab.elements] = _lattice_view(G, stab, p)
             children, orbits = [], 1
-            for t, n_in_stab in _extensions(G, stab, final, p):
+            for t, n_in_stab in _extensions(G, stab, views[stab.elements], final):
                 child = visit(n_in_stab, t)
                 children.append((t, child))
                 orbits += states[child].orbits

@@ -97,8 +97,7 @@ def _fuse(rows: np.ndarray, moves) -> np.ndarray:
         image = _lex_keys(np.sort(move[rows], axis=1))
         at = np.minimum(keys.searchsorted(image), len(keys) - 1)
         if not np.array_equal(keys[at], image):
-            raise InternalError(
-                "p-subgroup class lies only partly above the final term or in the lattice level")
+            raise InternalError("subgroup rows are not closed under the conjugations")
         images.append(at)
     return _orbit_labels(len(rows), images)
 
@@ -439,16 +438,19 @@ class Group:
 
     def _transporter(self, gens, inside: np.ndarray, among=slice(None)) -> np.ndarray:
         """Mask over the element indices ``among`` (default all) of the g with
-        h^g in the set marked by ``inside`` for every permutation h of ``gens``:
-        the transporter {g : H^g <= K} for gens generating H and ``inside``
-        marking K.  A generator outside this group is an InternalError."""
+        h^g in the nonempty set marked by ``inside`` for every permutation h
+        of ``gens``: the transporter {g : H^g <= K} for gens generating H and
+        ``inside`` marking K, found among K's keys.  A generator outside this
+        group is an InternalError."""
         arr = self._array()
+        arr.index(arr.perm(gens).reshape(-1, self.degree))  # raises for h outside G
+        keys = arr._keys[inside]
         rows, inv = arr.rows[among], arr.inv[among]
         mask = np.ones(len(rows), dtype=bool)
         for h in gens:
             # row g of the gather is g^-1 h g
-            images = np.take_along_axis(rows, arr.perm(h)[inv], axis=1)
-            mask &= inside[arr.index(images)]
+            images = arr._row_keys(np.take_along_axis(rows, arr.perm(h)[inv], axis=1))
+            mask &= keys[np.minimum(keys.searchsorted(images), len(keys) - 1)] == images
         return mask
 
     def normalizer_set(self, sub_elements: frozenset, sub_gens) -> frozenset:

@@ -27,6 +27,7 @@ from pblocks.blocks import p_blocks
 from pblocks.chains import (
     _child_orbit,
     _extensions,
+    _lattice_view,
     _stabilizer_rows,
     _state_graph,
     chain_orbits_cached,
@@ -468,19 +469,21 @@ def _nu(n, p):
     return v
 
 
-@pytest.mark.parametrize("name", acceptance_corpus() + ["S4xC2xC2", "S6"])
+@pytest.mark.parametrize("name", acceptance_corpus() + ["S4-relabelled", "S4xC2xC2", "S6"])
 def test_extensions_match_fused_candidates(grp, name):
-    # the restriction of G's p-subgroup lattice to each chain stabilizer H,
-    # against the stabilizer's own p-subgroup classes and against the old
-    # second fusion of every p-subgroup of H above the final term, at every
-    # (stabilizer, final term) of the enumeration: from O_p(G) and from the
-    # trivial start at every prime on the corpus, from the trivial start at
-    # p = 2 on the two larger groups
-    G = grp(name)
-    if name in acceptance_corpus():
-        runs = [(p, U) for p in _primes(G.order) for U in (G.p_core(p), G.trivial_subgroup())]
-    else:
+    # each chain stabilizer H's view of G's p-subgroup lattice, against H's
+    # own p-subgroup classes and against the old second fusion of every
+    # p-subgroup of H above the final term, at every (stabilizer, final term)
+    # of the enumeration: from O_p(G) and from the trivial start at every
+    # prime on the corpus and on S4 with its points relabelled, from the
+    # trivial start at p = 2 on the two larger groups.  A child keeps the
+    # stabilizer H exactly when every generator of H normalizes its final
+    # term, as tuple permutations.
+    G = relabelled(grp("S4"), 3) if name == "S4-relabelled" else grp(name)
+    if name in ("S4xC2xC2", "S6"):
         runs = [(2, G.trivial_subgroup())]
+    else:
+        runs = [(p, U) for p in _primes(G.order) for U in (G.p_core(p), G.trivial_subgroup())]
     seen = set()
     for p, U in runs:
         for orb in enumerate_chain_orbits(G, U, p):
@@ -489,7 +492,7 @@ def test_extensions_match_fused_candidates(grp, name):
                 continue
             seen.add((p, stab.elements, final))
             H = stab.as_group()
-            ext = _extensions(G, stab, final, p)
+            ext = _extensions(G, stab, _lattice_view(G, stab, p), final)
             # ext is in G's element indices, local and fused in H's
             final_h = index_set(H, perm_set(G, final))
             local = local_extensions(H, final_h, p)
@@ -499,6 +502,10 @@ def test_extensions_match_fused_candidates(grp, name):
             assert [perm_set(G, n.elements) for _, n in ext] == \
                 [perm_set(H, n.elements) for _, n in local] == [
                 perm_set(H, H.normalizer(H.handle(elements=t)).elements) for t in fused]
+            for t, n in ext:
+                t = perm_set(G, t)
+                assert (n is stab) == all(
+                    {conj(x, h) for x in t} == t for h in stab.generators)
 
 
 def test_extensions_reject_final_term_not_normalized(grp):
@@ -507,6 +514,6 @@ def test_extensions_reject_final_term_not_normalized(grp):
     S4 = grp("S4")
     final = S4.handle(generators=[parse_cycles("(0 1)", 4)]).elements
     with pytest.raises(InternalError, match="partly above"):
-        _extensions(S4, S4.full_subgroup(), final, 2)
+        _extensions(S4, S4.full_subgroup(), _lattice_view(S4, S4.full_subgroup(), 2), final)
     with pytest.raises(InternalError, match="partly above"):
         local_extensions(S4, final, 2)

@@ -5,7 +5,9 @@ for classes and normalizers, and level-by-level extension over the whole
 group for p-subgroups.  They never touch the stabilizer chain.
 """
 
+import gc
 import re
+import weakref
 from math import prod
 
 import numpy as np
@@ -14,7 +16,12 @@ from sympy import primefactors
 
 from kernel_oracles import closure, conj, generating_subset, index_set, perm_set, relabelled
 from pblocks.blocks import p_blocks
-from pblocks.chains import _state_graph, chain_orbits_cached, signed_pair_counts
+from pblocks.chains import (
+    _state_graph,
+    chain_orbits_cached,
+    enumerate_chain_orbits,
+    signed_pair_counts,
+)
 from pblocks.chartable import character_table, defects
 from pblocks.cli import run
 from pblocks.config import Limits
@@ -413,13 +420,29 @@ def test_cached_fact_is_one_object_per_argument(name):
     assert fact(G, 3) is other
 
 
-def test_single_use_facts_are_not_kept():
+def test_single_use_facts_are_not_kept(monkeypatch):
     # the class matrices are built per read and exponent() once per table,
-    # and counting folds the cached state graph with no memo of its own: none
+    # counting folds the cached state graph with no memo of its own, and the
+    # stabilizers' lattice views live only as long as the graph's walk: none
     # of them stays in a cache
+    from pblocks import chains
+
+    views = []  # a weak reference to an array of each view
+    build = chains._lattice_view
+
+    def lattice_view(*args):
+        view = build(*args)
+        views.extend(weakref.ref(single) for _, _, single in view)
+        return view
+
+    monkeypatch.setattr(chains, "_lattice_view", lattice_view)
     G = library_group("S4")
     table = character_table(G)
     signed_pair_counts(G, G.trivial_subgroup(), 2)
+    enumerate_chain_orbits(G, G.trivial_subgroup(), 2)
     names = {key[0] for key in G._cache} | {key[0] for key in table._cache}
-    assert "character_table" in names
-    assert not names & {"cmc", "exponent", "signed_pair_counts", "signed_counts"}
+    assert {"character_table", "_state_graph"} <= names
+    assert not names & {"cmc", "exponent", "signed_pair_counts", "signed_counts",
+                        "_lattice_view"}
+    gc.collect()
+    assert views and not any(ref() is not None for ref in views)

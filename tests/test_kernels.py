@@ -3,7 +3,8 @@
 The oracles below are the element-by-element scans over tuple permutations
 that the array versions in ``groups`` and ``chartable`` replaced: the power
 map, centralizers, normalizers, subgroup conjugation orbits and the
-subgroups of a p-group; with ``kernel_oracles``, the classes, the
+subgroups of a p-group, and the transporter into any set of elements,
+subgroup or not; with ``kernel_oracles``, the classes, the
 class-multiplication tensor (of which the table builds one class matrix at
 a time), the breadth-first element closure and the tuple reduction of
 central characters.  They are compared on every acceptance-corpus group and
@@ -71,7 +72,7 @@ from pblocks.errors import InternalError, ResourceError
 from pblocks.groups import _KEY_CHUNK, Group, _member_mask, _subgroups_of_p_group
 from pblocks.library import acceptance_corpus, library_group, parse_group_file
 from pblocks.modlinalg import inv_mod
-from pblocks.perms import pinv, pmul
+from pblocks.perms import parse_cycles, pinv, pmul
 
 # -- brute-force oracles --------------------------------------------------------
 
@@ -328,6 +329,39 @@ def test_centralizers_and_normalizers_match_oracles(group_of, case):
             among = np.arange(G.order - 1, -1, -3)
             assert np.array_equal(G._transporter(h.generators, inside, among),
                                   G._transporter(h.generators, inside)[among])
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_transporter_into_any_set_matches_the_whole_group_scan(group_of, case):
+    # the images are searched for among the marked set's keys alone; against
+    # the scan of every g of G, into sets that are no subgroups (a seeded
+    # random set, and a right coset of each p-subgroup class that is not the
+    # class itself) and into each class from G's generators, a larger group
+    G = group_of(*case)
+    elements = G.elements()
+    position = {x: i for i, x in enumerate(elements)}
+    rng = np.random.default_rng(0)
+    targets = [(G.generators, frozenset(np.flatnonzero(rng.random(G.order) < 0.3).tolist()))]
+    for p in primefactors(G.order):
+        for h in G.p_subgroup_classes(p):
+            x = elements[-1]
+            coset = frozenset(position[pmul(k, x)] for k in perm_set(G, h.elements))
+            targets += [(h.generators, coset), (G.generators, h.elements)]
+    among = np.arange(G.order - 1, -1, -2)
+    for gens, target in targets:
+        mask = G._transporter(gens, _member_mask(G.order, target))
+        assert perm_set(G, np.flatnonzero(mask).tolist()) == \
+            oracle_normalizer(G, perm_set(G, target), gens)
+        assert np.array_equal(G._transporter(gens, _member_mask(G.order, target), among),
+                              mask[among])
+
+
+def test_transporter_rejects_a_generator_outside_the_group(grp):
+    # (0 1) is odd, so no element of A4; it is refused before any search
+    A4 = grp("A4")
+    for gens in ([parse_cycles("(0 1)", 4)], [A4.generators[0], parse_cycles("(0 1)", 4)]):
+        with pytest.raises(InternalError, match="not an element"):
+            A4._transporter(gens, _member_mask(A4.order, [0]))
 
 
 @pytest.mark.parametrize("case", CASES + [("S6", None)], ids=_case_id)
