@@ -10,18 +10,18 @@ the o-th roots of unity in F_ell, all classes of one order in one product.
 
 The split reads the class matrices smallest class first, and among classes
 of one size those of prime element order first, then by element order and
-index; it builds each class matrix only when it reads it.  It carries each
-eigenspace as one vector, the component in it of the identity-class row.
-A read takes the Krylov blocks of all carried vectors under the class
-matrix, one product per power, up to their least annihilating polynomial,
-and each vector's component per root as one Lagrange combination of the
-blocks.
+index; it builds each class matrix only when it reads it, as the sorted
+(j, k, count) triples of its nonzero entries.  It carries each eigenspace
+as one vector, the component in it of the identity-class row.  A read
+multiplies the carried vectors by the class matrix once, and only those
+not mapped to multiples of themselves take their Krylov blocks, one sparse
+product per power, and their components per root as one Lagrange
+combination of the blocks.
 
-Every table is validated against both orthogonality relations before it is
-returned; a table that fails validation is never handed out.  Their
-cyclotomic products convolve only the coefficient planes that are nonzero
-in the arrays multiplied, and only the table's nonzero planes are complex
-conjugated; a rational table has one.
+Every table is validated against the row orthogonality relation, which
+implies the column relation, before it is returned; a table that fails
+validation is never handed out.  Its cyclotomic product convolves only the
+nonzero coefficient planes, and only those are complex conjugated.
 
 The integer products of the lift and of the validation run through float64
 matrix products.  Each is preceded by an a-priori bound on its partial sums;
@@ -45,7 +45,7 @@ import numpy as np
 from .cyclotomic import _nu, _power_reductions, _prime_factors, euler_phi
 from .errors import InputError, InternalError, ResourceError
 from .groups import ConjClass, Group, _cached
-from .modlinalg import inv_mod, krylov_polynomial, lagrange_basis, poly_roots
+from .modlinalg import inv_mod, krylov_polynomial, lagrange_basis, poly_roots, times_transpose
 
 __all__ = [
     "CharTable",
@@ -103,13 +103,11 @@ class CharTable:
 
     @_cached
     def trivial_index(self) -> int:
-        one = _one_vector(self.conductor)
-        for i in range(self.r):
-            if self.degrees[i] == 1 and all(
-                np.array_equal(self.values[i, k], one) for k in range(self.r)
-            ):
-                return i
-        raise InternalError("table has no trivial character")
+        """The row whose every value is 1."""
+        ones = (self.values == _one_vector(self.conductor)).all(axis=(1, 2))
+        if not ones.any():
+            raise InternalError("table has no trivial character")
+        return int(ones.argmax())
 
     def row_index_of_values(self, vec: np.ndarray) -> int:
         """Find the row equal to the given [r, phi] value matrix."""
@@ -127,10 +125,10 @@ class CharTable:
 
 class _ClassMatrices:
     """The class matrices a[i][j, k] = #{x in K_i : x^-1 z_k in K_j} of a
-    table, z_k the class representatives, each built when it is read: one
-    lookup of the r * |K_i| rows x^-1 z_k, where the whole tensor takes
-    r * |G|.  The class members and representative rows are gathered once.
-    """
+    table, z_k the class representatives, each built when it is read as the
+    triples (j, k, a[i][j, k]) of its nonzero entries, sorted by j then k:
+    one lookup of the r * |K_i| rows x^-1 z_k, where the whole tensor takes
+    r * |G|.  The class members and representative rows are gathered once."""
 
     def __init__(self, table: CharTable):
         G = table.group
@@ -142,13 +140,15 @@ class _ClassMatrices:
         self._members = np.split(np.argsort(self._class_of, kind="stable"), sizes)
         self._reps = np.array([c.rep for c in table.classes], dtype=self._arr.rows.dtype)
 
-    def __getitem__(self, i: int) -> np.ndarray:
+    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         r = self.shape[0]
         # row (k, x) of the gather is x^-1 z_k
         quotients = self._reps[:, self._arr.inv[self._members[i]]]
         found = self._arr.index(quotients.reshape(-1, quotients.shape[-1]))
         keys = self._class_of[found].reshape(r, -1) * r + np.arange(r)[:, None]
-        return np.bincount(keys.ravel(), minlength=r * r).reshape(r, r)
+        counts = np.bincount(keys.ravel(), minlength=r * r)
+        pairs = counts.nonzero()[0]  # j * r + k, ascending
+        return *np.divmod(pairs, r), counts[pairs]
 
 
 @_cached
@@ -273,33 +273,36 @@ def _read_order(table: CharTable) -> list[int]:
     index.  A class of size one and prime order p is a central element,
     which acts in every character as a p-th root of unity times the degree:
     it splits each space into at most p parts, with a Krylov polynomial of
-    degree at most p, while the spaces are few and large."""
+    degree at most p, while the spaces are few and large.  A read that splits
+    nothing (120 of C2^8's 128) costs one sparse product."""
     orders = _element_orders(table).tolist()
     return sorted(range(1, table.r), key=lambda k: (
         table.classes[k].size, not _is_prime(orders[k]), orders[k], k))
 
 
-def _common_eigenvectors(a: np.ndarray, ell: int, reads) -> np.ndarray:
+def _common_eigenvectors(a, ell: int, reads) -> np.ndarray:
     """Split F_ell^r into the common eigenspaces of the class-sum matrices.
 
     Each M_i = a[i] satisfies M_i v = omega(K_i) v on the central character
     vector v = (omega(K_k))_k; since ell does not divide |G| the common
     eigenspaces are one-dimensional.  ``a`` is read through ``a.shape[0]``
-    and ``a[i]`` for i in ``reads`` (see :func:`_read_order`), each a[i]
-    once and only while fewer than r spaces are known.
+    and ``a[i]``, triples as :class:`_ClassMatrices` gives them, for i in
+    ``reads`` (see :func:`_read_order`), each a[i] once and only while
+    fewer than r spaces are known.
 
     A space is carried as one row vector: the component in it of the
     identity-class row e_0.  By column orthogonality, e_0 is the sum of
     (chi(1)^2 / |G|) omega_chi over the central characters omega_chi, and
     each coefficient is a unit mod ell, so e_0 has a nonzero component in
     every common eigenspace.  A read stacks the carried vectors V and takes
-    their Krylov blocks V M_i^T, V M_i^T^2, ... in one product per power,
-    up to the least monic p with V p(M_i^T) = 0; the Lagrange polynomials
-    L_k of its roots lambda_k give each vector's lambda_k-component in one
-    combination of the blocks, spaces in order and roots ascending within
-    each, and the zero components are dropped.  A class matrix that acts
-    on a space as a scalar leaves its vector as it is (Schneider,
-    J. Symbolic Comput. 9 (1990)).  After r vectors each is a multiple of
+    V M_i^T.  A v mapped to a multiple of itself (the 2 x 2 minors of
+    (v, v M_i^T) at a nonzero coordinate of v vanish) is its own only
+    component and stays (Schneider, J. Symbolic Comput. 9 (1990)).  The
+    others W take their Krylov blocks W M_i^T, W M_i^T^2, ... up to the
+    least monic p with W p(M_i^T) = 0; the Lagrange polynomials L_k of its
+    roots lambda_k give each vector's lambda_k-component in one combination
+    of the blocks, roots ascending, in place of the vector, and the zero
+    components are dropped.  After r vectors each is a multiple of
     its omega_chi, which is read off by scaling the identity coordinate,
     omega_chi(K_0) = 1, to one.
 
@@ -316,19 +319,27 @@ def _common_eigenvectors(a: np.ndarray, ell: int, reads) -> np.ndarray:
     for i in reads:
         if len(vectors) == r:
             break
-        poly, blocks = krylov_polynomial(vectors, a[i].T.astype(np.int64), ell)
+        matrix = a[i]
+        image = times_transpose(vectors, matrix, ell)
+        at = np.arange(len(vectors)), vectors.argmax(axis=1)  # a nonzero residue of each
+        split = ((image * vectors[at][:, None] - vectors * image[at][:, None]) % ell).any(axis=1)
+        if not split.any():
+            continue
+        poly, blocks = krylov_polynomial(vectors[split], matrix, ell)
         roots = poly_roots(poly, ell)
         m = len(roots)
         if m < len(poly) - 1:  # not diagonalizable over F_ell
             raise InternalError("eigenspace refinement lost dimension")
         lagrange = lagrange_basis(roots, ell)
         blocks = blocks.reshape(m + 1, -1)
-        parts = lagrange @ blocks[:m] % ell  # parts[k] = V L_k(M_i^T)
+        parts = lagrange @ blocks[:m] % ell  # parts[k] = W L_k(M_i^T)
         if not np.array_equal(lagrange @ blocks[1:] % ell,
                               parts * np.array(roots)[:, None] % ell):
             raise InternalError("Lagrange component is not an eigenvector")
-        parts = parts.reshape(m, len(vectors), r).swapaxes(0, 1).reshape(-1, r)
-        vectors = parts[parts.any(axis=1)]
+        spread = np.zeros((len(vectors), m, r), dtype=np.int64)
+        spread[~split, 0] = vectors[~split]
+        spread[split] = parts.reshape(m, -1, r).swapaxes(0, 1)
+        vectors = spread[spread.any(axis=2)]
     if len(vectors) != r:
         raise InternalError("eigenspace refinement lost dimension")
     if not vectors[:, 0].all():
@@ -470,38 +481,37 @@ def _pairwise_products(A: np.ndarray, B: np.ndarray, weights: np.ndarray, e: int
 
 
 def _validate_table(table: CharTable) -> None:
+    """Raise InternalError unless the degrees, the row orthogonality
+    relation, the trivial character and the identity column check out.
+
+    The row relation is X D X*^T = |G| I, X the [r, r] table over the field
+    Q(zeta_e), X* its image under complex conjugation zeta -> zeta^-1 (an
+    automorphism of the field) and D the diagonal of class sizes.  It
+    implies the column relation, sum_chi chi(g_k) chi*(g_l) =
+    delta_kl |C_G(g_k)|: D X*^T / |G| is a right inverse of the square
+    matrix X over a field, hence also a left inverse, so X*^T X = |G| D^-1.
+    Conjugating both sides, D rational, gives X^T X* = |G| D^-1, whose
+    (k, l) entry is the column relation as |G| / |K_k| = |C_G(g_k)|.  The
+    product is exact (see :func:`_pairwise_products`), so the one product
+    checks both relations.
+    """
     G = table.group
-    r = table.r
     if sum(d * d for d in table.degrees) != G.order:
         raise InternalError("sum of squared degrees misses the group order")
-    for d in table.degrees:
-        if G.order % d:
-            raise InternalError("character degree does not divide the group order")
+    if any(G.order % d for d in table.degrees):
+        raise InternalError("character degree does not divide the group order")
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
     planes = table.values.any(axis=(0, 1)).nonzero()[0]  # conjugate only these
     conj_values = np.tensordot(table.values[:, :, planes],
                                galois_matrix(table.conductor, -1)[planes], axes=([2], [0]))
 
-    diagonal = np.arange(r), np.arange(r), 0  # the rational part of C[i, i]
     row_orth = _pairwise_products(table.values, conj_values, sizes, table.conductor)
     expected = np.zeros_like(row_orth)
-    expected[diagonal] = G.order
+    expected[np.arange(table.r), np.arange(table.r), 0] = G.order  # rational part of C[i, i]
     if not np.array_equal(row_orth, expected):
         raise InternalError("row orthogonality failed; table rejected")
-    del row_orth, expected  # the column products are the validation's peak
 
-    col = np.swapaxes(table.values, 0, 1)
-    col_conj = np.swapaxes(conj_values, 0, 1)
-    col_orth = _pairwise_products(col, col_conj, np.ones(r, dtype=np.int64),
-                                  table.conductor)
-    expected_col = np.zeros_like(col_orth)
-    expected_col[diagonal] = G.order // sizes
-    if not np.array_equal(col_orth, expected_col):
-        raise InternalError("column orthogonality failed; table rejected")
-
-    idx = table.trivial_index()
-    if table.degrees[idx] != 1:
-        raise InternalError("trivial character has wrong degree")
+    table.trivial_index()  # raises where no row is all ones
     # identity column must equal the degree list
     one = _one_vector(table.conductor)
     if not np.array_equal(table.values[:, 0], np.outer(table.degrees, one)):

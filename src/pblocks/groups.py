@@ -440,17 +440,21 @@ class Group:
         """Mask over the element indices ``among`` (default all) of the g with
         h^g in the nonempty set marked by ``inside`` for every permutation h
         of ``gens``: the transporter {g : H^g <= K} for gens generating H and
-        ``inside`` marking K, found among K's keys.  A generator outside this
-        group is an InternalError."""
+        ``inside`` marking K, found among K's keys.  Each generator after the
+        first meets only the g that passed the ones before it.  A generator
+        outside this group is an InternalError."""
         arr = self._array()
         arr.index(arr.perm(gens).reshape(-1, self.degree))  # raises for h outside G
         keys = arr._keys[inside]
         rows, inv = arr.rows[among], arr.inv[among]
-        mask = np.ones(len(rows), dtype=bool)
+        mask = np.zeros(len(rows), dtype=bool)
+        passed = np.arange(len(rows))
         for h in gens:
             # row g of the gather is g^-1 h g
             images = arr._row_keys(np.take_along_axis(rows, arr.perm(h)[inv], axis=1))
-            mask &= keys[np.minimum(keys.searchsorted(images), len(keys) - 1)] == images
+            hit = keys[np.minimum(keys.searchsorted(images), len(keys) - 1)] == images
+            passed, rows, inv = passed[hit], rows[hit], inv[hit]
+        mask[passed] = True
         return mask
 
     def normalizer_set(self, sub_elements: frozenset, sub_gens) -> frozenset:
@@ -571,7 +575,11 @@ class Group:
         return g
 
     def is_normal(self, handle: "SubgroupHandle") -> bool:
-        return self.normalizer(handle).order == self.order
+        """Whether H is normal: each generator's conjugation move maps H's indices into H."""
+        if handle.ambient is not self:
+            raise InputError("subgroup handle belongs to another group")
+        inside = _member_mask(self.order, handle.elements)
+        return all(inside[self._conj_move(g)[inside]].all() for g in self.generators)
 
     # -- p-subgroup enumeration ---------------------------------------------
 

@@ -1,8 +1,9 @@
-"""Dense linear algebra over a prime field F_ell, on numpy int64 arrays.
+"""Linear algebra over a prime field F_ell, on numpy int64 arrays, with
+each n x n matrix M given by its nonzero entries (j, k, M[j, k]), sorted by j.
 
 Every product here sums at most r products of two residues before it
-reduces, r the number of classes of the table being built: a Krylov step, a
-stack of rows times an n x n matrix, sums n <= r terms, the echelon
+reduces, r the number of classes of the table being built: a Krylov step
+sums one term per nonzero M[j, k] of a row j, at most n <= r; the echelon
 reduction of :func:`krylov_polynomial` sums one term per earlier Krylov
 block (at most n), and a combination of m <= n Krylov blocks sums m terms.
 :func:`pblocks.chartable._common_eigenvectors` checks that r * (ell - 1)^2
@@ -17,27 +18,35 @@ import numpy as np
 
 from .errors import InternalError
 
-__all__ = ["krylov_polynomial", "lagrange_basis", "poly_roots", "inv_mod"]
+__all__ = ["krylov_polynomial", "lagrange_basis", "poly_roots", "inv_mod", "times_transpose"]
 
 
 def inv_mod(a: int, ell: int) -> int:
     return pow(int(a) % ell, ell - 2, ell)
 
 
-def krylov_polynomial(rows: np.ndarray, mat: np.ndarray, ell: int):
+def times_transpose(rows: np.ndarray, triples, ell: int) -> np.ndarray:
+    """rows . M^T mod ell for an [s, n] stack of rows: a gather and a sum per j."""
+    j, k, values = triples
+    nonempty, starts = np.unique(j, return_index=True)
+    out = np.zeros(rows.shape, dtype=np.int64)
+    out[:, nonempty] = np.add.reduceat(rows[:, k] * (values % ell), starts, axis=1) % ell
+    return out
+
+
+def krylov_polynomial(rows: np.ndarray, triples, ell: int):
     """(coefficients, blocks): the least monic p, ascending, with
-    rows . p(mat) = 0 for an [s, n] stack of rows and an n x n matrix, and
-    its Krylov blocks rows . mat^t for t = 0..m as an [m + 1, s, n] array,
-    m the degree.  With rows = I, p is the minimal polynomial of mat and
-    the blocks are its powers.
+    rows . p(M^T) = 0 for an [s, n] stack of rows, and its Krylov blocks
+    rows . (M^T)^t for t = 0..m as an [m + 1, s, n] array, m the degree.
+    With rows = I, p is the minimal polynomial of M and the blocks are the
+    powers of M^T.
 
     The blocks are flattened and kept in reduced echelon form, each row
     with the combination of blocks that gives it; the first block that
     reduces to zero against the earlier ones gives the polynomial.  m <= n,
-    as the characteristic polynomial of mat annihilates every row.
+    as the characteristic polynomial of M annihilates every row.
     """
-    n = mat.shape[0]
-    mat = mat % ell
+    n = rows.shape[1]
     block = rows % ell
     blocks = []
     echelon = np.zeros((0, block.size), dtype=np.int64)  # rows 1 at their pivots, 0 at the others'
@@ -61,7 +70,7 @@ def krylov_polynomial(rows: np.ndarray, mat: np.ndarray, ell: int):
         echelon = np.vstack([(echelon - np.outer(column, residual)) % ell, residual])
         combos = np.vstack([(combos - np.outer(column, combo)) % ell, combo])
         pivots.append(q)
-        block = block @ mat % ell
+        block = times_transpose(block, triples, ell)
     raise InternalError("minimal polynomial exceeds the dimension")
 
 

@@ -13,7 +13,9 @@ and its elements, and ``class_index`` maps every element to its class.
 ``oracle_classes`` finds the conjugacy classes by tuple conjugation, and
 ``oracle_cmc`` counts the whole class-multiplication tensor by tuple
 products; the table code builds its class matrices one at a time, only
-those that its eigenspace split reads.
+those that its eigenspace split reads, as the sorted (j, k, count)
+``triples`` of their nonzero entries, and ``SparseTensor`` reads a dense
+tensor that way.
 ``conj`` and ``ppow`` are the tuple conjugate and power that no program
 path needs any more.  ``sympy_canonical_factor`` is the least factor of a
 cyclotomic polynomial mod p as sympy's factorisation finds it, the way
@@ -287,6 +289,24 @@ def oracle_cmc(G, classes):
         for x in G.elements():
             a[idx[x], idx[pmul(inv[x], z)], k] += 1
     return a
+
+
+def triples(m: np.ndarray):
+    """The nonzero entries (j, k, m[j, k]) of a dense matrix, sorted by j
+    and then k: the form in which the split reads a class matrix."""
+    j, k = np.nonzero(m)
+    return j, k, m[j, k].astype(np.int64)
+
+
+class SparseTensor:
+    """A dense [r, r, r] tensor read as the split reads ``_ClassMatrices``:
+    ``shape``, and a[i] as the :func:`triples` of the dense a[i]."""
+
+    def __init__(self, dense: np.ndarray):
+        self.dense, self.shape = dense, dense.shape
+
+    def __getitem__(self, i: int):
+        return triples(self.dense[i])
 
 
 def perm_set(G, indices) -> frozenset:

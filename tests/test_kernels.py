@@ -2,9 +2,9 @@
 
 The oracles below are the element-by-element scans over tuple permutations
 that the array versions in ``groups`` and ``chartable`` replaced: the power
-map, centralizers, normalizers, subgroup conjugation orbits and the
-subgroups of a p-group, and the transporter into any set of elements,
-subgroup or not; with ``kernel_oracles``, the classes, the
+map, centralizers, normalizers and normality, subgroup conjugation orbits
+and the subgroups of a p-group, and the transporter into any set of
+elements, subgroup or not; with ``kernel_oracles``, the classes, the
 class-multiplication tensor (of which the table builds one class matrix at
 a time), the breadth-first element closure and the tuple reduction of
 central characters.  They are compared on every acceptance-corpus group and
@@ -14,7 +14,10 @@ Python integers, and the eigenspace split against the split that reduces
 every basis again, splits every space and finds each eigenspace as a
 nullspace, both reading the classes in the same order; the split reads
 only the class matrices that it needs, in the order of class size and
-prime element order first, and the float guards are sized by the data.  The p-th
+prime element order first, and takes Krylov blocks only on the reads that
+split a space; the float guards are sized by the data, and the row
+orthogonality check rejects every corrupted table that the column check
+rejects.  The p-th
 powers of the elements are compared with p - 1 repeated gathers.  Each level
 of the p-subgroup lattice is counted without its fusion: 1 mod p subgroups
 (Frobenius), |G : N_G(S)| Sylow subgroups, and |G : N_G(H)| members in the
@@ -28,6 +31,7 @@ base-degree numbers in exact Python integers and ascend with the rows, up to
 the 15-point bound; past it the void keys do.
 """
 
+from dataclasses import replace
 from math import isqrt
 from pathlib import Path
 
@@ -36,6 +40,7 @@ import pytest
 from sympy import isprime, primefactors, primitive_root
 
 from kernel_oracles import (
+    SparseTensor,
     TupleField,
     class_index,
     closure,
@@ -49,6 +54,7 @@ from kernel_oracles import (
     perm_set,
     relabelled,
     sympy_canonical_factor,
+    triples,
 )
 from pblocks import chartable
 from pblocks.blockfield import block_field
@@ -231,9 +237,9 @@ def test_classes_and_cmc_match_oracles(group_of, case):
     matrices = _ClassMatrices(character_table(G))
     assert matrices.shape == oracle.shape
     for i in reversed(range(len(classes))):
-        a = matrices[i]
-        assert a.dtype == np.int64
-        assert np.array_equal(a, oracle[i])
+        j, k, counts = matrices[i]
+        assert counts.dtype == np.int64
+        assert all(np.array_equal(x, y) for x, y in zip((j, k, counts), triples(oracle[i])))
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -329,6 +335,19 @@ def test_centralizers_and_normalizers_match_oracles(group_of, case):
             among = np.arange(G.order - 1, -1, -3)
             assert np.array_equal(G._transporter(h.generators, inside, among),
                                   G._transporter(h.generators, inside)[among])
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_is_normal_matches_the_tuple_oracle(group_of, case):
+    # normal exactly when the tuple normaliser is all of G, on every class of
+    # each p-subgroup lattice, the centre and the two trivial subgroups
+    G = group_of(*case)
+    everything = frozenset(G.elements())
+    handles = [G.trivial_subgroup(), G.full_subgroup(), G.center()]
+    handles += [h for p in primefactors(G.order) for h in G.p_subgroup_classes(p)]
+    for h in handles:
+        oracle = oracle_normalizer(G, perm_set(G, h.elements), h.generators)
+        assert G.is_normal(h) == (oracle == everything)
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -512,6 +531,63 @@ def test_validation_rejects_a_value_in_an_empty_plane(group_of):
         _validate_table(corrupted)
 
 
+def column_relation_holds(table) -> bool:
+    """sum_chi chi(g_k) chi*(g_l) = delta_kl |G| / |K_k| in Python integers:
+    the column check that the validation ran before the row relation alone
+    sufficed."""
+    e, r = table.conductor, table.r
+    col = np.swapaxes(table.values, 0, 1)
+    got = exact_pairwise_products(col, np.tensordot(col, conj_matrix(e), axes=([2], [0])),
+                                  np.ones(r, dtype=np.int64), e)
+    expected = np.zeros_like(got)
+    expected[np.arange(r), np.arange(r), 0] = [table.group.order // c.size
+                                               for c in table.classes]
+    return np.array_equal(got, expected)
+
+
+def mutations(table):
+    """The table's values and classes with one row doubled, and where the
+    table has them, with two distinct values of a row swapped and one value
+    negated, all off the identity class, and with two class sizes swapped."""
+    values, classes = table.values, table.classes
+    scaled = values.copy()
+    scaled[-1] *= 2
+    yield scaled, classes
+    pair = next(((i, k, l) for i in reversed(range(table.r))
+                 for k in range(1, table.r) for l in range(k + 1, table.r)
+                 if not np.array_equal(values[i, k], values[i, l])), None)
+    if pair:
+        i, k, l = pair
+        swapped = values.copy()
+        swapped[i, [k, l]] = values[i, [l, k]]
+        yield swapped, classes
+    j = next((j for j in range(1, table.r) if values[-1, j].any()), None)
+    if j:
+        negated = values.copy()
+        negated[-1, j] *= -1
+        yield negated, classes
+    sizes = [c.size for c in classes]
+    if len(set(sizes)) > 1:
+        k, l = 0, sizes.index(max(sizes))
+        moved = list(classes)
+        moved[k], moved[l] = replace(classes[k], size=sizes[l]), replace(classes[l], size=sizes[k])
+        yield values, tuple(moved)
+
+
+@pytest.mark.parametrize("name", acceptance_corpus())
+def test_row_check_rejects_every_table_the_column_check_did(group_of, name):
+    # the row relation implies the column relation (see _validate_table), so
+    # each mutation that breaks the column relation also breaks the row one
+    table = character_table(group_of(name, None))
+    assert column_relation_holds(table)
+    for values, classes in mutations(table):
+        corrupted = CharTable(table.group, classes, table.conductor, values,
+                              table.degrees, table.lift_meta)
+        assert not column_relation_holds(corrupted)
+        with pytest.raises(InternalError, match="^row orthogonality failed; table rejected$"):
+            _validate_table(corrupted)
+
+
 # the first two split many spaces on which a class matrix acts as a scalar;
 # the third reads classes of orders 2 and 5 before those of order 10; the
 # last three are nonabelian, with element orders that are not prime powers
@@ -527,9 +603,36 @@ def test_eigenspace_split_matches_oracle(group_of, case):
     table = character_table(G)
     a, ell = oracle_cmc(G, oracle_classes(G)), table.lift_meta["prime"]
     for reads in [_read_order(table), range(1, table.r)]:
-        out = _common_eigenvectors(a, ell, reads)
+        out = _common_eigenvectors(SparseTensor(a), ell, reads)
         assert out.dtype == np.int64
         assert np.array_equal(out, oracle_common_eigenvectors(a, ell, reads))
+
+
+# C4xC2xC2xC2 reads 31 classes and C2^8 reads 128, all of size one; a read
+# that maps every carried vector to a multiple of itself splits nothing and
+# takes no Krylov blocks
+@pytest.mark.parametrize("name, splits", [("C4xC2xC2xC2", 5), ("x".join(["C2"] * 8), 8)])
+def test_split_runs_krylov_only_where_a_read_splits(monkeypatch, group_of, name, splits):
+    G = group_of(name, None)
+    table = character_table(G)
+    a, ell = oracle_cmc(G, oracle_classes(G)), table.lift_meta["prime"]
+    read, split = [], []
+
+    class Recording:
+        shape = a.shape
+
+        def __getitem__(self, i):
+            read.append(i)
+            return triples(a[i])
+
+    real_krylov = chartable.krylov_polynomial
+    monkeypatch.setattr(chartable, "krylov_polynomial",
+                        lambda rows, m, ell: split.append(read[-1]) or real_krylov(rows, m, ell))
+    out = _common_eigenvectors(Recording(), ell, _read_order(table))
+    assert len(split) == splits < len(read)
+    # the oracle, reading only the classes that split, finds the same
+    # spaces: every other read split nothing
+    assert np.array_equal(out, oracle_common_eigenvectors(a, ell, split))
 
 
 def element_order(x) -> int:
@@ -565,8 +668,8 @@ def test_split_rejects_a_component_off_its_eigenvalue(monkeypatch, group_of, mis
     monkeypatch.setattr(chartable, "lagrange_basis",
                         lambda roots, ell: mislabel(real_lagrange(roots, ell)))
     with pytest.raises(InternalError, match="^Lagrange component is not an eigenvector$"):
-        _common_eigenvectors(oracle_cmc(G, oracle_classes(G)), table.lift_meta["prime"],
-                             _read_order(table))
+        _common_eigenvectors(SparseTensor(oracle_cmc(G, oracle_classes(G))),
+                             table.lift_meta["prime"], _read_order(table))
 
 
 # a Jordan block, and a rotation whose eigenvalues +-i are not in F_7
@@ -574,7 +677,7 @@ def test_split_rejects_a_component_off_its_eigenvalue(monkeypatch, group_of, mis
 def test_split_rejects_a_class_matrix_that_is_not_diagonalizable(block):
     a = np.stack([np.eye(2, dtype=np.int32), np.array(block, dtype=np.int32)])
     with pytest.raises(InternalError, match="^eigenspace refinement lost dimension$"):
-        _common_eigenvectors(a, 7, [1])
+        _common_eigenvectors(SparseTensor(a), 7, [1])
 
 
 def test_split_rejects_lines_off_the_identity_class():
@@ -583,7 +686,7 @@ def test_split_rejects_lines_off_the_identity_class():
     # the first line, reaches no other
     a = np.stack([np.eye(3, dtype=np.int32)] + [np.diag([1, 2, 3]).astype(np.int32)] * 2)
     with pytest.raises(InternalError, match="^eigenspace refinement lost dimension$"):
-        _common_eigenvectors(a, 7, [1, 2])
+        _common_eigenvectors(SparseTensor(a), 7, [1, 2])
 
 
 def test_split_rejects_a_reachable_line_off_the_identity_class():
@@ -593,7 +696,7 @@ def test_split_rejects_a_reachable_line_off_the_identity_class():
     a = np.stack([np.eye(2, dtype=np.int32), np.array([[0, 0], [1, 1]], dtype=np.int32)])
     with pytest.raises(InternalError,
                        match="^central character vanishes on the identity class$"):
-        _common_eigenvectors(a, 7, [1])
+        _common_eigenvectors(SparseTensor(a), 7, [1])
 
 
 def test_split_builds_only_the_class_matrices_it_reads(monkeypatch):
@@ -618,7 +721,7 @@ def test_split_builds_only_the_class_matrices_it_reads(monkeypatch):
 
             def __getitem__(self, i):
                 reads.append(i)
-                return oracle[i]
+                return triples(oracle[i])
 
         _common_eigenvectors(Recording(), table.lift_meta["prime"], _read_order(table))
         assert built == reads

@@ -2,8 +2,14 @@ import random
 
 import numpy as np
 
-from kernel_oracles import charpoly, nullspace, rref
-from pblocks.modlinalg import inv_mod, krylov_polynomial, lagrange_basis, poly_roots
+from kernel_oracles import charpoly, nullspace, rref, triples
+from pblocks.modlinalg import (
+    inv_mod,
+    krylov_polynomial,
+    lagrange_basis,
+    poly_roots,
+    times_transpose,
+)
 
 
 def det_mod(mat, ell):
@@ -78,8 +84,9 @@ def test_rref_and_nullspace():
 
 def minimal_polynomial(m, ell):
     """M's minimal polynomial and its powers I, m, ..., m^(k-1), k the
-    degree: the Krylov polynomial of the identity rows."""
-    poly, blocks = krylov_polynomial(np.eye(m.shape[0], dtype=np.int64), m, ell)
+    degree: the Krylov polynomial of the identity rows, m given as the
+    triples of m^T."""
+    poly, blocks = krylov_polynomial(np.eye(m.shape[0], dtype=np.int64), triples(m.T), ell)
     return poly, blocks[:-1]
 
 
@@ -118,6 +125,22 @@ def test_minimal_polynomial_is_the_least_annihilator():
                 assert set(poly_roots(poly, ell)) == set(poly_roots(char, ell))
 
 
+def test_times_transpose_matches_the_dense_product():
+    # sparse matrices with empty rows and entries at and above ell
+    rng = random.Random(61)
+    for ell in [7, 31]:
+        for n in range(1, 9):
+            for _ in range(10):
+                m = np.array([[rng.choice([0, 0, rng.randrange(3 * ell)]) for _ in range(n)]
+                              for _ in range(n)], dtype=np.int64)
+                m[rng.randrange(n)] = 0
+                m[rng.randrange(n), rng.randrange(n)] = 1  # at least one nonzero
+                rows = np.array([[rng.randrange(ell) for _ in range(n)]
+                                 for _ in range(rng.randrange(1, 5))], dtype=np.int64)
+                assert np.array_equal(times_transpose(rows, triples(m), ell),
+                                      rows @ m.T % ell)
+
+
 def test_krylov_polynomial_of_a_stack_of_rows():
     rng = random.Random(59)
     for ell in [7, 13, 31]:
@@ -127,7 +150,7 @@ def test_krylov_polynomial_of_a_stack_of_rows():
                              dtype=np.int64)
                 rows = np.array([[rng.randrange(ell) for _ in range(n)]
                                  for _ in range(rng.randrange(1, n + 1))], dtype=np.int64)
-                poly, blocks = krylov_polynomial(rows, m, ell)
+                poly, blocks = krylov_polynomial(rows, triples(m.T), ell)
                 k = len(poly) - 1
                 assert poly[-1] == 1 and blocks.shape == (k + 1,) + rows.shape
                 for t in range(k + 1):
