@@ -11,7 +11,9 @@ cut from its parent's certified rows, and membership is one row lookup.
 
 Everything else runs on the element indices 0..|G|-1: conjugacy classes,
 centralizers, normalizers and transporters, Sylow subgroups, the p-subgroup
-lattice and the class matrices in :mod:`pblocks.chartable`.  A
+lattice and the class matrices in :mod:`pblocks.chartable`.  Only the
+subgroups of a Sylow subgroup P are found in P's own indices 0..|P|-1, from
+its multiplication table, one order at a time.  A
 :class:`SubgroupHandle` is the frozenset of its element indices, spanned by
 one coset-by-coset closure over index arrays.  One routine, :func:`_fuse`,
 fuses subgroups into conjugacy classes, for the lattice and for the chain
@@ -123,6 +125,9 @@ class ConjClass:
 
 # rows per int64 product in _ElementArray._row_keys
 _KEY_CHUNK = 1 << 14
+
+# entries per gather of one batch in _subgroups_of_p_group
+_LATTICE_CHUNK = 1 << 20
 
 # one level of a stabilizer chain: base point, generators, {image: coset rep}
 _ChainLevel = namedtuple("_ChainLevel", "point gens transversal")
@@ -529,7 +534,9 @@ class Group:
     def _p_steps(self, p: int, inside: np.ndarray, gens: list, among: np.ndarray) -> np.ndarray:
         """The x of the element indices ``among`` in N(Q) \\ Q with x^p in Q,
         for the subgroup Q marked by ``inside`` and generated by the indices
-        ``gens``.  Each such x is a p-element, and <Q, x> has order p*|Q|."""
+        ``gens``.  Each such x is a p-element, and <Q, x> has order p*|Q|.
+        Only :meth:`_sylow_in` grows by these steps; the subgroups of a
+        p-group are found by :func:`_subgroups_of_p_group` in its own table."""
         among = among[inside[self._powers(p)[among]] & ~inside[among]]
         return among[self._transporter(self._array().rows[gens], inside, among)]
 
@@ -618,46 +625,88 @@ class Group:
 
 
 def _subgroups_of_p_group(G: Group, elements: frozenset, p: int, ceiling: int) -> list:
-    """All subgroups of a p-subgroup of G as sorted element-index arrays, by
-    bottom-up extension.
+    """All subgroups of a p-subgroup P of G as sorted element-index arrays
+    (dtype ``arr.idx``), grouped by ascending order.
 
     Every subgroup of order p^(k+1) contains a normal subgroup Q of index p,
     so it is <Q, x> = Q u Qx u ... u Qx^(p-1) for an x in N_P(Q) \\ Q with
-    x^p in Q.  Every x in <Q, x> \\ Q gives the same subgroup, so those are
-    skipped once it is found.
+    x^p in Q; every x of Qx gives the same subgroup, so only the least is
+    taken.  The work runs in P's own indices 0..|P|-1, on P's multiplication
+    table and the conjugations and p-th powers gathered from it.  One order
+    at a time, a batch of subgroups Q finds its steps x as one mask per Q,
+    gathers each <Q, x> coset by coset and sorts it (a repeated element is
+    an InternalError), and drops the subgroups found before by their
+    lexicographic keys; the first (Q, x) of each subgroup gives its
+    generators.  A batch holds at most ``_LATTICE_CHUNK // (|P| p |Q|)``
+    subgroups Q, so its gathers stay under ``_LATTICE_CHUNK`` entries, and
+    the count ceiling 64 * ``ceiling`` is checked after each batch.
     """
-    arr = G._array()
-    members = np.array(sorted(elements), dtype=arr.idx)
-    trivial = np.zeros(1, dtype=arr.idx)
-    found = [trivial]
-    level = [(trivial, [])]  # (subgroup, its generators as indices)
+    members = np.array(sorted(elements), dtype=G._array().idx)
+    mul = _multiplication_table(G, members)
+    n, loc = len(members), mul.dtype
+    ids = np.arange(n)
+    inv = mul.argmin(axis=1)  # each row holds the identity, index 0, once
+    conj = mul[mul[inv].T, ids]  # conj[h, x] = x^-1 h x
+    power = ids
+    for _ in range(p - 1):
+        power = mul[power, ids]
     limit = 64 * ceiling
-    while level:
-        nxt = {}
-        for q, gens in level:
-            inside = _member_mask(G.order, q)
-            q_rows = arr.rows[q]
-            taken = np.zeros(G.order, dtype=bool)
-            for x in G._p_steps(p, inside, gens, members).tolist():
-                if taken[x]:
-                    continue
-                r = inside.copy()
-                step = x_row = arr.rows[x]
-                for _ in range(p - 1):
-                    r[arr.index(step[q_rows])] = True  # the coset q x^i
-                    step = x_row[step]
-                r = np.flatnonzero(r).astype(arr.idx)
-                if len(r) != len(q) * p:
-                    raise InternalError("p-group extension has unexpected order")
-                taken[r] = True
-                nxt.setdefault(r.tobytes(), (r, gens + [x]))
-                if len(found) + len(nxt) > limit:
-                    raise ResourceError(
-                        f"p-subgroup count reached {len(found) + len(nxt)}, above "
-                        f"the ceiling 64 * max_p_subgroup_classes = {limit}")
-        level = list(nxt.values())
-        found.extend(r for r, _ in level)
-    return found
+    levels = []
+    # the trivial subgroup, with no generators
+    level, gens = np.zeros((1, 1), dtype=loc), np.zeros((1, 0), dtype=loc)
+    while len(level):
+        levels.append(level)
+        q = level.shape[1]
+        rows = np.zeros((0, p * q), dtype=loc)
+        row_gens = np.zeros((0, gens.shape[1] + 1), dtype=loc)
+        batch = max(1, _LATTICE_CHUNK // (n * p * q))
+        for start in range(0, len(level), batch):
+            qs, qs_gens = level[start:start + batch], gens[start:start + batch]
+            inside = np.zeros((len(qs), n), dtype=bool)
+            np.put_along_axis(inside, qs, True, axis=1)
+            # x outside Q, x^p in Q, x least in Qx, and h^x in Q for each generator h
+            steps = ~inside & inside[:, power] & (mul[qs].min(axis=1) == ids)
+            for h in qs_gens.T:
+                steps &= np.take_along_axis(inside, conj[h], axis=1)
+            at, x = np.nonzero(steps)
+            x = x.astype(loc)
+            cosets, y = [qs[at]], x
+            for _ in range(p - 1):
+                cosets.append(mul[cosets[0], y[:, None]])  # the coset Q x^i
+                y = mul[y, x]
+            ext = np.sort(np.concatenate(cosets, axis=1), axis=1)
+            if (ext[:, 1:] == ext[:, :-1]).any():
+                raise InternalError("p-group extension has unexpected order")
+            # np.unique keeps the first of equal rows, and the known rows come first
+            rows = np.concatenate([rows, ext])
+            row_gens = np.concatenate([row_gens, np.column_stack([qs_gens[at], x])])
+            first = np.unique(_lex_keys(rows), return_index=True)[1]
+            rows, row_gens = rows[first], row_gens[first]
+            if sum(map(len, levels)) + len(rows) > limit:
+                raise ResourceError(
+                    f"p-subgroup count reached {limit + 1}, above "
+                    f"the ceiling 64 * max_p_subgroup_classes = {limit}")
+        level, gens = rows, row_gens
+    return [row for level in levels for row in members[level]]
+
+
+def _multiplication_table(G: Group, members: np.ndarray) -> np.ndarray:
+    """mul[a, b] = the index among ``members`` of the product of the a-th and
+    b-th members (first a, then b), looked up among the members' keys at
+    most ``_KEY_CHUNK`` rows at a time; a product outside them, so a set of
+    members that is no subgroup, is an InternalError."""
+    arr, n = G._array(), len(members)
+    rows, keys = arr.rows[members], arr._keys[members]
+    mul = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
+    step = max(1, _KEY_CHUNK // n)
+    for a in range(0, n, step):
+        products = rows[:, rows[a:a + step]]  # [b, a] is row b gathered at row a: a*b
+        products = arr._row_keys(products.transpose(1, 0, 2).reshape(-1, G.degree))
+        at = np.minimum(keys.searchsorted(products), n - 1)
+        if not np.array_equal(keys[at], products):
+            raise InternalError("p-subgroup is not closed under products")
+        mul[a:a + step] = at.reshape(-1, n)
+    return mul
 
 
 class SubgroupHandle:

@@ -269,6 +269,9 @@ def test_exit_code_3_on_internal_error(capsys, monkeypatch):
     # C2^4 has 1 + 15 + 35 + 15 + 1 subgroups
     ("C2xC2xC2xC2", "p-subgroup count reached 65, above the ceiling "
                     "64 * max_p_subgroup_classes = 64"),
+    # C2^7 has 127 subgroups of order 2, so the first batch passes the ceiling
+    ("C2xC2xC2xC2xC2xC2xC2", "p-subgroup count reached 65, above the ceiling "
+                             "64 * max_p_subgroup_classes = 64"),
 ])
 def test_p_subgroup_ceilings_exit_2(capsys, monkeypatch, name, message):
     from pblocks import cli

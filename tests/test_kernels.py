@@ -21,9 +21,12 @@ rejects.  The p-th
 powers of the elements are compared with p - 1 repeated gathers.  Each level
 of the p-subgroup lattice is counted without its fusion: 1 mod p subgroups
 (Frobenius), |G : N_G(S)| Sylow subgroups, and |G : N_G(H)| members in the
-class of H.  Each block's defect group, grown among the centraliser's
-indices in G, is compared with the Sylow subgroup that the centraliser's own
-group grows.  Each table's splitting prime, its primitive root and the
+class of H.  The subgroups of a Sylow subgroup are compared with the tuple
+oracle also on the benchmark's larger Sylow subgroups, plain and
+relabelled; they number 1 mod p at each order, and on C2^6 and C3^4 each
+order's count is the Gaussian binomial.  Each block's defect group, grown
+among the centraliser's indices in G, is compared with the Sylow subgroup
+that the centraliser's own group grows.  Each table's splitting prime, its primitive root and the
 reduction moduli are compared with sympy.  Complex conjugation as
 ``galois_matrix(e, -1)`` and the one p-adic valuation ``_nu`` are compared
 with the routines they replaced.  The int64 row keys equal the rows read as
@@ -32,7 +35,8 @@ the 15-point bound; past it the void keys do.
 """
 
 from dataclasses import replace
-from math import isqrt
+from itertools import groupby
+from math import isqrt, prod
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +434,63 @@ def test_lattice_levels_have_the_sylow_counts(group_of, case):
                 assert np.count_nonzero(labels == i) == G.order // G.normalizer(h).order
         assert next(classes, None) is None
         assert len(lattice[-1][0]) == G.order // G.normalizer(G.sylow(p)).order
+
+
+# the bench groups with the largest Sylow subgroups: |P| = 32, 32, 32, 32, 27
+LARGE_SYLOW = [("C4xC2xC2xC2", 2), ("C4xC4xC2", 2), ("D4xC2xC2", 2), ("S4xC2xC2", 2),
+               ("C3xC3xC3xC2", 3)]
+
+
+def sylow_subgroups(G, p):
+    return _subgroups_of_p_group(G, G.sylow(p).elements, p, G.limits.max_p_subgroup_classes)
+
+
+def level_sizes(subs):
+    """The number of subgroups of each order, ascending; the subgroups must
+    come grouped by ascending order."""
+    orders = [len(s) for s in subs]
+    assert orders == sorted(orders)
+    return [len(list(level)) for _, level in groupby(orders)]
+
+
+def gaussian_binomial(d, k, p):
+    """The number of subgroups of order p^k in C_p^d."""
+    return prod(p**(d - i) - 1 for i in range(k)) // prod(p**(i + 1) - 1 for i in range(k))
+
+
+@pytest.mark.parametrize("name,p", LARGE_SYLOW)
+@pytest.mark.parametrize("seed", [None, 7], ids=["plain", "relabelled"])
+def test_subgroups_of_larger_sylow_subgroups_match_the_oracle(group_of, name, p, seed):
+    G = group_of(name, None if seed is None else f"{seed}:{name}")
+    syl = G.sylow(p)
+    subs = sylow_subgroups(G, p)
+    assert all(s.dtype == G._array().idx for s in subs)
+    assert len(subs) == len({s.tobytes() for s in subs})
+    assert {perm_set(G, s.tolist()) for s in subs} == \
+        oracle_subgroups_of_p_group(G.degree, perm_set(G, syl.elements), p)
+
+
+@pytest.mark.parametrize("name,p,d", [("C2xC2xC2xC2xC2xC2", 2, 6), ("C3xC3xC3xC3", 3, 4)])
+def test_elementary_abelian_levels_are_gaussian_binomials(grp, name, p, d):
+    # a second route at a scale the tuple oracle cannot reach: C2^6 has
+    # 1, 63, 651, 1395, 651, 63, 1 subgroups by order, and C3^4 has
+    # 1, 40, 130, 40, 1
+    assert level_sizes(sylow_subgroups(grp(name), p)) == \
+        [gaussian_binomial(d, k, p) for k in range(d + 1)]
+
+
+@pytest.mark.parametrize(
+    "case", CASES + [(name, None) for name, _ in LARGE_SYLOW] +
+    [("S6", None), ("C2xC2xC2xC2xC2xC2", None), ("C3xC3xC3xC3", None)], ids=_case_id)
+def test_each_order_of_a_sylow_subgroup_has_1_mod_p_subgroups(group_of, case):
+    # Frobenius: a p-group has 1 mod p subgroups of each order p^k that
+    # divides its order; read from the Sylow subgroup itself, not from G's
+    # lattice, so no fusion takes part
+    G = group_of(*case)
+    for p in primefactors(G.order):
+        sizes = level_sizes(sylow_subgroups(G, p))
+        assert len(sizes) == _nu(G.order, p) + 1
+        assert all(size % p == 1 for size in sizes)
 
 
 def centraliser_sylow(G, x, p):
