@@ -4,10 +4,12 @@ A :class:`Group` is its sorted elements, held as the rows of one small-int
 array, :class:`_ElementArray`, and certified by their count, by their
 distinctness and by their closure under each generator.  An input group,
 defined by generators on a fixed degree, is built once: a deterministic
-Schreier-Sims run (base points in ascending point order) gives its order as
-the product of the transversal sizes, and its elements as the products of
-the transversals.  The stabilizer chain is not kept.  A subgroup group is
-cut from its parent's certified rows, and membership is one row lookup.
+Schreier-Sims run on the generators' rows (base points in ascending point
+order, each transversal one array of rows) gives its order as the product
+of the transversal sizes, checked against the order ceiling before any
+element row is made, and its elements as the products of the transversals.
+The stabilizer chain is not kept.  A subgroup group is cut from its
+parent's certified rows, and membership is one row lookup.
 
 Everything else runs on the element indices 0..|G|-1: conjugacy classes,
 centralizers, normalizers and transporters, Sylow subgroups, the p-subgroup
@@ -19,9 +21,9 @@ one coset-by-coset closure over index arrays.  One routine, :func:`_fuse`,
 fuses subgroups into conjugacy classes, for the lattice and for the chain
 extension step.  A Sylow subgroup, of G or of a centralizer, grows among G's
 indices, and a subgroup becomes a Group of its own only where its character
-table is built.  Tuples are only what comes in (the generators, and the
-stabilizer chain built from them) and what goes out (generating sets, class
-representatives, :meth:`Group.elements`).
+table is built.  Tuples are only what comes in (the parsed generators) and
+what goes out (generating sets, class representatives,
+:meth:`Group.elements`); no tuple product runs here.
 
 Groups are desk scale: the chain is cheap, but every group holds all its
 elements, so orders are capped by :class:`~pblocks.config.Limits`.
@@ -40,7 +42,7 @@ import numpy as np
 from .config import DEFAULT_LIMITS, Limits
 from .cyclotomic import _nu
 from .errors import InputError, InternalError, ResourceError
-from .perms import Perm, format_cycles, identity, perm_order, pinv, pmul, validate_perm
+from .perms import Perm, format_cycles, identity, perm_order, validate_perm
 
 __all__ = [
     "Group",
@@ -129,24 +131,27 @@ _KEY_CHUNK = 1 << 14
 # entries per gather of one batch in _subgroups_of_p_group
 _LATTICE_CHUNK = 1 << 20
 
-# one level of a stabilizer chain: base point, generators, {image: coset rep}
-_ChainLevel = namedtuple("_ChainLevel", "point gens transversal")
+# one level of a stabilizer chain: base point, coset representatives u as
+# rows (u[point] the orbit point), their inverses, and the row of each
+# point's u (-1 off the orbit)
+_ChainLevel = namedtuple("_ChainLevel", "point transversal inverse row_of")
 
 
 class _ElementArray:
     """The sorted elements of a group as rows of one small-int array.
 
-    ``rows[i]`` is ``elements()[i]`` and ``inv[i]`` its inverse, both
-    ``uint8`` (``uint16`` above degree 256), so index order is element
-    order.  Each row has one key, and the keys ascend with the rows, so
-    :meth:`lookup` maps rows back to indices by one binary search.  Up to
-    degree 15, where degree**degree < 2**63, the key is the int64 whose
-    base-degree digits are the row's images, first point most significant:
-    exact and injective on every row of points below the degree, element or
-    not, so a key match is a row match.  Past that bound the key is the
-    row's big-endian bytes as one ``np.void``, compared bytewise.  Index
-    arrays that are kept use ``idx``, the smallest unsigned dtype that holds
-    every index.
+    ``rows[i]`` is ``elements()[i]`` and ``inv[i]`` its inverse, so index
+    order is element order.  Their dtype is ``np.min_scalar_type(degree -
+    1)``, chosen where an input group's generator rows are made: ``uint8``
+    up to degree 256, ``uint16`` up to 65,536 and ``uint32`` above.  Each
+    row has one key, and the keys ascend with the rows, so :meth:`lookup`
+    maps rows back to indices by one binary search.  Up to degree 15, where
+    degree**degree < 2**63, the key is the int64 whose base-degree digits
+    are the row's images, first point most significant: exact and injective
+    on every row of points below the degree, element or not, so a key match
+    is a row match.  Past that bound the key is the row's big-endian bytes
+    as one ``np.void``, compared bytewise.  Index arrays that are kept use
+    ``idx``, the smallest unsigned dtype that holds every index.
     """
 
     __slots__ = ("rows", "inv", "idx", "_radix", "_keys")
@@ -193,76 +198,63 @@ class _ElementArray:
         return np.array(p, dtype=self.rows.dtype)
 
 
-def _orbit_transversal(degree: int, point: int, gens) -> dict:
-    """BFS orbit of ``point`` with coset representatives u: u[point] = pt."""
-    idp = identity(degree)
-    trans = {point: idp}
-    queue = [point]
-    while queue:
-        a = queue.pop(0)
-        ua = trans[a]
-        for g in gens:
-            b = g[a]
-            if b not in trans:
-                trans[b] = pmul(ua, g)
-                queue.append(b)
-    return trans
+def _orbit_transversal(gens: np.ndarray, point: int) -> _ChainLevel:
+    """The chain level of ``point`` under the generator rows ``gens``.  The
+    orbit is walked breadth-first, and each new point's representative is
+    u*g, for u the representative of the point it was reached from and g
+    the generator that reached it; the first representative is the
+    identity."""
+    degree = gens.shape[1]
+    at, orbit = {point: 0}, [point]
+    trans = [np.arange(degree, dtype=gens.dtype)]
+    images = gens.tolist()
+    for a in orbit:  # grows while it is read
+        for j, g in enumerate(images):
+            if g[a] not in at:
+                at[g[a]] = len(orbit)
+                orbit.append(g[a])
+                trans.append(gens[j][trans[at[a]]])  # u*g
+    trans = np.array(trans)
+    row_of = np.full(degree, -1, dtype=np.intp)
+    row_of[orbit] = np.arange(len(orbit))
+    return _ChainLevel(point, trans, np.argsort(trans, axis=1).astype(trans.dtype), row_of)
 
 
-def _sift(g: Perm, levels: list[_ChainLevel], start: int = 0) -> Perm:
-    """Strip g through the chain; identity result means membership."""
-    r = g
-    for lvl in levels[start:]:
-        t = r[lvl.point]
-        if t not in lvl.transversal:
-            return r
-        r = pmul(r, pinv(lvl.transversal[t]))
-    return r
+def _build_chain(gens: np.ndarray) -> list[_ChainLevel]:
+    """Deterministic Schreier-Sims on the non-identity generator rows ``gens``.
 
-
-def _build_chain(degree: int, gens: list) -> list[_ChainLevel]:
-    """Deterministic Schreier-Sims.
-
-    Base points are forced ascending by always taking the smallest point
-    moved by the current stabilizer's generators.  The loop rebuilds the
-    chain and re-checks every Schreier generator until all of them sift to
-    the identity, which certifies completeness.
+    Each base point is the least point moved by the strong generators that
+    fix the base points before it, so the base ascends.  A round builds the
+    chain from the strong generators, then strips every u*g of every level
+    (u a representative, g a generator of that level) through the chain in
+    one pass, each level gathering from its inverse representatives; every
+    distinct non-identity residue joins the strong generators.  A round
+    with none certifies the chain complete, so its base points and orbit
+    sizes are those of the group, whatever the generators.
     """
-    idp = identity(degree)
-    strong = []
-    for g in gens:
-        if g != idp and g not in strong:
-            strong.append(g)
-
+    if not len(gens):
+        return []
+    degree = gens.shape[1]
+    identity_row = np.arange(degree, dtype=gens.dtype)
+    strong = gens
     for _round in range(100_000):
-        base: list[int] = []
-        while True:
-            level_gens = [g for g in strong if all(g[b] == b for b in base)]
-            if not level_gens:
-                break
-            base.append(min(min(i for i, j in enumerate(g) if i != j) for g in level_gens))
-        levels = []
-        for i, b in enumerate(base):
-            gs = [g for g in strong if all(g[bb] == bb for bb in base[:i])]
-            levels.append(_ChainLevel(b, gs, _orbit_transversal(degree, b, gs)))
-
-        witness = None
-        for i, lvl in enumerate(levels):
-            for a in sorted(lvl.transversal):
-                ua = lvl.transversal[a]
-                for g in lvl.gens:
-                    s = pmul(ua, g)
-                    residue = _sift(pmul(s, pinv(lvl.transversal[s[lvl.point]])), levels, i + 1)
-                    if residue != idp:
-                        witness = residue
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness is None:
+        levels, level_gens, products = [], strong, []
+        while len(level_gens):
+            point = int(np.flatnonzero((level_gens != identity_row).any(axis=0))[0])
+            levels.append(_orbit_transversal(level_gens, point))
+            products.append(level_gens[:, levels[-1].transversal].reshape(-1, degree))
+            level_gens = level_gens[level_gens[:, point] == point]
+        rows, residues = np.concatenate(products), []
+        for lvl in levels:
+            at = lvl.row_of[rows[:, lvl.point]]
+            residues.append(rows[at < 0])  # off the orbit: not sifted
+            rows = np.take_along_axis(lvl.inverse[at[at >= 0]], rows[at >= 0], axis=1)
+        residues = np.concatenate(residues + [rows])
+        residues = residues[(residues != identity_row).any(axis=1)]
+        if not len(residues):
             return levels
-        strong.append(witness)
+        first = np.unique(_lex_keys(residues), return_index=True)[1]  # the distinct ones
+        strong = np.concatenate([strong, residues[first]])
     raise InternalError("stabilizer chain failed to close")
 
 
@@ -278,7 +270,8 @@ class Group:
             raise InputError("degree must be positive")
         gens = [validate_perm(g, degree) for g in generators]
         gens = tuple(dict.fromkeys(g for g in gens if g != identity(degree)))
-        levels = _build_chain(degree, list(gens))
+        gen_rows = np.array(gens, dtype=np.min_scalar_type(degree - 1)).reshape(-1, degree)
+        levels = _build_chain(gen_rows)
         order = prod(len(lvl.transversal) for lvl in levels)
         if order > limits.max_order:
             raise ResourceError(
@@ -286,11 +279,9 @@ class Group:
                 f"{limits.max_order} (--max-order)")
         # every element is one product u_k ... u_1 of a coset representative
         # u_i from each chain level
-        dtype = np.uint8 if degree <= 256 else np.uint16
-        rows = np.arange(degree, dtype=dtype)[None, :]
+        rows = np.arange(degree, dtype=gen_rows.dtype)[None, :]
         for lvl in reversed(levels):
-            trans = np.array(list(lvl.transversal.values()), dtype=dtype)
-            rows = trans[:, rows].reshape(-1, degree)  # row h*u for each h, u
+            rows = lvl.transversal[:, rows].reshape(-1, degree)  # row h*u for each h, u
         self._adopt(degree, gens, limits, order, rows)
 
     def _adopt(self, degree: int, generators: tuple, limits: Limits, order: int,

@@ -112,13 +112,20 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_order_ceiling_names_ceiling_value_and_flag(capsys):
+def test_order_ceiling_names_ceiling_value_and_flag(capsys, monkeypatch):
     assert run(["table", "--lib", "S5", "--max-order", "50"]) == 2
     assert capsys.readouterr().err == \
         "error: group order 120 exceeds the ceiling max_order = 50 (--max-order)\n"
     assert run(["table", "--lib", "S7"]) == 2
     assert capsys.readouterr().err == \
         "error: group order 5040 exceeds the ceiling max_order = 5000 (--max-order)\n"
+    # the ceiling reads the order off the stabilizer chain: no element row of
+    # S10's 3,628,800 is made
+    monkeypatch.setattr(groups, "_ElementArray", lambda rows: pytest.fail("element rows made"))
+    s10 = Path(__file__).parent / "fixtures" / "groups" / "S10.txt"
+    assert run(["table", "--group", str(s10)]) == 2
+    assert capsys.readouterr().err == \
+        "error: group order 3628800 exceeds the ceiling max_order = 5000 (--max-order)\n"
 
 
 @pytest.mark.parametrize("flag", ["--group", "--ambient"])
@@ -324,9 +331,9 @@ def test_one_schreier_sims_run_per_input_group(tmp_path, monkeypatch, capsys, ar
     calls = []
     build = groups._build_chain
 
-    def counting(degree, gens):
-        calls.append(degree)
-        return build(degree, gens)
+    def counting(gens):
+        calls.append(gens.shape)
+        return build(gens)
 
     monkeypatch.setattr(groups, "_build_chain", counting)
     assert run(argv) == 0

@@ -73,17 +73,52 @@ def test_order_ceiling():
         library_group("S5", limits=Limits(max_order=100))
 
 
-def test_chain_certificate(grp):
-    for name in ["A5", "S4", "Q8", "SL23", "D6", "C12"]:
-        G = grp(name)
-        levels = _build_chain(G.degree, list(G.generators))
+def brute_chain(G):
+    """(base point, orbit) per level of the stabilizer chain with ascending
+    base, walked over G's elements: each base point is the least point
+    moved by the pointwise stabilizer of the ones before it, and its orbit
+    is that stabilizer's orbit on it."""
+    stabilizer, levels = G.elements(), []
+    while moved := [i for i in range(G.degree) if any(x[i] != i for x in stabilizer)]:
+        b = moved[0]
+        levels.append((b, {x[b] for x in stabilizer}))
+        stabilizer = [x for x in stabilizer if x[b] == b]
+    return levels
+
+
+def chain_groups():
+    """The acceptance corpus, each also with its points relabelled, and the
+    three wide row kinds: void keys at degree 16, uint16 rows at degree 300
+    and uint32 rows at degree 70,000."""
+    corpus = [library_group(name) for name in acceptance_corpus()]
+    return corpus + [relabelled(G, 7) for G in corpus] + [
+        Group(16, [tuple(j ^ 1 if j // 2 == i else j for j in range(16)) for i in range(8)]),
+        Group(300, [tuple(range(1, 300)) + (0,)]),
+        Group(70000, [parse_cycles("(0 1)", 70000), parse_cycles("(2 3 4)", 70000)]),
+    ]
+
+
+def test_chain_certificate():
+    # the chain built on generator rows against a walk over the elements
+    for G in chain_groups():
+        arr = G._array()
+        levels = _build_chain(arr.perm(G.generators).reshape(-1, G.degree))
+        expected = brute_chain(G)
+        assert [(lvl.point, len(lvl.transversal)) for lvl in levels] == \
+            [(b, len(orbit)) for b, orbit in expected]
         assert prod(len(lvl.transversal) for lvl in levels) == G.order
-        for g in G.generators:
-            assert G.contains(g)
-        base = [lvl.point for lvl in levels]
-        assert base == sorted(base)
+        for i, (lvl, (b, orbit)) in enumerate(zip(levels, expected)):
+            images = lvl.transversal[:, b].tolist()
+            assert len(set(images)) == len(images) and set(images) == orbit
+            assert arr.lookup(lvl.transversal)[1].all()  # each u is an element of G
+            assert (lvl.transversal[:, [c for c, _ in expected[:i]]] ==
+                    [c for c, _ in expected[:i]]).all()  # fixing the earlier base points
+            assert (np.take_along_axis(lvl.transversal, lvl.inverse, axis=1) ==
+                    np.arange(G.degree)).all()
+            assert np.array_equal(np.flatnonzero(lvl.row_of >= 0), sorted(orbit))
+            assert lvl.row_of[images].tolist() == list(range(len(images)))
         # non-members are rejected
-        odd = parse_cycles("(0 1)", G.degree)
+        odd = parse_cycles("(0 1)", G.degree) if G.degree > 1 else identity(1)
         assert G.contains(odd) == (odd in G.elements())
 
 

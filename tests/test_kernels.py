@@ -34,6 +34,7 @@ base-degree numbers in exact Python integers and ascend with the rows, up to
 the 15-point bound; past it the void keys do.
 """
 
+import json
 from dataclasses import replace
 from itertools import groupby
 from math import isqrt, prod
@@ -76,13 +77,14 @@ from pblocks.chartable import (
     character_table,
     galois_matrix,
 )
+from pblocks.cli import run
 from pblocks.config import Limits
 from pblocks.cyclotomic import _nu, _power_reductions, euler_phi
 from pblocks.errors import InternalError, ResourceError
 from pblocks.groups import _KEY_CHUNK, Group, _member_mask, _subgroups_of_p_group
 from pblocks.library import acceptance_corpus, library_group, parse_group_file
 from pblocks.modlinalg import inv_mod
-from pblocks.perms import parse_cycles, pinv, pmul
+from pblocks.perms import parse_cycles, parse_perm_list, pinv, pmul
 
 # -- brute-force oracles --------------------------------------------------------
 
@@ -992,6 +994,23 @@ def test_wide_degrees_use_uint16():
     assert [c.size for c in G.conjugacy_classes()] == [1] * n
     assert np.array_equal(arr.index(arr.inv), np.array(
         [G.elements().index(pinv(x)) for x in G.elements()]))
+
+
+def test_degrees_past_uint16_use_uint32(tmp_path, capsys):
+    n = 70000
+    G = Group(n, parse_perm_list("(0 1); (2 3 4)", n))
+    assert G._array().rows.dtype == np.uint32
+    assert G.order == 6
+    assert G.contains(parse_cycles("(0 1)(2 4 3)", n))
+    assert not G.contains(parse_cycles("(0 2)", n))
+    assert not G.contains(parse_cycles(f"(0 {n - 1})", n))
+    for generators, classes in [("", ["()"]), ("generators: (0 1); (2 3 4)\n", [
+            "()", "(2 3 4)", "(2 4 3)", "(0 1)", "(0 1)(2 3 4)", "(0 1)(2 4 3)"])]:
+        path = tmp_path / "wide.grp"
+        path.write_text(f"degree: {n}\n{generators}")
+        assert run(["table", "--group", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["rep"] for c in doc["result"]["classes"]] == classes
 
 
 def test_conjugation_is_the_galois_matrix_at_minus_one():

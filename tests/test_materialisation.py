@@ -1,7 +1,7 @@
 """Nothing is materialised that no report needs.
 
 With ``Group.elements`` refused, the tuple products ``pmul``/``pinv``
-refused everywhere but in Schreier-Sims, and json's pure-Python encoder
+refused everywhere, Schreier-Sims included, and json's pure-Python encoder
 refused, every command still runs on one corpus group per prime, and so
 does an ``--ambient`` job, each exiting as it does with the guards off.
 """
@@ -14,16 +14,9 @@ import pytest
 from pblocks import groups, perms
 from pblocks.cli import COMMANDS, run
 
-SCHREIER_SIMS = {"_orbit_transversal", "_sift", "_build_chain"}
 
-
-def _only_in_schreier_sims(fn):
-    def guarded(*args):
-        caller = sys._getframe(1).f_code.co_name
-        if caller not in SCHREIER_SIMS:
-            raise AssertionError(f"{fn.__name__} called from {caller}")
-        return fn(*args)
-    return guarded
+def _refused_product(*args):
+    raise AssertionError("a tuple product was called")
 
 
 def _refused(*args):
@@ -36,12 +29,11 @@ def _pure_python_json(*args, **kwargs):
 
 @pytest.fixture
 def guarded(monkeypatch):
-    products = {attr: _only_in_schreier_sims(getattr(perms, attr)) for attr in ("pmul", "pinv")}
     for name, module in list(sys.modules.items()):
         if name == "pblocks" or name.startswith("pblocks."):
-            for attr, fn in products.items():
+            for attr in ("pmul", "pinv"):
                 if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, fn)
+                    monkeypatch.setattr(module, attr, _refused_product)
     monkeypatch.setattr(groups.Group, "elements", _refused)
     monkeypatch.setattr(json.encoder, "_make_iterencode", _pure_python_json)
 
@@ -75,5 +67,7 @@ def test_guards_catch_tuple_paths(guarded):
         G.elements()
     with pytest.raises(AssertionError):
         perms.pmul(G.generators[0], G.generators[0])
+    with pytest.raises(AssertionError):
+        perms.pinv(G.generators[0])
     with pytest.raises(AssertionError):
         json.dumps([1], indent=2)
