@@ -181,8 +181,9 @@ def _state_graph(G: Group, Z: SubgroupHandle, p: int) -> tuple[_State, ...]:
     return tuple(states)
 
 
+@_cached
 def enumerate_chain_orbits(G: Group, Z: SubgroupHandle, p: int) -> tuple[ChainOrbit, ...]:
-    """Transversal of the G-orbits of normal p-chains starting at Z.
+    """Transversal of the G-orbits of normal p-chains starting at Z; cached on G.
 
     Output order is canonical: by length, then term orders, then the
     conjugacy-canonical keys of the terms.
@@ -309,11 +310,6 @@ class PairSet:
 
 
 @_cached
-def chain_orbits_cached(G: Group, Z: SubgroupHandle, p: int) -> tuple[ChainOrbit, ...]:
-    return enumerate_chain_orbits(G, Z, p)
-
-
-@_cached
 def _stabilizer_rows(G: Group, stab: SubgroupHandle, p: int) -> tuple:
     """(char index, defect, induced block of G or None) for each character
     of the stabilizer, in index order; cached on G."""
@@ -345,7 +341,7 @@ def pair_set(G: Group, block, Z: SubgroupHandle, d: int, p: int | None = None) -
     if d < 0:
         raise InputError("defect must be non-negative")
 
-    orbits = chain_orbits_cached(G, Z, p)
+    orbits = enumerate_chain_orbits(G, Z, p)
     eligible = {}  # stabilizer elements -> eligible character indices
     for orb in orbits:
         if orb.stabilizer.elements not in eligible:

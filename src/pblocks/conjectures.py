@@ -6,6 +6,12 @@ across the Brauer correspondence, abelian-defect consistency, the
 final-term surgery pairing on chain orbits, and the combinatorial repair
 loop that moves a bijection's boundary straight.
 
+One rule, :func:`_core_mode`, decides where the count at d = d(B) from
+O_p(G) applies to a block B, for ``max-defect``, ``pi-pairing`` and
+``abelian-defect`` alike: nowhere if the defect groups are central, and
+otherwise exactly when d(B) > log_p |O_p(G)|, in strict mode if O_p(G) is
+central and in permissive mode if not.
+
 No character-triple isomorphisms are verified; the tool confirms or refutes
 the numerical shadows only.
 """
@@ -197,37 +203,41 @@ def verify_am_count(G: Group, B: Block) -> CheckReport:
                        "pass" if left == right else "fail", witness=witness)
 
 
+def _core_mode(G: Group, B: Block) -> tuple[str | None, str | None]:
+    """(mode, reason) of the pair count on B at d = d(B) from O_p(G): the
+    ``verify_pair_count`` mode that applies, or None and why none does.
+
+    Strict mode needs O_p(G) central, permissive mode needs d(B) >
+    log_p |O_p(G)|, and neither says anything for central defect groups.
+    These are one rule, "D is not central and d(B) > log_p |O_p(G)|":
+    O_p(G) lies in every defect group D, so a central O_p(G) under a
+    non-central D is proper in D, and d(B) > log_p |O_p(G)| whenever
+    strict mode applies.
+    """
+    if is_central_defect(B):
+        return None, "central defect groups"
+    core = G.p_core(B.p)
+    if core.elements <= G.center().elements:
+        return "strict", None
+    if B.defect > _nu(core.order, B.p):
+        return "permissive", None
+    return None, "defect group equals the non-central p-core"
+
+
 def verify_max_defect(G: Group, p: int, A: Group | None = None,
                       blocks=None) -> list[CheckReport]:
     """Run the pair count at d = d(B) for every p-block, or for each of
-    ``blocks``, start O_p(G).
-
-    Strict hypotheses where they hold; otherwise the general normal-start
-    form, which applies when d(B) exceeds log_p |O_p(G)|.  Blocks with
-    central defect groups are not applicable.
-    """
-    table = character_table(G)
+    ``blocks``, start O_p(G), in the mode that :func:`_core_mode` gives."""
     core = G.p_core(p)
-    central_core = core.elements <= G.center().elements
-    m = _nu(core.order, p)
     out = []
-    for B in p_blocks(table, p) if blocks is None else blocks:
-        if is_central_defect(B):
+    for B in p_blocks(character_table(G), p) if blocks is None else blocks:
+        mode, reason = _core_mode(G, B)
+        if mode is None:
             out.append(CheckReport(
                 "max-defect", {"group": group_document(G), "p": p, "block": B.index},
-                None, None, "not-applicable",
-                witness={"reason": "central defect groups"}))
+                None, None, "not-applicable", witness={"reason": reason}))
             continue
-        if central_core:
-            rep = verify_pair_count(G, B, core, B.defect, A=A, mode="strict")
-        elif B.defect > m:
-            rep = verify_pair_count(G, B, core, B.defect, A=A, mode="permissive")
-        else:
-            out.append(CheckReport(
-                "max-defect", {"group": group_document(G), "p": p, "block": B.index},
-                None, None, "not-applicable",
-                witness={"reason": "defect group equals the non-central p-core"}))
-            continue
+        rep = verify_pair_count(G, B, core, B.defect, A=A, mode=mode)
         rep.check = "max-defect"
         out.append(rep)
     return out
@@ -235,35 +245,30 @@ def verify_max_defect(G: Group, p: int, A: Group | None = None,
 
 def verify_abelian_defect(G: Group, p: int) -> list[CheckReport]:
     """For abelian-defect blocks: all heights zero, and counts for each
-    admissible defect value f with log_p |O_p(G)| < f <= d(B)."""
-    table = character_table(G)
+    admissible defect value f with log_p |O_p(G)| < f <= d(B), where
+    :func:`_core_mode` gives a mode."""
     core = G.p_core(p)
     m = _nu(core.order, p)
     out = []
-    for B in p_blocks(table, p):
+    for B in p_blocks(character_table(G), p):
         inputs = {"group": group_document(G), "p": p, "block": B.index,
                   "defect": B.defect}
+        hts = heights(B)
         if not B.defect_group.is_abelian():
-            bad = [(B.table.degrees[i], h)
-                   for i, h in zip(B.members, heights(B)) if h > 0]
+            bad = [(B.table.degrees[i], h) for i, h in zip(B.members, hts) if h > 0]
             out.append(CheckReport(
                 "abelian-defect", inputs, None, None, "not-applicable",
                 witness={"reason": "defect group is nonabelian",
                          "positive_height_members": bad}))
             continue
-        hts = heights(B)
         zero = hts.count(0)
         out.append(CheckReport(
             "abelian-defect-heights", inputs, zero, len(hts),
             "pass" if zero == len(hts) else "fail",
             witness={"heights": list(hts)}))
-        if is_central_defect(B):
-            continue
-        for f in range(m + 1, B.defect + 1):
-            rep = verify_pair_count(
-                G, B, core, f,
-                mode="strict" if core.elements <= G.center().elements else "permissive",
-            )
+        mode, _ = _core_mode(G, B)
+        for f in range(m + 1, B.defect + 1) if mode else ():
+            rep = verify_pair_count(G, B, core, f, mode=mode)
             rep.check = "abelian-defect-count"
             rep.inputs["f"] = f
             out.append(rep)
@@ -380,7 +385,7 @@ def boundary_sets(S: PairSet, B: Block) -> BoundarySets:
     return BoundarySets(tuple(c0), tuple(c1), tuple(jp), tuple(jm))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairingWitness:
     """Chain pairs matched by final-term surgery, plus optional repair data."""
 
@@ -388,13 +393,12 @@ class PairingWitness:
     repaired_map: dict | None = None
     swap_log: tuple = ()
 
+    def pair_documents(self) -> list:
+        return [{"plus_chain": a, "minus_chain": b, "plus_chars": n, "minus_chars": m}
+                for (a, b, n, m) in self.chain_pairs]
+
     def to_dict(self) -> dict:
-        out = {
-            "chain_pairs": [
-                {"plus_chain": a, "minus_chain": b, "plus_chars": n, "minus_chars": m}
-                for (a, b, n, m) in self.chain_pairs
-            ]
-        }
+        out = {"chain_pairs": self.pair_documents()}
         if self.repaired_map is not None:
             out["repaired_map"] = {str(k): str(v) for k, v in sorted(self.repaired_map.items())}
             out["swap_log"] = [
@@ -420,12 +424,12 @@ def final_term_pairing(G: Group, B: Block) -> PairingWitness:
     equal eligible-character counts on matched chains.
     """
     S = pair_set(G, B, G.p_core(B.p), B.defect)
-    return _surgery(G, B, S, boundary_sets(S, B))
+    return PairingWitness(_surgery(G, B, S, boundary_sets(S, B)))
 
 
-def _surgery(G: Group, B: Block, S: PairSet, bounds: BoundarySets) -> PairingWitness:
-    """:func:`final_term_pairing` on the pair set S of B at maximal defect
-    from O_p(G), with its boundary sets."""
+def _surgery(G: Group, B: Block, S: PairSet, bounds: BoundarySets) -> tuple:
+    """The chain pairs of :func:`final_term_pairing` on the pair set S of B
+    at maximal defect from O_p(G), with its boundary sets."""
     p = B.p
     # chain index -> eligible characters, for the chains off the boundary
     plus_chains = {ci: len(S.chars[ci]) for ci, _ in bounds.Jplus}
@@ -451,9 +455,7 @@ def _surgery(G: Group, B: Block, S: PairSet, bounds: BoundarySets) -> PairingWit
             raise InternalError("eligible defect groups are not conjugate")
         return children.pop()
 
-    mapping = {}
-    for ci in sorted(plus_chains):
-        mapping[ci] = surgery_target(ci)
+    mapping = {ci: surgery_target(ci) for ci in sorted(plus_chains)}
     if sorted(mapping.values()) != sorted(minus_chains):
         raise InternalError("final-term surgery is not a bijection on chain orbits")
     # involution: the same rule applied on the minus side must invert the map
@@ -461,16 +463,14 @@ def _surgery(G: Group, B: Block, S: PairSet, bounds: BoundarySets) -> PairingWit
         back = surgery_target(cj)
         if mapping.get(back) != cj:
             raise InternalError("final-term surgery is not an involution")
-    chain_pairs = []
-    for ci, cj in sorted(mapping.items()):
-        n_plus = plus_chains[ci]
-        n_minus = minus_chains[cj]
+    chain_pairs = tuple((ci, cj, plus_chains[ci], minus_chains[cj])
+                        for ci, cj in mapping.items())  # in plus-chain order
+    for _, _, n_plus, n_minus in chain_pairs:
         if n_plus != n_minus:
             raise InternalError(
                 f"matched chain orbits carry {n_plus} vs {n_minus} eligible characters"
             )
-        chain_pairs.append((ci, cj, n_plus, n_minus))
-    return PairingWitness(tuple(chain_pairs))
+    return chain_pairs
 
 
 # -- the repair loop -----------------------------------------------------------------
@@ -501,7 +501,7 @@ def repair_bijection(x_plus, c0, x_minus, c1, omega: dict, pi: dict,
         raise InputError("marked subsets must live inside their ambient sets")
     if len(c0set) != len(c1set):
         raise InputError("|C0| must equal |C1|")
-    if set(omega) != set(x_plus) or sorted(map(_key, omega.values())) != sorted(map(_key, x_minus)) \
+    if set(omega) != set(x_plus) or sorted(map(repr, omega.values())) != sorted(map(repr, x_minus)) \
             or len(set(omega.values())) != len(x_plus):
         raise InputError("omega is not a bijection from X+ to X-")
     dom = set(x_plus) - c0set
@@ -535,10 +535,6 @@ def repair_bijection(x_plus, c0, x_minus, c1, omega: dict, pi: dict,
         if om[x0] not in c1set:
             raise InternalError("repair loop left a bad boundary element")
     return RepairResult(om, tuple(swap_log))
-
-
-def _key(x):
-    return repr(x)
 
 
 def _check_action_maps(x_plus, x_minus, c0set, c1set, omega, pi, ap, am):
@@ -582,56 +578,39 @@ def pairing_with_repair(G: Group, B: Block) -> tuple[CheckReport, PairingWitness
     non-boundary chains, a canonical starting bijection, and repairs it so
     the trivial-chain pairs land on the defect-group-chain pairs.
     """
-    return _pairing_with_repair(G, B)[:2]
-
-
-def _pairing_with_repair(G: Group, B: Block) -> tuple:
-    """(report, witness, witness.to_dict()) of :func:`pairing_with_repair`."""
     p = B.p
-    Z = G.p_core(p)
-    S = pair_set(G, B, Z, B.defect)
+    S = pair_set(G, B, G.p_core(p), B.defect)
     plus, minus = S.plus, S.minus
     inputs = {"group": group_document(G), "p": p, "block": B.index, "d": B.defect}
     if len(plus) != len(minus):
-        witness = PairingWitness(())
-        return (
-            CheckReport("pi-pairing", inputs, len(plus), len(minus), "fail",
-                        witness={"reason": "signed counts differ; no pairing exists"}),
-            witness,
-            witness.to_dict(),
-        )
+        return (CheckReport("pi-pairing", inputs, len(plus), len(minus), "fail",
+                            witness={"reason": "signed counts differ; no pairing exists"}),
+                PairingWitness(()))
     bounds = boundary_sets(S, B)
-    witness = _surgery(G, B, S, bounds)
+    chain_pairs = _surgery(G, B, S, bounds)
     if len(bounds.C0) != len(bounds.C1):
         raise InternalError("boundary sets have different sizes despite count equality")
     omega = dict(zip(plus, minus))
-    pi = {(ci, i): (cj, j) for (ci, cj, _n, _m) in witness.chain_pairs
+    pi = {(ci, i): (cj, j) for (ci, cj, _n, _m) in chain_pairs
           for i, j in zip(S.chars[ci], S.chars[cj])}
     result = repair_bijection(plus, bounds.C0, minus, bounds.C1, omega, pi)
-    witness.repaired_map = result.mapping
-    witness.swap_log = result.swap_log
-    surgery = witness.to_dict()
-    report = CheckReport(
-        "pi-pairing", inputs, len(bounds.Jplus), len(bounds.Jminus), "pass",
-        witness={
-            "pairing": surgery["chain_pairs"],
-            "boundary": {"C0": len(bounds.C0), "C1": len(bounds.C1)},
-            "swaps": len(result.swap_log),
-        },
-    )
-    return report, witness, surgery
+    witness = PairingWitness(chain_pairs, result.mapping, result.swap_log)
+    return CheckReport("pi-pairing", inputs, len(bounds.Jplus), len(bounds.Jminus), "pass",
+                       witness={"pairing": witness.pair_documents(),
+                                "boundary": {"C0": len(bounds.C0), "C1": len(bounds.C1)},
+                                "swaps": len(result.swap_log)}), witness
 
 
 def pi_pairing_check(G: Group, B: Block) -> CheckReport:
-    """pairing_with_repair with its surgery witness, if B has non-boundary chains."""
-    p = B.p
-    if is_central_defect(B) or B.defect <= _nu(G.p_core(p).order, p):
+    """pairing_with_repair with its surgery witness, where :func:`_core_mode`
+    gives a mode: elsewhere B has no non-boundary chains."""
+    if _core_mode(G, B)[0] is None:
         return CheckReport(
-            "pi-pairing", {"group": group_document(G), "p": p, "block": B.index},
+            "pi-pairing", {"group": group_document(G), "p": B.p, "block": B.index},
             None, None, "not-applicable",
             witness={"reason": "no non-boundary chains for this block"})
-    report, _, surgery = _pairing_with_repair(G, B)
-    report.witness["surgery"] = surgery
+    report, witness = pairing_with_repair(G, B)
+    report.witness["surgery"] = witness.to_dict()
     return report
 
 

@@ -160,7 +160,7 @@ class _ElementArray:
         """The distinct rows of ``rows``, sorted."""
         degree = rows.shape[1]
         self._radix = (degree ** np.arange(degree - 1, -1, -1, dtype=np.int64)
-                       if degree ** degree < 2**63 else None)
+                       if degree <= 15 else None)
         self._keys, first = np.unique(self._row_keys(rows), return_index=True)
         rows = self.rows = rows[first]
         inv = self.inv = np.empty_like(rows)

@@ -1,8 +1,9 @@
 """Permutations on 0-based points, stored as image tuples.
 
 A permutation of degree n is a tuple ``p`` of length n with ``p[i]`` the
-image of point ``i``.  Composition is left to right: ``pmul(p, q)`` applies
-``p`` first.
+image of point ``i``.  Tuples are where permutations enter and leave the
+program; no program path multiplies or inverts them, so the tuple product
+and inverse, ``pmul`` and ``pinv``, live with the test oracles.
 """
 
 from __future__ import annotations
@@ -29,18 +30,6 @@ def validate_perm(images: Sequence[int], degree: int | None = None) -> Perm:
     if sorted(p) != list(range(n)):
         raise InputError(f"image list {p!r} is not a bijection on 0..{n - 1}")
     return p
-
-
-def pmul(p: Perm, q: Perm) -> Perm:
-    """Product: apply p, then q."""
-    return tuple(q[i] for i in p)
-
-
-def pinv(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
 
 
 def perm_order(p: Perm) -> int:

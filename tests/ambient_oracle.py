@@ -15,9 +15,8 @@ import numpy as np
 from pblocks.chartable import character_table
 from pblocks.errors import InputError, InternalError
 from pblocks.groups import Group, _member_mask
-from pblocks.perms import pinv, pmul
 
-from kernel_oracles import class_index, conj
+from kernel_oracles import class_index, conj, pinv, pmul
 
 class_index = lru_cache(maxsize=64)(class_index)  # one dict per group
 

@@ -16,8 +16,10 @@ products; the table code builds its class matrices one at a time, only
 those that its eigenspace split reads, as the sorted (j, k, count)
 ``triples`` of their nonzero entries, and ``SparseTensor`` reads a dense
 tensor that way.
-``conj`` and ``ppow`` are the tuple conjugate and power that no program
-path needs any more.  ``sympy_canonical_factor`` is the least factor of a
+``pmul`` and ``pinv`` are the tuple product, composed left to right so
+that ``pmul(p, q)`` applies ``p`` first, and the tuple inverse; with them
+``conj`` and ``ppow`` are the tuple conjugate and power.  No program path
+needs any of the four any more.  ``sympy_canonical_factor`` is the least factor of a
 cyclotomic polynomial mod p as sympy's factorisation finds it, the way
 ``BlockField`` chose its modulus before it split the polynomial itself.
 ``conj_matrix`` is complex conjugation on the power basis as the table
@@ -47,7 +49,19 @@ from pblocks.cyclotomic import _power_reductions, cyclotomic_poly, euler_phi
 from pblocks.errors import InternalError
 from pblocks.groups import Group
 from pblocks.modlinalg import inv_mod, poly_roots
-from pblocks.perms import identity, pinv, pmul
+from pblocks.perms import Perm, identity
+
+
+def pmul(p: Perm, q: Perm) -> Perm:
+    """Product: apply p, then q."""
+    return tuple(q[i] for i in p)
+
+
+def pinv(p: Perm) -> Perm:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
 
 
 def conj(x, g):

@@ -12,7 +12,9 @@ import pytest
 from sympy import primefactors
 
 from cyclo_oracle import Cyclo, central_character, entry
-from kernel_oracles import TupleField, class_index, oracle_classes, oracle_cmc, perm_set
+from kernel_oracles import (
+    TupleField, class_index, oracle_classes, oracle_cmc, perm_set, pinv, pmul,
+)
 from pblocks import blocks
 from pblocks.blockfield import block_field
 from pblocks.blocks import (
@@ -28,7 +30,7 @@ from pblocks.chartable import character_table, defects
 from pblocks.errors import InputError, InternalError
 from pblocks.groups import Group
 from pblocks.library import library_group
-from pblocks.perms import perm_order, pinv
+from pblocks.perms import perm_order
 
 CORPUS = [
     ("S3", 2), ("S3", 3), ("S4", 2), ("S4", 3), ("A4", 2), ("A4", 3),
@@ -175,8 +177,6 @@ def test_abelian_defect_forces_height_zero(grp):
         table = character_table(grp(name))
         for b in p_blocks(table, p):
             dgroup = b.defect_group.as_group()
-            from pblocks.perms import pmul
-
             abelian = all(pmul(x, y) == pmul(y, x)
                           for x in dgroup.generators for y in dgroup.generators)
             if abelian:

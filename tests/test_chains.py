@@ -30,7 +30,6 @@ from pblocks.chains import (
     _lattice_view,
     _stabilizer_rows,
     _state_graph,
-    chain_orbits_cached,
     enumerate_chain_orbits,
     pair_set,
     signed_pair_counts,
@@ -344,8 +343,8 @@ def test_intermediate_subgroup_classes(grp):
 
 def test_chain_orbit_cache(grp):
     A5 = grp("A5")
-    a = chain_orbits_cached(A5, A5.trivial_subgroup(), 2)
-    b = chain_orbits_cached(A5, A5.trivial_subgroup(), 2)
+    a = enumerate_chain_orbits(A5, A5.trivial_subgroup(), 2)
+    b = enumerate_chain_orbits(A5, A5.trivial_subgroup(), 2)
     assert a is b
 
 

@@ -1,7 +1,9 @@
 """Counting checks on worked instances, including an ambient overgroup."""
 
 import pytest
+from sympy import primefactors
 
+from kernel_oracles import nu_by_division, pmul, relabelled
 from pblocks.blocks import p_blocks
 from pblocks.chains import pair_set
 from pblocks.chartable import character_table
@@ -10,6 +12,7 @@ from pblocks.conjectures import (
     defect_support_scan,
     final_term_pairing,
     pairing_with_repair,
+    pi_pairing_check,
     verify_abelian_defect,
     verify_am_count,
     verify_blockfree,
@@ -17,7 +20,7 @@ from pblocks.conjectures import (
     verify_pair_count,
 )
 from pblocks.errors import InputError
-from pblocks.library import direct_product, library_group
+from pblocks.library import acceptance_corpus, direct_product, library_group
 
 
 def test_a5_counts(grp):
@@ -94,6 +97,40 @@ def test_abelian_defect_reports(grp):
     s4_reports = verify_abelian_defect(S4, 2)
     na = [r for r in s4_reports if r.verdict == "not-applicable"]
     assert na and na[0].witness["positive_height_members"] == [(2, 1)]
+
+
+APPLICABILITY_CASES = (
+    [(name, p, 7) for name in acceptance_corpus()
+     for p in primefactors(library_group(name).order)]
+    + [("S4xS3", 2, None), ("A4xA5", 2, None), ("S4xS4", 2, None)]
+)
+
+
+@pytest.mark.parametrize("name, p, seed", APPLICABILITY_CASES)
+def test_one_applicability_rule(name, p, seed):
+    # max-defect, pi-pairing and the abelian-defect counts apply to the same
+    # blocks: those whose defect group D is not central (read here by tuple
+    # products of generators) and whose defect exceeds log_p |O_p(G)|; the
+    # abelian-defect rows run f over (log_p |O_p(G)|, d(B)] in max-defect's mode
+    G = library_group(name) if seed is None else relabelled(library_group(name), seed)
+    m = nu_by_division(G.p_core(p).order, p)
+    abelian = verify_abelian_defect(G, p)
+    for B, rep in zip(p_blocks(character_table(G), p), verify_max_defect(G, p), strict=True):
+        D = B.defect_group
+        central = all(pmul(x, g) == pmul(g, x) for x in D.generators for g in G.generators)
+        applies = not central and B.defect > m
+        pi = pi_pairing_check(G, B)
+        assert (rep.verdict != "not-applicable") == applies
+        assert (pi.verdict != "not-applicable") == applies
+        if not applies:
+            assert rep.witness["reason"] == ("central defect groups" if central else
+                                             "defect group equals the non-central p-core")
+            assert pi.witness["reason"] == "no non-boundary chains for this block"
+        if D.is_abelian():
+            rows = [r for r in abelian
+                    if r.check == "abelian-defect-count" and r.inputs["block"] == B.index]
+            assert [r.inputs["f"] for r in rows] == list(range(m + 1, B.defect + 1) if applies else ())
+            assert all(r.inputs["mode"] == rep.inputs["mode"] for r in rows)
 
 
 def test_blockfree(grp):

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 from sympy import primefactors
 
-from kernel_oracles import closure, conj, generating_subset, index_set, perm_set, relabelled
+from kernel_oracles import (
+    closure, conj, generating_subset, index_set, perm_set, pmul, relabelled,
+)
 from pblocks.blocks import p_blocks
 from pblocks.chains import (
     _state_graph,
-    chain_orbits_cached,
     enumerate_chain_orbits,
     signed_pair_counts,
 )
@@ -28,7 +29,7 @@ from pblocks.config import Limits
 from pblocks.errors import InputError, InternalError, ResourceError
 from pblocks.groups import Group, SubgroupHandle, _build_chain
 from pblocks.library import acceptance_corpus, direct_product, library_group, parse_group_file
-from pblocks.perms import format_cycles, identity, parse_cycles, perm_order, pmul
+from pblocks.perms import format_cycles, identity, parse_cycles, perm_order
 
 
 def brute_order(degree, gens):
@@ -438,7 +439,7 @@ CACHED_FACTS = {
     "normalizer": lambda G, p: G.normalizer(_handle(G, G.sylow(p).elements)),
     "p_subgroup_classes": lambda G, p: G.p_subgroup_classes(p),
     "_state_graph": lambda G, p: _state_graph(G, _handle(G, [0]), p),
-    "chain_orbits_cached": lambda G, p: chain_orbits_cached(G, _handle(G, [0]), p),
+    "enumerate_chain_orbits": lambda G, p: enumerate_chain_orbits(G, _handle(G, [0]), p),
 }
 
 

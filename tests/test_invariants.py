@@ -62,8 +62,7 @@ def test_stabilizer_character_fixed_by_stabilizer(grp):
     A5 = grp("A5")
     B0 = p_blocks(character_table(A5), 2)[0]
     S = pair_set(A5, B0, A5.trivial_subgroup(), 2)
-    from kernel_oracles import class_index, conj
-    from pblocks.perms import pinv
+    from kernel_oracles import class_index, conj, pinv
 
     for o in S.orbits:
         H = o.stabilizer.as_group()

@@ -57,6 +57,8 @@ from kernel_oracles import (
     oracle_cmc,
     oracle_common_eigenvectors,
     perm_set,
+    pinv,
+    pmul,
     relabelled,
     sympy_canonical_factor,
     triples,
@@ -84,7 +86,7 @@ from pblocks.errors import InternalError, ResourceError
 from pblocks.groups import _KEY_CHUNK, Group, _member_mask, _subgroups_of_p_group
 from pblocks.library import acceptance_corpus, library_group, parse_group_file
 from pblocks.modlinalg import inv_mod
-from pblocks.perms import parse_cycles, parse_perm_list, pinv, pmul
+from pblocks.perms import parse_cycles, parse_perm_list
 
 # -- brute-force oracles --------------------------------------------------------
 

@@ -3,15 +3,13 @@ import random
 import pytest
 
 from pblocks.errors import InputError
-from kernel_oracles import conj, ppow
+from kernel_oracles import conj, pinv, pmul, ppow
 from pblocks.perms import (
     format_cycles,
     identity,
     parse_cycles,
     parse_perm_list,
     perm_order,
-    pinv,
-    pmul,
     validate_perm,
 )
 
